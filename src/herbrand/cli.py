@@ -783,6 +783,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as e:
+        # anything else is a defect, never a gave-up verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -65,20 +65,21 @@ def unify(s, t, under: Optional[Subst] = None) -> Unifier:
             raise TypeError("cannot unify an atom with a term")
         if s.pred != t.pred:
             return Unifier("clash", offending=(s.pred.name, t.pred.name))
-        eqs = list(zip(s.args, t.args))
+        eqs = list(zip(reversed(s.args), reversed(t.args)))
     else:
         eqs = [(s, t)]
+    # a stack kept in reverse, so equations are still handled left to right
     sigma = under or Subst()
     if sigma:
         eqs = [(apply_term(sigma, a), apply_term(sigma, b)) for a, b in eqs]
     while eqs:
-        a, b = eqs.pop(0)
+        a, b = eqs.pop()
         if a == b:
             continue
         if isinstance(a, App) and isinstance(b, App):
             if a.sym != b.sym:
                 return Unifier("clash", offending=(a.sym.name, b.sym.name))
-            eqs = list(zip(a.args, b.args)) + eqs
+            eqs.extend(zip(reversed(a.args), reversed(b.args)))
             continue
         if isinstance(b, Var) and not isinstance(a, Var):
             a, b = b, a
@@ -97,15 +98,21 @@ def unify(s, t, under: Optional[Subst] = None) -> Unifier:
 Literal = tuple[bool, Atom]  # (sign, atom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clause:
-    """A set of signed atoms with variables, plus the provenance needed
-    to read a Herbrand witness out of a refutation: one substitution of
-    the original gamma-variables per initial-clause copy in its
-    derivation tree."""
+    """A set of signed atoms with variables, plus a record of how it was
+    made: an initial clause keeps its index, a renamed or factored
+    clause its parent and substitution, a resolvent both parents and
+    their most general unifier.  The provenance needed to read a
+    Herbrand witness out of a refutation (one substitution of the
+    original gamma-variables per initial-clause copy in the derivation
+    tree) is rebuilt from these records by `rebuild_provenance`, only
+    for the empty clause.  Equality is identity."""
 
     literals: frozenset
-    provenance: tuple = ()  # of (initial_index, Subst over gamma vars)
+    index: Optional[int] = None  # of an initial clause
+    parents: tuple = field(default=(), repr=False)
+    sub: Subst = field(default_factory=Subst, repr=False)
 
     def __len__(self):
         return len(self.literals)
@@ -130,8 +137,7 @@ class Clause:
 
     def apply_sub(self, sub: Subst) -> "Clause":
         lits = frozenset((sign, apply(sub, atom)) for sign, atom in self.literals)
-        prov = tuple((idx, compose(theta, sub)) for idx, theta in self.provenance)
-        return Clause(lits, prov)
+        return Clause(lits, parents=(self,), sub=sub)
 
     def canonical(self) -> frozenset:
         """Literals under a variable renaming canonical in print order,
@@ -222,11 +228,7 @@ def resolve(c1: Clause, c2: Clause, l1: Literal, l2: Literal) -> Optional[Clause
         return None
     rest = (c1.literals - {l1}) | (c2.literals - {l2})
     lits = frozenset((s, apply(u.substitution, a)) for s, a in rest)
-    prov = tuple(
-        (idx, compose(theta, u.substitution))
-        for idx, theta in c1.provenance + c2.provenance
-    )
-    return Clause(lits, prov)
+    return Clause(lits, parents=(c1, c2), sub=u.substitution)
 
 
 def factor(c: Clause, l1: Literal, l2: Literal) -> Optional[Clause]:
@@ -239,6 +241,39 @@ def factor(c: Clause, l1: Literal, l2: Literal) -> Optional[Clause]:
     if not u.ok:
         return None
     return c.apply_sub(u.substitution)
+
+
+def rebuild_provenance(c: Clause) -> tuple:
+    """The (initial_index, Subst over gamma vars) pairs of `c`'s
+    derivation tree, rebuilt from the parent records.
+
+    An initial clause contributes `(index, {})`; a derived clause
+    composes every pair of its parents, in parent order, with its own
+    substitution.  Each clause of the derivation DAG is visited once,
+    with an explicit stack, so a deep derivation needs no recursion.
+    """
+    done: dict[int, tuple] = {}  # by clause identity
+    stack = [c]
+    while stack:
+        top = stack[-1]
+        if id(top) in done:
+            stack.pop()
+            continue
+        if top.index is not None:
+            done[id(top)] = ((top.index, Subst()),)
+            stack.pop()
+            continue
+        pending = [p for p in top.parents if id(p) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        done[id(top)] = tuple(
+            (idx, compose(theta, top.sub))
+            for p in top.parents
+            for idx, theta in done[id(p)]
+        )
+    return done[id(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +324,7 @@ def prove_resolution(
     d = herbrand_disjunction(f, 1)
     gamma = d.gamma_vars
     initial = [
-        Clause(c, ((i, Subst()),))
+        Clause(c, index=i)
         for i, c in enumerate(formula_clauses(Not(d.matrix)))
     ]
     events = []
@@ -324,11 +359,12 @@ def prove_resolution(
     for c in initial:
         heapq.heappush(passive, (0, len(c), next(seq), c))
         log("clause", clause=c)
-    processed: list[Clause] = []
+    # each clause's literals in resolution order, sorted once
+    processed: list[tuple[Clause, list[Literal]]] = []
     steps = 0
     iteration = 0
 
-    def sorted_literals(c: Clause):
+    def sorted_literals(c: Clause) -> list[Literal]:
         return sorted(c.literals, key=lambda l: (print_formula(l[1]), l[0]))
 
     while passive:
@@ -340,13 +376,16 @@ def prove_resolution(
         iteration += 1
         _, _, _, given = heapq.heappop(passive)
         given = standardize_apart(given, counter)
-        processed.append(given)
+        given_lits = sorted_literals(given)
+        processed.append((given, given_lits))
 
         new: list[Clause] = []
-        for other in processed:
-            right = standardize_apart(other, counter) if other is given else other
-            for l1 in sorted_literals(given):
-                for l2 in sorted_literals(right):
+        for right, right_lits in processed:
+            if right is given:
+                right = standardize_apart(given, counter)
+                right_lits = sorted_literals(right)
+            for l1 in given_lits:
+                for l2 in right_lits:
                     if l1[0] == l2[0] or l1[1].pred != l2[1].pred:
                         continue
                     if steps >= step_budget:
@@ -368,12 +407,11 @@ def prove_resolution(
                             trace=tuple(events),
                         )
                     new.append(r)
-        lits = sorted_literals(given)
-        for i in range(len(lits)):
-            for j in range(i + 1, len(lits)):
-                if lits[i][0] != lits[j][0] or lits[i][1].pred != lits[j][1].pred:
+        for i, l1 in enumerate(given_lits):
+            for l2 in given_lits[i + 1:]:
+                if l1[0] != l2[0] or l1[1].pred != l2[1].pred:
                     continue
-                fc = factor(given, lits[i], lits[j])
+                fc = factor(given, l1, l2)
                 if fc is not None and fc.literals != given.literals:
                     log("factor", clause=fc)
                     new.append(fc)
@@ -393,7 +431,7 @@ def prove_resolution(
 
 def _extract_witness(empty: Clause, gamma: Sequence[str]) -> tuple:
     subs = []
-    for _idx, theta in empty.provenance:
+    for _idx, theta in rebuild_provenance(empty):
         grounded = _ground_residuals(theta, gamma)
         if grounded not in subs:
             subs.append(grounded)

@@ -224,9 +224,6 @@ class Subst:
         m[var] = term
         return Subst(m)
 
-    def restrict(self, vars_: set[str]) -> "Subst":
-        return Subst({v: t for v, t in self._map.items() if v in vars_})
-
     def is_idempotent(self) -> bool:
         bound = set(self._map)
         return all(not (term_vars(t) & bound) for t in self._map.values())

@@ -43,6 +43,19 @@ def test_prove_malformed_file(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    from herbrand import engine
+
+    def overflow(*_args, **_kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(engine, "prove_dp", overflow)
+    path = write_problem(tmp_path, "formula: P(a) | ~P(a)\n")
+    code, out, err = run(capsys, ["prove", path, "--method", "dp"])
+    assert code == 2 and out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_free_declaration_convention(tmp_path, capsys):
     # undeclared identifiers are constants; declared ones are variables
     path = write_problem(tmp_path, "formula: P(x) | ~P(x)\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -13,7 +14,9 @@ from herbrand.engine import (
     prove_dp,
     prove_gilmore,
     prove_resolution,
+    rebuild_provenance,
     resolve,
+    standardize_apart,
     unify,
 )
 from herbrand.expansion import check_instances, herbrand_disjunction
@@ -97,6 +100,10 @@ def test_unify_trivia():
     assert occ.status == "occurs"
     clash = unify(parse_term("f(a)"), parse_term("g(a)"))
     assert clash.status == "clash"
+    # equations are handled left to right: the first variable pair binds
+    x, y = Var("x"), Var("y")
+    assert unify(App(FUN_H, (x, y)), App(FUN_H, (y, x))).substitution == Subst({"x": y})
+    assert unify(Atom(PRED, (x, y)), Atom(PRED, (y, x))).substitution == Subst({"x": y})
 
 
 def test_mgu_laws():
@@ -266,6 +273,64 @@ def test_prove_resolution_examples():
     assert check_instances(f, list(r.witness))[0]
 
 
+def test_lazy_provenance_matches_eager_composition():
+    P1 = Symbol("P", 1, PREDICATE)
+    Q1 = Symbol("Q", 1, PREDICATE)
+    a = App(CONST_A)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    c0 = Clause(frozenset([(True, Atom(P1, (x,))), (True, Atom(P1, (a,)))]), index=0)
+    c1 = Clause(frozenset([(False, Atom(P1, (y,))), (True, Atom(Q1, (y,)))]), index=1)
+    c2 = Clause(frozenset([(False, Atom(Q1, (z,)))]), index=2)
+    counter = itertools.count()
+
+    f0 = factor(c0, (True, Atom(P1, (x,))), (True, Atom(P1, (a,))))  # {x -> a}
+    s1 = standardize_apart(c1, counter)  # {y -> y@0.0}
+    y0 = Var("y@0.0")
+    r1 = resolve(f0, s1, (True, Atom(P1, (a,))), (False, Atom(P1, (y0,))))
+    s2 = standardize_apart(c2, counter)  # {z -> z@1.0}
+    z1 = Var("z@1.0")
+    empty = resolve(r1, s2, (True, Atom(Q1, (a,))), (False, Atom(Q1, (z1,))))
+    assert empty is not None and empty.is_empty()
+
+    # the eager rule: each clause composes its parents' pairs, in parent
+    # order, with its own substitution
+    assert rebuild_provenance(c0) == ((0, Subst()),)
+    assert rebuild_provenance(f0) == ((0, Subst({"x": a})),)
+    assert rebuild_provenance(s1) == ((1, Subst({"y": y0})),)
+    assert rebuild_provenance(r1) == (
+        (0, Subst({"x": a, "y@0.0": a})),
+        (1, Subst({"y": a, "y@0.0": a})),
+    )
+    assert rebuild_provenance(empty) == (
+        (0, Subst({"x": a, "y@0.0": a, "z@1.0": a})),
+        (1, Subst({"y": a, "y@0.0": a, "z@1.0": a})),
+        (2, Subst({"z": a, "z@1.0": a})),
+    )
+    # a clause built without a record has no provenance
+    assert rebuild_provenance(Clause(c0.literals)) == ()
+
+
+def test_lazy_provenance_of_a_deep_derivation():
+    # budgets, not the recursion limit, bound the work
+    depth = sys.getrecursionlimit() + 100
+    c = Clause(frozenset([(True, Atom(Symbol("P", 1, PREDICATE), (Var("x"),)))]),
+               index=0)
+    counter = itertools.count()
+    for _ in range(depth):
+        c = standardize_apart(c, counter)
+    ((idx, theta),) = rebuild_provenance(c)
+    assert idx == 0 and theta.get("x") == Var(f"x@{depth - 1}.0")
+
+
+def _witness(*rows):
+    """Witness substitutions of the gamma-variables a, b, c, n, x, y; a
+    variable a row leaves out is mapped to the lexicon variable l."""
+    return tuple(
+        Subst({v: parse_term(row.get(v, "l"), {"l"}) for v in "abcnxy"})
+        for row in rows
+    )
+
+
 def test_prove_resolution_running_example():
     A = parse(
         "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
@@ -275,6 +340,33 @@ def test_prove_resolution_running_example():
     r = prove_resolution(A, 100000)
     assert r.found
     assert check_instances(A, list(r.witness))[0]
+    # pinned: any change to the loop order or the provenance shows here
+    assert r.steps == 36361
+    vw = "m_star(v_star, w_star)"
+    vwu = f"m_star({vw}, u_star)"
+    assert r.witness == _witness(
+        {"a": "v_star", "b": vw, "c": vwu},
+        {"x": "v_star", "y": "w_star"},
+        {"x": vw, "y": "u_star"},
+        {"n": vwu},
+        {"a": "w_star", "b": vw, "c": vwu},
+    )
+
+
+def test_prove_resolution_two_goal_variant():
+    A = parse(
+        "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+        " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+        " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))"
+    )
+    r = prove_resolution(A, 100000)
+    assert r.found
+    assert check_instances(A, list(r.witness))[0]
+    assert r.steps == 16
+    assert r.witness == _witness(
+        {"n": "m_star(u_star, v_star)"},
+        {"x": "u_star", "y": "v_star"},
+    )
 
 
 def test_prove_gilmore_and_dp():

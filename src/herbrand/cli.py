@@ -129,15 +129,17 @@ def cmd_prove(args) -> int:
             if result.method == "resolution":
                 report["steps"] = result.steps
         witness = list(result.witness)
+        minimized: tuple = ()
         if witness:
             verified, _ = expansion.check_instances(formula, witness)
             if not verified:
                 print("internal error: witness failed re-verification", file=sys.stderr)
                 return EXIT_ERROR
             report["witness-verified"] = "true"
+            if args.method != "race" or args.proof_out:
+                minimized = engine.minimize_witness(formula, witness)
             if args.method != "race":
-                shown = engine.minimize_witness(formula, witness)
-                report["witness"] = _witness_lines(shown)
+                report["witness"] = _witness_lines(minimized)
     else:
         report["verdict"] = "gave-up"
         if args.method != "race":
@@ -170,10 +172,9 @@ def cmd_prove(args) -> int:
         report["trace"] = list(result.trace)
 
     if args.proof_out and result.found:
-        witness = engine.minimize_witness(formula, list(result.witness))
         order = result.order if result.order is not None else 1
         pcw = expansion.PropertyCWitness(
-            order, tuple(witness), expansion.herbrand_disjunction(formula, 1).matrix
+            order, tuple(minimized), expansion.herbrand_disjunction(formula, 1).matrix
         )
         derivation = proofcalc.mp_eliminate(formula, pcw)
         violation = proofcalc.check(derivation)

@@ -462,7 +462,19 @@ def prove_dp(
     """The same order loop with the matrix negation converted to clause
     form once and the tautology test replaced by DPLL."""
     d = herbrand_disjunction(f, 1, always_lexicon)
-    base_clauses = formula_clauses(Not(d.matrix))
+    gamma = d.gamma_vars
+    position = {v: i for i, v in enumerate(gamma)}
+    # each base atom once, with the positions of its gamma-variables
+    slots: dict[Atom, int] = {}
+    base_clauses = [
+        [(s, slots.setdefault(a, len(slots))) for s, a in c]
+        for c in formula_clauses(Not(d.matrix))
+    ]
+    atoms = list(slots)
+    atom_positions = [
+        sorted({position[v] for t in a.args for v in term_vars(t) if v in position})
+        for a in atoms
+    ]
     for n in range(1, n_max + 1):
         if should_stop is not None and should_stop():
             return ProofResult(False, "dp", reason="cancelled")
@@ -471,14 +483,21 @@ def prove_dp(
             return ProofResult(
                 False, "dp", order=None, reason=f"budget exceeded at order {n}"
             )
+        terms = dn.champ.terms
+        # per base atom: image indices of its gamma-variables -> atom key
+        ground: list[dict[tuple, str]] = [{} for _ in atoms]
         clauses = set()
-        for sigma in dn.substitutions():
+        for images in itertools.product(range(len(terms)), repeat=len(gamma)):
+            keys = []
+            for atom, positions, table in zip(atoms, atom_positions, ground):
+                at = tuple(map(images.__getitem__, positions))
+                key = table.get(at)
+                if key is None:
+                    sigma = Subst({gamma[p]: terms[i] for p, i in zip(positions, at)})
+                    key = table[at] = sat.atom_key(apply(sigma, atom))
+                keys.append(key)
             for c in base_clauses:
-                clauses.add(
-                    frozenset(
-                        (sat.atom_key(apply(sigma, a)), s) for s, a in c
-                    )
-                )
+                clauses.add(frozenset([(keys[slot], s) for s, slot in c]))
         satisfiable, _ = sat.dpll(sat.ClauseSet("cnf", frozenset(clauses)))
         if not satisfiable:
             witness = tuple(dn.substitutions())

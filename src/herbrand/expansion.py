@@ -38,6 +38,7 @@ from .syntax import (
     print_term,
     rectify,
     subformulas,
+    term_vars,
     with_children,
 )
 from .transform import skolemize_outer, to_antiprenex
@@ -242,8 +243,50 @@ def check_instances(
             )
     if not sigmas:
         return False, None
-    big = _disjoin([d.instance(s) for s in sigmas])
+    big = _disjoin(_ground_instances(d.matrix, sigmas))
     return sat.is_tautology(big, engine)
+
+
+def _ground_instances(matrix: Formula, sigmas: Sequence[Subst]) -> list[Formula]:
+    """Equal to [apply(s, matrix) for s in sigmas], but each distinct
+    instance of a subformula is built once.
+
+    An instance of a subformula depends only on the images of its own
+    free variables, so it is memoized on the identities of the
+    subformula and of those images; `sigmas` and `matrix` keep them alive
+    for the duration of the call.  Atoms (and quantified subformulas)
+    that miss the memo are built by `apply`, connectives from their
+    grounded children.
+    """
+    leaf = (Atom, *QUANT)
+    own: dict[int, tuple[str, ...]] = {}
+
+    def note(g: Formula) -> set[str]:
+        if isinstance(g, Atom):
+            vs = set().union(*map(term_vars, g.args))
+        elif isinstance(g, QUANT):
+            vs = free_vars(g)
+        else:
+            vs = set().union(*map(note, children(g)))
+        own[id(g)] = tuple(sorted(vs))
+        return vs
+
+    note(matrix)
+    memo: dict[tuple, Formula] = {}
+
+    def ground(g: Formula, s: Subst, image_ids: dict[str, int]) -> Formula:
+        key = (id(g), *map(image_ids.get, own[id(g)]))
+        out = memo.get(key)
+        if out is None:
+            if isinstance(g, leaf):
+                out = apply(s, g)
+            else:
+                kids = tuple(ground(k, s, image_ids) for k in children(g))
+                out = with_children(g, kids)
+            memo[key] = out
+        return out
+
+    return [ground(matrix, s, {v: id(t) for v, t in s.items()}) for s in sigmas]
 
 
 def property_c(

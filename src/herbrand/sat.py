@@ -134,20 +134,37 @@ def _distribute(f: Formula, join) -> frozenset:
         if isinstance(g, Not):
             return {frozenset([(atom_key(g.body), False)])}
         if isinstance(g, outer):
-            return prune(go(g.left) | go(g.right))
+            return _prune(go(g.left) | go(g.right))
         if isinstance(g, join):
             left, right = go(g.left), go(g.right)
-            return prune({a | b for a in left for b in right})
+            return _prune({a | b for a in left for b in right})
         raise QuantifierPresentError(f"not sentential: {print_formula(g)}")
 
-    def prune(clauses: set[Clause]) -> set[Clause]:
-        out = set()
-        for c in sorted(clauses, key=len):
-            if not any(kept <= c for kept in out):
-                out.add(c)
-        return out
-
     return frozenset(go(f))
+
+
+def _prune(clauses: set[Clause]) -> set[Clause]:
+    """The ⊆-minimal clauses, a unique set whatever the order of ties.
+
+    Only a strictly shorter clause can subsume a distinct one, and it
+    subsumes only clauses that contain the literal it is filed under;
+    so each clause is tested only against the shorter kept clauses
+    filed under one of its own literals.
+    """
+    if frozenset() in clauses:
+        return {frozenset()}
+    out = set()
+    index: dict[Literal, list[Clause]] = {}
+    same_length: list[Clause] = []  # kept, filed once a longer clause comes
+    for c in sorted(clauses, key=len):
+        if same_length and len(same_length[0]) < len(c):
+            for kept in same_length:
+                index.setdefault(next(iter(kept)), []).append(kept)
+            same_length = []
+        if not any(kept <= c for lit in c for kept in index.get(lit, ())):
+            out.add(c)
+            same_length.append(c)
+    return out
 
 
 def cnf(f: Formula) -> ClauseSet:

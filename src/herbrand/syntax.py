@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 LEXICON = "l"
 
@@ -111,7 +111,7 @@ class App:
             )
 
 
-Term = Union[Var, App]
+Term = Var | App
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class Exists:
     body: "Formula"
 
 
-Formula = Union[Atom, Not, Or, And, Implies, Iff, Forall, Exists]
+Formula = Atom | Not | Or | And | Implies | Iff | Forall | Exists
 
 BINARY = (Or, And, Implies, Iff)
 QUANT = (Forall, Exists)

@@ -6,6 +6,9 @@ import pytest
 from herbrand.cli import main
 from herbrand.proofcalc import check, load_derivation
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SCALING = "formula: ?x,y,z. (P(f(x),g(y)) & ~P(z,z))\n"
+
 
 def write_problem(tmp_path, text, name="problem.prob"):
     path = tmp_path / name
@@ -197,3 +200,37 @@ def test_selftest(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3)])
+def test_prove_scaling_family_stdout(tmp_path, capsys, method, order):
+    path = write_problem(tmp_path, SCALING)
+    code, out, _ = run(
+        capsys, ["prove", path, "--method", method, "--max-order", str(order)]
+    )
+    with open(os.path.join(DATA, f"scaling_{method}_n{order}.out"), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert code == 1
+    assert out == expected
+
+
+@pytest.mark.parametrize("method", ["dp", "race"])
+def test_proof_out_minimizes_the_witness_once(tmp_path, capsys, monkeypatch, method):
+    from herbrand import engine
+
+    calls = []
+    minimize = engine.minimize_witness
+
+    def counted(f, sigmas):
+        calls.append(len(sigmas))
+        return minimize(f, sigmas)
+
+    monkeypatch.setattr(engine, "minimize_witness", counted)
+    path = write_problem(tmp_path, "formula: (?x. P(x)) | ~(?y. P(y))\n")
+    drv = str(tmp_path / "proof.drv")
+    code, _, _ = run(
+        capsys,
+        ["prove", path, "--method", method, "--max-order", "3", "--proof-out", drv],
+    )
+    assert code == 0 and os.path.exists(drv)
+    assert len(calls) == 1

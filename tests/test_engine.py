@@ -440,3 +440,34 @@ def test_find_tautological_instances_respects_order():
     assert found2 is not None  # {x -> l} with {x -> y*(l)} works at order 2
     found3 = find_tautological_instances(d3, 2)
     assert found3 is not None
+
+
+@pytest.mark.parametrize(
+    "text, frees",
+    [
+        ("?x,y,z. (P(f(x),g(y)) & ~P(z,z))", set()),
+        ("?x,y. ((R(x,y) -> R(y,c)) & ~R(w,f(x)))", {"w"}),
+    ],
+)
+def test_prove_dp_clause_sets_match_per_substitution_grounding(monkeypatch, text, frees):
+    from herbrand import sat
+
+    seen = []
+    dpll = sat.dpll
+
+    def recorded(cs):
+        seen.append(cs)
+        return dpll(cs)
+
+    monkeypatch.setattr(sat, "dpll", recorded)
+    f = parse(text, frees=frees)
+    prove_dp(f, 3)
+    assert seen
+    for n, cs in enumerate(seen, 1):
+        d = herbrand_disjunction(f, n)
+        expected = {
+            frozenset((sat.atom_key(apply(sigma, a)), s) for s, a in c)
+            for sigma in d.substitutions()
+            for c in formula_clauses(Not(d.matrix))
+        }
+        assert cs.clauses == expected

@@ -5,6 +5,7 @@ import pytest
 
 from herbrand.expansion import (
     BudgetExceededError,
+    _ground_instances,
     arith_substructure_witness,
     champ_fini,
     check_instances,
@@ -28,6 +29,7 @@ from herbrand.syntax import (
     Subst,
     Symbol,
     Var,
+    apply,
     formula_symbols,
     height,
     parse,
@@ -39,7 +41,7 @@ from herbrand.syntax import (
 )
 from herbrand.transform import skolemize_outer
 
-from util import random_formula, random_structure
+from util import CONST_A, FUN_F, P1, Q1, R2, random_formula, random_structure
 
 RUNNING_EXAMPLE = (
     "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
@@ -415,3 +417,21 @@ def test_property_c_soundness_sample():
         for _ in range(100):
             s = random_structure(rng, f, rng.randrange(1, 5))
             assert eval_in_structure(s, f)
+
+
+def test_ground_instances_matches_apply():
+    rng = random.Random(31)
+    for _ in range(200):
+        f = random_formula(
+            rng, 4, ["x", "y", "z"], preds=(P1, Q1, R2), funcs=(CONST_A, FUN_F)
+        )
+        terms = [parse_term(t) for t in ("a", "f(a)", "f(f(a))", "y")]
+        sigmas = []
+        for _ in range(rng.randrange(1, 12)):
+            # identical image objects across substitutions, equal copies
+            # of them, and variables left unbound
+            bound = {v: rng.choice(terms) for v in ("x", "y", "z") if rng.random() < 0.8}
+            if rng.random() < 0.3:
+                bound = {v: parse_term(print_term(t)) for v, t in bound.items()}
+            sigmas.append(Subst(bound))
+        assert _ground_instances(f, sigmas) == [apply(s, f) for s in sigmas]

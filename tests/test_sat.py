@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from herbrand.sat import (
     ClauseSet,
     QuantifierPresentError,
+    _prune,
     abstract,
     atom_key,
     cnf,
@@ -145,3 +147,22 @@ def test_dimacs_dump_shape():
     assert lines[0] == "c polarity cnf"
     assert any(line.startswith("p cnf 2 2") for line in lines)
     assert lines[-1].endswith(" 0")
+
+
+def _quadratic_prune(clauses):
+    """Reference: keep a clause unless another one is a proper subset."""
+    return {c for c in clauses if not any(d < c for d in clauses)}
+
+
+_literals = st.tuples(st.sampled_from("pqrst"), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.frozensets(_literals, max_size=4), max_size=30))
+def test_indexed_prune_matches_quadratic_prune(clauses):
+    assert _prune(clauses) == _quadratic_prune(clauses)
+
+
+def test_prune_keeps_only_the_empty_clause():
+    clauses = {frozenset(), frozenset([("p", True)]), frozenset([("q", False)])}
+    assert _prune(clauses) == {frozenset()} == _quadratic_prune(clauses)

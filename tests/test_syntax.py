@@ -1,4 +1,8 @@
+import gc
+import importlib
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,3 +203,22 @@ def test_boxed_variable_round_trip():
               frees={"x"})
     assert isinstance(f, Exists) and f.var == "m_star(v_star, w_star)"
     assert parse(print_formula(f), frees={"x"}) == f
+
+
+def test_reimported_package_is_released():
+    saved = {n: m for n, m in sys.modules.items() if n.partition(".")[0] == "herbrand"}
+
+    def fresh_syntax():
+        for name in [n for n in sys.modules if n.partition(".")[0] == "herbrand"]:
+            del sys.modules[name]
+        return importlib.import_module("herbrand.syntax")
+
+    try:
+        old = weakref.ref(fresh_syntax().App)
+        fresh_syntax()
+        gc.collect()
+        assert old() is None
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "herbrand"]:
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from . import sat
 from .expansion import (
     BudgetExceededError,
     HerbrandDisjunction,
-    check_instances,
+    _check_instances_of,
     herbrand_disjunction,
     property_c,
 )
@@ -120,10 +121,6 @@ class Clause:
     def is_empty(self) -> bool:
         return not self.literals
 
-    def is_tautologous(self) -> bool:
-        keys = {(s, sat.atom_key(a)) for s, a in self.literals}
-        return any((not s, k) in keys for s, k in keys)
-
     def variables(self) -> set[str]:
         out: set[str] = set()
         for _, atom in self.literals:
@@ -139,20 +136,36 @@ class Clause:
         lits = frozenset((sign, apply(sub, atom)) for sign, atom in self.literals)
         return Clause(lits, parents=(self,), sub=sub)
 
-    def canonical(self) -> frozenset:
-        """Literals under a variable renaming canonical in print order,
-        for duplicate detection up to renaming."""
+    def key(self) -> Optional[str]:
+        """None for a tautologous clause, else its duplicate key: two
+        clauses get the same key exactly when their literals are equal
+        under the variable renaming canonical in print order.
+
+        Each literal is printed once.  A clause is tautologous when two
+        of its literals print as an atom and its complement, the test of
+        `sat.atom_key`.  Variables are numbered as the sorted prints meet
+        them, argument by argument and by name within an argument; the
+        key spells each literal with its variables written `#k`, outside
+        the identifier grammar, so a renamed variable never reads as a
+        constant, and joins the spellings sorted, so that equal literal
+        sets give equal keys whatever order the numbering met them in.
+        """
         printed = sorted(
-            (("" if sign else "~") + print_formula(atom), sign, atom)
-            for sign, atom in self.literals
+            [(("" if sign else "~") + print_formula(atom), sign, atom)
+             for sign, atom in self.literals],
+            key=itemgetter(0),
         )
-        mapping: dict[str, str] = {}
-        for _, _, atom in printed:
+        texts = {p for p, _, _ in printed}
+        if any("~" + p in texts for p in texts):
+            return None
+        number: dict[str, str] = {}
+        spelled = []
+        for _, sign, atom in printed:
             for t in atom.args:
                 for v in sorted(term_vars(t)):
-                    mapping.setdefault(v, f"v{len(mapping)}")
-        sub = Subst({v: Var(n) for v, n in mapping.items()})
-        return frozenset((sign, apply(sub, atom)) for _, sign, atom in printed)
+                    number.setdefault(v, f"#{len(number)}")
+            spelled.append(("" if sign else "~") + _spell(atom, number))
+        return "\n".join(sorted(spelled))
 
     def pretty(self, dual: bool = False) -> str:
         if not self.literals:
@@ -169,6 +182,19 @@ class Clause:
             )
             return " & ".join(parts)
         return " | ".join(parts)
+
+
+def _spell(t: Atom | App | Var, number: dict[str, str]) -> str:
+    """An atom or term spelled by symbol names, its variables as `number`
+    names them.  Injective: symbols are told apart by name and arity (a
+    Skolem symbol's kind follows from its arity), and no name contains
+    `#`, `(`, `,` or `)`."""
+    if isinstance(t, Var):
+        return number[t.name]
+    name = t.pred.name if isinstance(t, Atom) else t.sym.name
+    if not t.args:
+        return name
+    return f"{name}({','.join([_spell(a, number) for a in t.args])})"
 
 
 def formula_clauses(f: Formula) -> list[frozenset]:
@@ -226,9 +252,11 @@ def resolve(c1: Clause, c2: Clause, l1: Literal, l2: Literal) -> Optional[Clause
     u = unify(a1, a2)
     if not u.ok:
         return None
-    rest = (c1.literals - {l1}) | (c2.literals - {l2})
-    lits = frozenset((s, apply(u.substitution, a)) for s, a in rest)
-    return Clause(lits, parents=(c1, c2), sub=u.substitution)
+    sub = u.substitution
+    # drop by equality: the chosen literals need not be the very objects
+    rest = [l for l in c1.literals if l != l1] + [l for l in c2.literals if l != l2]
+    lits = frozenset([(s, apply(sub, a)) for s, a in rest])
+    return Clause(lits, parents=(c1, c2), sub=sub)
 
 
 def factor(c: Clause, l1: Literal, l2: Literal) -> Optional[Clause]:
@@ -351,7 +379,7 @@ def prove_resolution(
     import heapq
 
     counter = itertools.count()
-    seen = {c.canonical() for c in initial}
+    seen = {c.key() for c in initial} - {None}
     seq = itertools.count()
     # FIFO over the iteration a clause was produced in, clause size as
     # the tiebreak within one iteration: fair and deterministic
@@ -416,9 +444,9 @@ def prove_resolution(
                     log("factor", clause=fc)
                     new.append(fc)
         for c in new:
-            if c.is_tautologous():
+            key = c.key()
+            if key is None:
                 continue  # sound to drop: a tautologous clause never helps
-            key = c.canonical()
             if key not in seen:
                 seen.add(key)
                 heapq.heappush(passive, (iteration, len(c), next(seq), c))
@@ -527,6 +555,9 @@ def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
     """Greedy pruning of a verified substitution family: drop entries
     whose removal keeps the instance disjunction tautological."""
     kept = list(sigmas)
+    if len(kept) < 2:
+        return tuple(kept)
+    d = herbrand_disjunction(f, 1)  # Skolemized once for every trial
     changed = True
     while changed:
         changed = False
@@ -534,7 +565,7 @@ def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
             if len(kept) == 1:
                 break
             trial = kept[:i] + kept[i + 1:]
-            verdict, _ = check_instances(f, trial)
+            verdict, _ = _check_instances_of(d, trial)
             if verdict:
                 kept = trial
                 changed = True

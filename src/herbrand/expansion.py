@@ -234,7 +234,14 @@ def check_instances(
     tautology?  The tractable entry point when the full expansion is out
     of reach.  Every substitution must be total on the gamma-variables.
     """
-    d = herbrand_disjunction(f, 1)
+    return _check_instances_of(herbrand_disjunction(f, 1), sigmas, engine)
+
+
+def _check_instances_of(
+    d: HerbrandDisjunction, sigmas: Sequence[Subst], engine: str = "dpll"
+) -> tuple[bool, Optional[dict]]:
+    """`check_instances` on a prepared order-1 disjunction, so that a
+    caller checking many families of one formula Skolemizes it once."""
     for s in sigmas:
         missing = set(d.gamma_vars) - s.domain()
         if missing:

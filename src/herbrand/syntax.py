@@ -37,6 +37,7 @@ Identifier conventions (beyond the grammar):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -190,9 +191,11 @@ class Subst:
     __slots__ = ("_map",)
 
     def __init__(self, bindings: Optional[Mapping[str, Term]] = None):
-        m = dict(bindings or {})
         # identity pairs carry no information
-        self._map = {v: t for v, t in m.items() if t != Var(v)}
+        self._map = {
+            v: t for v, t in (bindings or {}).items()
+            if not (type(t) is Var and t.name == v)
+        }
 
     def __bool__(self) -> bool:
         return bool(self._map)
@@ -278,10 +281,16 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def apply_term(s: Subst, t: Term) -> Term:
+    """`t` under `s`.  A subterm in which no variable is bound comes back
+    as the same object, so unchanged subterms are shared, not rebuilt."""
     if isinstance(t, Var):
-        got = s.get(t.name)
-        return got if got is not None else t
-    return App(t.sym, tuple(apply_term(s, a) for a in t.args))
+        return s._map.get(t.name, t)
+    if not t.args:
+        return t
+    args = tuple([apply_term(s, a) for a in t.args])
+    if all(map(operator.is_, args, t.args)):
+        return t
+    return App(t.sym, args)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +409,18 @@ def function_symbols(f: Formula) -> set[Symbol]:
 
 
 def apply(s: Subst, f: Formula) -> Formula:
-    """Simultaneous substitution of free occurrences.
+    """Simultaneous substitution of free occurrences.  An atom in which no
+    variable is bound comes back as the same object, like a term under
+    `apply_term`.
 
     Raises CaptureError when a binder would capture a free variable of an
     image; callers rectify first.
     """
     if isinstance(f, Atom):
-        return Atom(f.pred, tuple(apply_term(s, t) for t in f.args))
+        args = tuple([apply_term(s, t) for t in f.args])
+        if all(map(operator.is_, args, f.args)):
+            return f
+        return Atom(f.pred, args)
     if isinstance(f, QUANT):
         inner = Subst({v: t for v, t in s.items() if v != f.var})
         if not inner:

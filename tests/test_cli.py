@@ -234,3 +234,25 @@ def test_proof_out_minimizes_the_witness_once(tmp_path, capsys, monkeypatch, met
     )
     assert code == 0 and os.path.exists(drv)
     assert len(calls) == 1
+
+
+def test_prove_resolution_proof_out_pinned(tmp_path, capsys, monkeypatch):
+    # stdout and derivation of the two-goal variant, captured before the
+    # given-clause loop keyed new clauses from one print
+    path = write_problem(
+        tmp_path,
+        "formula: (!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+        " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+        " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))\n",
+        "variant.prob",
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        capsys, ["prove", path, "--method", "resolution", "--proof-out", "proof.drv"]
+    )
+    assert code == 0
+    for produced, pinned in ((out, "two_goal_resolution.out"),
+                             ((tmp_path / "proof.drv").read_text(encoding="utf-8"),
+                              "two_goal_resolution.drv")):
+        with open(os.path.join(DATA, pinned), encoding="utf-8") as handle:
+            assert produced == handle.read()

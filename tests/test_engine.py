@@ -19,7 +19,8 @@ from herbrand.engine import (
     standardize_apart,
     unify,
 )
-from herbrand.expansion import check_instances, herbrand_disjunction
+from herbrand.expansion import check_instances, herbrand_disjunction, property_c
+from herbrand.sat import atom_key
 from herbrand.syntax import (
     App,
     Atom,
@@ -33,11 +34,12 @@ from herbrand.syntax import (
     apply_term,
     parse,
     parse_term,
+    print_formula,
     print_term,
     term_vars,
 )
 
-from util import all_structures, random_term
+from util import all_structures, random_clause, random_term
 
 CONST_A = Symbol("a", 0)
 FUN_F = Symbol("f", 1)
@@ -250,6 +252,91 @@ def eval_closure(s, clause):
     return eval_in_structure(s, _closure(clause))
 
 
+def test_resolve_drops_literals_equal_but_not_identical():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        c1 = Clause(random_clause(rng, ["x", "y"], 3))
+        c2 = Clause(random_clause(rng, ["z"], 3))
+        for l1 in c1.literals:
+            for l2 in c2.literals:
+                if l1[0] == l2[0] or l1[1].pred != l2[1].pred:
+                    continue
+                u = unify(l1[1], l2[1])
+                if not u.ok:
+                    continue
+                # copies: equal to the clauses' literals, other objects
+                k1 = (l1[0], Atom(l1[1].pred, l1[1].args))
+                k2 = (l2[0], Atom(l2[1].pred, l2[1].args))
+                assert k1 == l1 and k1[1] is not l1[1]
+                r = resolve(c1, c2, k1, k2)
+                rest = (c1.literals - {l1}) | (c2.literals - {l2})
+                sub = u.substitution
+                assert r.literals == frozenset((s, apply(sub, a)) for s, a in rest)
+                checked += 1
+    assert checked > 50
+
+
+def _canonical_before_keys(c: Clause) -> frozenset:
+    """The duplicate key the given-clause loop used before `Clause.key`."""
+    printed = sorted(
+        (("" if sign else "~") + print_formula(atom), sign, atom)
+        for sign, atom in c.literals
+    )
+    mapping: dict[str, str] = {}
+    for _, _, atom in printed:
+        for t in atom.args:
+            for v in sorted(term_vars(t)):
+                mapping.setdefault(v, f"v{len(mapping)}")
+    sub = Subst({v: Var(n) for v, n in mapping.items()})
+    return frozenset((sign, apply(sub, atom)) for _, sign, atom in printed)
+
+
+def _tautologous_before_keys(c: Clause) -> bool:
+    keys = {(s, atom_key(a)) for s, a in c.literals}
+    return any((not s, k) in keys for s, k in keys)
+
+
+# a constant spelled like the first variable of the old canonical renaming
+CONST_V0 = Symbol("v0", 0)
+
+
+def _random_clauses(seed: int, count: int) -> list[Clause]:
+    """Random clauses, each next to a renamed copy.  The '@' names print
+    bracketed and sort differently by name than by print."""
+    rng = random.Random(seed)
+    names = ["x", "y", "x@3.1", "x@3.10", "y@12.0"]
+    out = []
+    for _ in range(count):
+        c = Clause(random_clause(rng, rng.sample(names, 2), rng.randrange(1, 5),
+                                 funcs=(CONST_A, CONST_V0, FUN_F)))
+        out.append(c)
+        out.append(c.rename(dict(zip(names, rng.sample(names, len(names))))))
+    return out
+
+
+def test_clause_key_partitions_like_the_canonical_renaming():
+    clauses = [c for c in _random_clauses(5, 600) if not _tautologous_before_keys(c)]
+    pairs = {(_canonical_before_keys(c), c.key()) for c in clauses}
+    olds = {old for old, _ in pairs}
+    assert len(olds) == len({key for _, key in pairs}) == len(pairs)
+    assert len(pairs) < len(clauses) // 2 + 50  # renamed copies do collide
+    # a variable renamed to v0 is not the constant v0
+    R = Symbol("R", 2, PREDICATE)
+    x = Var("x")
+    c1 = Clause(frozenset([(True, Atom(R, (x, App(CONST_V0))))]))
+    c2 = Clause(frozenset([(True, Atom(R, (x, x)))]))
+    assert _canonical_before_keys(c1) != _canonical_before_keys(c2)
+    assert c1.key() != c2.key()
+
+
+def test_clause_key_finds_tautologies_like_atom_keys():
+    clauses = _random_clauses(6, 600)
+    flags = [_tautologous_before_keys(c) for c in clauses]
+    assert [c.key() is None for c in clauses] == flags
+    assert any(flags) and not all(flags)
+
+
 def test_factor():
     P1 = Symbol("P", 1, PREDICATE)
     c = Clause(frozenset([(True, Atom(P1, (Var("x"),))),
@@ -428,6 +515,35 @@ def test_minimize_witness():
     extra = Subst({"x": Var("l")})
     kept = minimize_witness(f, [extra, sigma])
     assert list(kept) == [sigma]
+
+
+def test_minimize_witness_skolemizes_once(monkeypatch):
+    from herbrand import expansion
+
+    f = parse("?x. (P(x) -> (!y. P(y)))")
+    witness = property_c(f, 3)[1].substitutions
+    # the greedy pruning as it was, one check_instances per trial
+    kept = list(witness)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept) - 1, -1, -1):
+            if len(kept) == 1:
+                break
+            trial = kept[:i] + kept[i + 1:]
+            if check_instances(f, trial)[0]:
+                kept, changed = trial, True
+
+    calls = []
+    skolemize = expansion.skolemize_outer
+
+    def counted(g):
+        calls.append(g)
+        return skolemize(g)
+
+    monkeypatch.setattr(expansion, "skolemize_outer", counted)
+    assert minimize_witness(f, witness) == tuple(kept)
+    assert len(witness) == 3 and len(calls) == 1
 
 
 def test_find_tautological_instances_respects_order():

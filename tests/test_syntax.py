@@ -23,6 +23,7 @@ from herbrand.syntax import (
     Var,
     alpha_eq,
     apply,
+    apply_term,
     bound_vars,
     compose,
     free_vars,
@@ -36,9 +37,10 @@ from herbrand.syntax import (
     rectify,
     subformula_at,
     subformulas,
+    term_vars,
 )
 
-from util import random_formula, random_term
+from util import CONST_A, CONST_B, FUN_F, FUN_G, random_formula, random_term
 
 P = Symbol("P", 1, PREDICATE)
 
@@ -90,6 +92,46 @@ def test_apply_examples():
     atom = parse("prec(x, m_star(x, y))", frees={"x", "y"})
     got = apply(Subst({"x": parse_term("v_star"), "y": parse_term("w_star")}), atom)
     assert got == parse("prec(v_star, m_star(v_star, w_star))")
+
+
+def test_subst_drops_only_identity_bindings():
+    a = App(CONST_A)
+    s = Subst({"x": Var("x"), "y": Var("z"), "z": a})
+    assert s.domain() == {"y", "z"}
+    assert s.get("y") == Var("z") and s.get("z") is a
+    assert Subst({"x": Var("x")}) == Subst() and not Subst({"x": Var("x")})
+
+
+def _rebuilt(s: Subst, t):
+    if isinstance(t, Var):
+        return s.get(t.name) or t
+    return App(t.sym, tuple(_rebuilt(s, a) for a in t.args))
+
+
+def _assert_shared(s: Subst, t, got):
+    """Every subterm of t with no bound variable comes back as itself."""
+    if not (term_vars(t) & s.domain()):
+        assert got is t
+    elif isinstance(t, App):
+        for a, b in zip(t.args, got.args):
+            _assert_shared(s, a, b)
+
+
+def test_apply_term_shares_unbound_subterms():
+    rng = random.Random(23)
+    funcs = (CONST_A, CONST_B, FUN_F, FUN_G)
+    R = Symbol("R", 2, PREDICATE)
+    for _ in range(400):
+        t = random_term(rng, ["x", "y", "z"], rng.randrange(0, 4), funcs)
+        bound = rng.sample(["x", "y", "z", "w"], rng.randrange(0, 3))
+        s = Subst({v: random_term(rng, ["x", "u"], rng.randrange(0, 3), funcs) for v in bound})
+        got = apply_term(s, t)
+        assert got == _rebuilt(s, t)
+        _assert_shared(s, t, got)
+        atom = Atom(R, (t, App(CONST_B)))
+        applied = apply(s, atom)
+        assert applied == Atom(R, (_rebuilt(s, t), App(CONST_B)))
+        assert (applied is atom) == (got is t)
 
 
 def test_apply_capture():

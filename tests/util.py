@@ -52,6 +52,18 @@ def random_term(rng: random.Random, vars_: list[str], depth: int,
                           for _ in range(sym.arity)))
 
 
+def random_clause(rng: random.Random, vars_: list[str], size: int,
+                  preds=(P1, Q1, R2), funcs=(CONST_A, CONST_B, FUN_F)) -> frozenset:
+    """Up to `size` signed atoms (sign, Atom) over shallow random terms."""
+    literals = set()
+    for _ in range(size):
+        pred = rng.choice(list(preds))
+        args = tuple(random_term(rng, vars_, rng.randrange(0, 3), funcs)
+                     for _ in range(pred.arity))
+        literals.add((rng.random() < 0.5, Atom(pred, args)))
+    return frozenset(literals)
+
+
 def random_formula(
     rng: random.Random,
     depth: int,

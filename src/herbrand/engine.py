@@ -6,6 +6,7 @@ instance search backing Herbrand-complexity queries.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -15,6 +16,7 @@ from . import sat
 from .expansion import (
     BudgetExceededError,
     HerbrandDisjunction,
+    _champ_for,
     _check_instances_of,
     herbrand_disjunction,
     property_c,
@@ -28,10 +30,13 @@ from .syntax import (
     Not,
     Or,
     Subst,
+    Symbol,
+    Term,
     Var,
     apply_term,
     apply,
     compose,
+    free_vars,
     height,
     print_formula,
     print_term,
@@ -351,9 +356,15 @@ def prove_resolution(
     """
     d = herbrand_disjunction(f, 1)
     gamma = d.gamma_vars
+    # variables other than the gamma-variables (declared free ones) are
+    # constants of the champ fini: frozen into constants of the same
+    # spelling, neither renaming apart nor unification moves them; the
+    # witness thaws them
+    rigid = free_vars(d.matrix) - set(gamma)
+    matrix = apply(Subst({v: App(Symbol(v, 0)) for v in rigid}), d.matrix)
     initial = [
         Clause(c, index=i)
-        for i, c in enumerate(formula_clauses(Not(d.matrix)))
+        for i, c in enumerate(formula_clauses(Not(matrix)))
     ]
     events = []
 
@@ -363,11 +374,14 @@ def prove_resolution(
             events.append(f"{kind} {body}")
 
     # propositional fast path: the clause set may already be unsat when
-    # atoms are read as spelled; then one lexicon-grounding suffices
+    # atoms are read as spelled (a gamma-variable `y` as `#y`, never as a
+    # constant `y`); then one lexicon-grounding suffices
+    spelling = {y: f"#{y}" for y in gamma}
     prop = sat.ClauseSet(
         "cnf",
         frozenset(
-            frozenset((sat.atom_key(a), s) for s, a in c.literals) for c in initial
+            frozenset((_spell(a, spelling), s) for s, a in c.literals)
+            for c in initial
         ),
     )
     satisfiable, _ = sat.dpll(prop)
@@ -428,7 +442,7 @@ def prove_resolution(
                         continue
                     log("resolvent", clause=r)
                     if r.is_empty():
-                        witness = _extract_witness(r, gamma)
+                        witness = _extract_witness(r, gamma, rigid)
                         log("verdict", f"proof-found {steps} steps")
                         return ProofResult(
                             True, "resolution", steps=steps, witness=witness,
@@ -457,13 +471,23 @@ def prove_resolution(
     )
 
 
-def _extract_witness(empty: Clause, gamma: Sequence[str]) -> tuple:
+def _extract_witness(empty: Clause, gamma: Sequence[str], rigid: set[str]) -> tuple:
     subs = []
     for _idx, theta in rebuild_provenance(empty):
         grounded = _ground_residuals(theta, gamma)
         if grounded not in subs:
             subs.append(grounded)
-    return tuple(subs)
+    return tuple(Subst({y: _thaw(t, rigid) for y, t in s.items()}) for s in subs)
+
+
+def _thaw(t: Term, rigid: set[str]) -> Term:
+    """`t` with each constant named after a rigid variable made that
+    variable again."""
+    if isinstance(t, Var):
+        return t
+    if not t.args:
+        return Var(t.sym.name) if t.sym.name in rigid else t
+    return App(t.sym, tuple(_thaw(a, rigid) for a in t.args))
 
 
 def prove_gilmore(
@@ -488,25 +512,39 @@ def prove_dp(
     should_stop=None,
 ) -> ProofResult:
     """The same order loop with the matrix negation converted to clause
-    form once and the tautology test replaced by DPLL."""
-    d = herbrand_disjunction(f, 1, always_lexicon)
-    gamma = d.gamma_vars
+    form once and the tautology test replaced by DPLL.
+
+    The formula is Skolemized once; each order only forms its champ
+    fini.  A base clause is grounded over the positions of its own
+    gamma-variables, which gives the same clauses as grounding it under
+    every substitution, and each base atom once per order and tuple of
+    images of its gamma-variables."""
+    d1 = herbrand_disjunction(f, 1, always_lexicon)
+    gamma = d1.gamma_vars
     position = {v: i for i, v in enumerate(gamma)}
     # each base atom once, with the positions of its gamma-variables
     slots: dict[Atom, int] = {}
     base_clauses = [
         [(s, slots.setdefault(a, len(slots))) for s, a in c]
-        for c in formula_clauses(Not(d.matrix))
+        for c in formula_clauses(Not(d1.matrix))
     ]
     atoms = list(slots)
     atom_positions = [
         sorted({position[v] for t in a.args for v in term_vars(t) if v in position})
         for a in atoms
     ]
+    # per base clause: how many gamma-variables it has, and per literal
+    # the sign, the atom and where its gamma-variables sit among them
+    plans = []
+    for c in base_clauses:
+        own = sorted({p for _, slot in c for p in atom_positions[slot]})
+        plans.append((len(own), [
+            (s, slot, [own.index(p) for p in atom_positions[slot]]) for s, slot in c
+        ]))
     for n in range(1, n_max + 1):
         if should_stop is not None and should_stop():
             return ProofResult(False, "dp", reason="cancelled")
-        dn = herbrand_disjunction(f, n, always_lexicon)
+        dn = dataclasses.replace(d1, champ=_champ_for(d1.skolemized, n, always_lexicon))
         if dn.count > budget:
             return ProofResult(
                 False, "dp", order=None, reason=f"budget exceeded at order {n}"
@@ -515,17 +553,19 @@ def prove_dp(
         # per base atom: image indices of its gamma-variables -> atom key
         ground: list[dict[tuple, str]] = [{} for _ in atoms]
         clauses = set()
-        for images in itertools.product(range(len(terms)), repeat=len(gamma)):
-            keys = []
-            for atom, positions, table in zip(atoms, atom_positions, ground):
-                at = tuple(map(images.__getitem__, positions))
-                key = table.get(at)
-                if key is None:
-                    sigma = Subst({gamma[p]: terms[i] for p, i in zip(positions, at)})
-                    key = table[at] = sat.atom_key(apply(sigma, atom))
-                keys.append(key)
-            for c in base_clauses:
-                clauses.add(frozenset([(keys[slot], s) for s, slot in c]))
+        for width, literals in plans:
+            for images in itertools.product(range(len(terms)), repeat=width):
+                clause = []
+                for s, slot, picks in literals:
+                    at = tuple(map(images.__getitem__, picks))
+                    key = ground[slot].get(at)
+                    if key is None:
+                        sigma = Subst({
+                            gamma[p]: terms[i] for p, i in zip(atom_positions[slot], at)
+                        })
+                        key = ground[slot][at] = sat.atom_key(apply(sigma, atoms[slot]))
+                    clause.append((key, s))
+                clauses.add(frozenset(clause))
         satisfiable, _ = sat.dpll(sat.ClauseSet("cnf", frozenset(clauses)))
         if not satisfiable:
             witness = tuple(dn.substitutions())

@@ -316,7 +316,7 @@ def property_c(
             f"order-{n} disjunction has {d.count} instances, budget is {budget}"
         )
     sigmas = list(d.substitutions())
-    verdict, _ = check_instances(f, sigmas, engine) if sigmas else (False, None)
+    verdict, _ = _check_instances_of(d, sigmas, engine)
     if not verdict:
         return False, None
     return True, PropertyCWitness(n, tuple(sigmas), d.matrix)

@@ -14,6 +14,7 @@ of disjunctions, dnf = disjunction of conjunctions).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -229,73 +230,120 @@ def dpll(cs: ClauseSet) -> tuple[bool, Optional[dict[str, bool]]]:
     """
     if cs.polarity != "cnf":
         raise ValueError("dpll expects cnf polarity")
-    atoms = sorted({key for c in cs.clauses for key, _ in c})
-    model = _dpll([set(c) for c in cs.clauses], {})
-    if model is None:
+    if frozenset() in cs.clauses:
         return False, None
-    for key in atoms:
-        model.setdefault(key, False)
-    return True, model
+    keys = sorted({key for c in cs.clauses for key, _ in c})
+    # the i-th lowest key is atom i: literal 2i when true, 2i + 1 when false
+    number = {key: 2 * i for i, key in enumerate(keys)}
+    values = _search(
+        [[number[key] + (not sign) for key, sign in c] for c in cs.clauses],
+        len(keys),
+    )
+    if values is None:
+        return False, None
+    return True, {key: value is True for key, value in zip(keys, values)}
 
 
-def _dpll(clauses: list[set], assign: dict[str, bool]) -> Optional[dict[str, bool]]:
-    clauses = [set(c) for c in clauses]
+def _search(clauses: list[list[int]], n: int) -> Optional[list]:
+    """DPLL over atoms 0..n-1 (Davis, Logemann & Loveland), with counters
+    and a trail of assigned literals instead of copied clause lists.
+
+    Per clause it counts the true literals and the literals not false;
+    per literal, the unsatisfied clauses containing it, which decides
+    purity.  Units are propagated to fixpoint (confluent, so the queue
+    order does not matter); then the lowest pure atom is set; then the
+    lowest open atom is split on, True first, and a conflict undoes the
+    trail to the last split whose False branch is untried.  The search
+    stops as soon as every clause is satisfied.  Returns each atom's
+    value (None when unassigned), or None when unsatisfiable.  No clause
+    may be empty.
+    """
+    occurs: list[list[int]] = [[] for _ in range(2 * n)]
+    for i, c in enumerate(clauses):
+        for lit in c:
+            occurs[lit].append(i)
+    live = [len(o) for o in occurs]  # unsatisfied clauses containing a literal
+    free = [len(c) for c in clauses]  # literals not false
+    true = [0] * len(clauses)
+    value: list = [None] * n
+    trail: list[int] = []
+    unsatisfied = len(clauses)
+    units = [c[0] for c in clauses if len(c) == 1]
+
+    def assign(lit: int) -> bool:
+        """Make lit true and queue the units it leaves; True on conflict."""
+        nonlocal unsatisfied
+        value[lit >> 1] = not (lit & 1)
+        trail.append(lit)
+        for i in occurs[lit]:
+            true[i] += 1
+            if true[i] == 1:
+                unsatisfied -= 1
+                for other in clauses[i]:
+                    live[other] -= 1
+        conflict = False
+        for i in occurs[lit ^ 1]:
+            free[i] -= 1
+            if not true[i]:
+                if free[i] == 1:
+                    units.append(next(x for x in clauses[i] if value[x >> 1] is None))
+                elif not free[i]:
+                    conflict = True
+        return conflict
+
+    def undo(length: int) -> None:
+        nonlocal unsatisfied
+        while len(trail) > length:
+            lit = trail.pop()
+            value[lit >> 1] = None
+            for i in occurs[lit ^ 1]:
+                free[i] += 1
+            for i in occurs[lit]:
+                true[i] -= 1
+                if not true[i]:
+                    unsatisfied += 1
+                    for other in clauses[i]:
+                        live[other] += 1
+
+    splits: list[tuple[int, int]] = []  # (trail length, atom), False untried
+    conflict = False
     while True:
-        clauses = _simplify(clauses, assign)
-        if clauses is None:
-            return None
-        if not clauses:
-            return assign
-        unit = next((c for c in clauses if len(c) == 1), None)
-        if unit is not None:
-            key, sign = next(iter(unit))
-            assign[key] = sign
+        while units and not conflict:
+            lit = units.pop()
+            if value[lit >> 1] is None:
+                conflict = assign(lit)
+        if conflict:
+            units.clear()
+            if not splits:
+                return None
+            length, atom = splits.pop()
+            undo(length)
+            conflict = assign(2 * atom + 1)
             continue
-        pure = _pure_literal(clauses)
-        if pure is not None:
-            assign[pure[0]] = pure[1]
-            continue
-        break
-    key = min(k for c in clauses for k, _ in c)
-    for sign in (True, False):
-        trial = dict(assign)
-        trial[key] = sign
-        result = _dpll(clauses, trial)
-        if result is not None:
-            return result
-    return None
-
-
-def _simplify(clauses: list[set], assign: dict[str, bool]) -> Optional[list[set]]:
-    out = []
-    for c in clauses:
-        reduced = set()
-        satisfied = False
-        for key, sign in c:
-            if key in assign:
-                if assign[key] == sign:
-                    satisfied = True
-                    break
-            else:
-                reduced.add((key, sign))
-        if satisfied:
-            continue
-        if not reduced:
-            return None  # empty clause: conflict
-        out.append(reduced)
-    return out
-
-
-def _pure_literal(clauses: list[set]) -> Optional[Literal]:
-    polarity: dict[str, set[bool]] = {}
-    for c in clauses:
-        for key, sign in c:
-            polarity.setdefault(key, set()).add(sign)
-    for key in sorted(polarity):
-        signs = polarity[key]
-        if len(signs) == 1:
-            return key, next(iter(signs))
-    return None
+        if not unsatisfied:
+            return value
+        # setting a pure atom only satisfies clauses, which may make
+        # lower atoms pure: those join the heap
+        pure = [
+            v for v in range(n)
+            if value[v] is None and (not live[2 * v]) != (not live[2 * v + 1])
+        ]
+        while pure:
+            atom = heapq.heappop(pure)
+            if value[atom] is not None or (not live[2 * atom]) == (not live[2 * atom + 1]):
+                continue
+            lit = 2 * atom + (not live[2 * atom])
+            assign(lit)
+            if not unsatisfied:
+                return value
+            for i in occurs[lit]:
+                if true[i] == 1:
+                    for other in clauses[i]:
+                        if not live[other]:
+                            heapq.heappush(pure, other >> 1)
+        atom = next(v for v in range(n) if value[v] is None and live[2 * v])
+        splits.append((len(trail), atom))
+        conflict = assign(2 * atom)
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,25 @@ def test_prove_resolution_proof_out_pinned(tmp_path, capsys, monkeypatch):
                               "two_goal_resolution.drv")):
         with open(os.path.join(DATA, pinned), encoding="utf-8") as handle:
             assert produced == handle.read()
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        # the bound x is renamed apart from the free x; resolution must not
+        # rename or bind the free x, which is a constant of the champ fini
+        ("free: x\nformula: (?x. ~P(x)) | P(x)\n", "witness: {x1 -> x}"),
+        # the second x is a constant spelled like the gamma-variable x
+        ("formula: (?x. ~P(x)) | P(x)\n", "witness: {x -> x}"),
+    ],
+    ids=["free-variable", "constant"],
+)
+def test_every_method_gives_the_same_witness(tmp_path, capsys, text, witness):
+    path = write_problem(tmp_path, text)
+    witnesses = set()
+    for method in ("dp", "gilmore", "resolution"):
+        code, out, _ = run(capsys, ["prove", path, "--method", method])
+        assert code == 0, method
+        assert "witness-verified: true" in out
+        witnesses |= {line for line in out.splitlines() if line.startswith("witness:")}
+    assert witnesses == {witness}

@@ -559,13 +559,19 @@ def test_find_tautological_instances_respects_order():
 
 
 @pytest.mark.parametrize(
-    "text, frees",
+    "text, frees, n_max",
     [
-        ("?x,y,z. (P(f(x),g(y)) & ~P(z,z))", set()),
-        ("?x,y. ((R(x,y) -> R(y,c)) & ~R(w,f(x)))", {"w"}),
+        ("?x,y,z. (P(f(x),g(y)) & ~P(z,z))", set(), 3),
+        ("?x,y. ((R(x,y) -> R(y,c)) & ~R(w,f(x)))", {"w"}, 3),
+        # its base clauses use different subsets of the gamma-variables
+        ("(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+         " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+         " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))", set(), 2),
     ],
 )
-def test_prove_dp_clause_sets_match_per_substitution_grounding(monkeypatch, text, frees):
+def test_prove_dp_clause_sets_match_per_substitution_grounding(
+    monkeypatch, text, frees, n_max
+):
     from herbrand import sat
 
     seen = []
@@ -577,8 +583,8 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(monkeypatch, text
 
     monkeypatch.setattr(sat, "dpll", recorded)
     f = parse(text, frees=frees)
-    prove_dp(f, 3)
-    assert seen
+    prove_dp(f, n_max)
+    assert len(seen) == n_max
     for n, cs in enumerate(seen, 1):
         d = herbrand_disjunction(f, n)
         expected = {
@@ -587,3 +593,31 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(monkeypatch, text
             for c in formula_clauses(Not(d.matrix))
         }
         assert cs.clauses == expected
+
+
+def test_prove_dp_skolemizes_once(monkeypatch):
+    from herbrand import expansion
+
+    calls = []
+    skolemize = expansion.skolemize_outer
+
+    def counted(g):
+        calls.append(g)
+        return skolemize(g)
+
+    monkeypatch.setattr(expansion, "skolemize_outer", counted)
+    proved = prove_dp(parse("?x. (P(x) -> (!y. P(y)))"), 3)
+    assert proved.found and proved.order == 2 and len(calls) == 1
+    calls.clear()
+    gave_up = prove_dp(parse("?x,y,z. (P(f(x),g(y)) & ~P(z,z))"), 3)
+    assert not gave_up.found and len(calls) == 1
+
+
+def test_prove_resolution_holds_free_variables_rigid():
+    # the free x is a constant of the champ fini: it is neither renamed
+    # nor bound, and the witness names the variable, as the order loop does
+    f = parse("(?x. ~P(x)) | P(x)", frees={"x"})
+    r = prove_resolution(f)
+    sigma = Subst({"x1": Var("x")})
+    assert r.found and r.steps == 1 and sigma in r.witness
+    assert minimize_witness(f, r.witness) == prove_dp(f, 1).witness == (sigma,)

@@ -166,3 +166,130 @@ def test_indexed_prune_matches_quadratic_prune(clauses):
 def test_prune_keeps_only_the_empty_clause():
     clauses = {frozenset(), frozenset([("p", True)]), frozenset([("q", False)])}
     assert _prune(clauses) == {frozenset()} == _quadratic_prune(clauses)
+
+
+# ---------------------------------------------------------------------------
+# the DPLL that copied its clause list after every assignment, kept as the
+# reference for the counter-and-trail solver: same verdicts, same models
+
+
+def _reference_dpll(cs):
+    atoms = sorted({key for c in cs.clauses for key, _ in c})
+    model = _reference_search([set(c) for c in cs.clauses], {})
+    if model is None:
+        return False, None
+    for key in atoms:
+        model.setdefault(key, False)
+    return True, model
+
+
+def _reference_search(clauses, assign):
+    clauses = [set(c) for c in clauses]
+    while True:
+        clauses = _reference_simplify(clauses, assign)
+        if clauses is None:
+            return None
+        if not clauses:
+            return assign
+        unit = next((c for c in clauses if len(c) == 1), None)
+        if unit is not None:
+            key, sign = next(iter(unit))
+            assign[key] = sign
+            continue
+        pure = _reference_pure_literal(clauses)
+        if pure is not None:
+            assign[pure[0]] = pure[1]
+            continue
+        break
+    key = min(k for c in clauses for k, _ in c)
+    for sign in (True, False):
+        trial = dict(assign)
+        trial[key] = sign
+        result = _reference_search(clauses, trial)
+        if result is not None:
+            return result
+    return None
+
+
+def _reference_simplify(clauses, assign):
+    out = []
+    for c in clauses:
+        reduced = set()
+        satisfied = False
+        for key, sign in c:
+            if key in assign:
+                if assign[key] == sign:
+                    satisfied = True
+                    break
+            else:
+                reduced.add((key, sign))
+        if satisfied:
+            continue
+        if not reduced:
+            return None  # empty clause: conflict
+        out.append(reduced)
+    return out
+
+
+def _reference_pure_literal(clauses):
+    polarity = {}
+    for c in clauses:
+        for key, sign in c:
+            polarity.setdefault(key, set()).add(sign)
+    for key in sorted(polarity):
+        signs = polarity[key]
+        if len(signs) == 1:
+            return key, next(iter(signs))
+    return None
+
+
+# listed so that their sorted order is not the order they are drawn in
+_KEYS = ["q", "P(b)", "P(a)", "a10", "a9", "Z", "R(f(x), y)", "R(x, y)"]
+_key_literals = st.tuples(st.sampled_from(_KEYS), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.frozensets(_key_literals, max_size=4), max_size=24))
+def test_dpll_matches_the_copying_reference(clauses):
+    # the empty clause, tautological clauses {p, ~p}, conflicting and
+    # shared units and pure literals all occur among the drawn sets
+    cs = ClauseSet("cnf", frozenset(clauses))
+    assert dpll(cs) == _reference_dpll(cs)
+
+
+def test_dpll_matches_the_copying_reference_on_larger_sets():
+    # near the satisfiability threshold, so that splits are undone deep
+    rng = random.Random(5)
+    keys = [f"A{i}" for i in rng.sample(range(60), 40)]
+    outcomes = set()
+    for _ in range(60):
+        clauses = frozenset(
+            frozenset((rng.choice(keys), rng.random() < 0.5) for _ in range(rng.choice((2, 3, 3, 4))))
+            for _ in range(rng.randrange(60, 200))
+        )
+        cs = ClauseSet("cnf", clauses)
+        got = dpll(cs)
+        assert got == _reference_dpll(cs)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "clauses, expected",
+    [
+        # a tautological clause is open until its atom is set: split, True
+        ([[("p", True), ("p", False)]], (True, {"p": True})),
+        # both units propagate; the pure q is never needed
+        ([[("b", True)], [("a", False)], [("a", True), ("q", True)]],
+         (True, {"a": False, "b": True, "q": True})),
+        ([[("p", True)], [("p", True), ("q", False)], [("p", False)]], (False, None)),
+        # the lowest pure atom first; setting it satisfies everything, so
+        # the other pure atom is left False
+        ([[("b", True), ("a", True)], [("b", False), ("a", True)]],
+         (True, {"a": True, "b": False})),
+        ([[], [("p", True)]], (False, None)),
+    ],
+)
+def test_dpll_models(clauses, expected):
+    cs = ClauseSet("cnf", frozenset(frozenset(c) for c in clauses))
+    assert dpll(cs) == _reference_dpll(cs) == expected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from . import sat
 from .syntax import (
     And,
     App,
@@ -30,7 +31,7 @@ from .syntax import (
     ZERO,
     children,
     free_vars,
-    print_formula,
+    subformulas,
     with_children,
 )
 
@@ -126,39 +127,13 @@ def _lit_formula(lit: Lit) -> Formula:
     return atom if pos else Not(atom)
 
 
-def _nnf(f: Formula, sign: bool = True) -> Formula:
-    if isinstance(f, Atom):
-        return f if sign else Not(f)
-    if isinstance(f, Not):
-        return _nnf(f.body, not sign)
-    if isinstance(f, Iff):
-        both = And(Implies(f.left, f.right), Implies(f.right, f.left))
-        return _nnf(both, sign)
-    if isinstance(f, Implies):
-        return _nnf(Or(Not(f.left), f.right), sign)
-    if isinstance(f, (And, Or)):
-        flip = {And: Or, Or: And}[type(f)]
-        ctor = type(f) if sign else flip
-        return ctor(_nnf(f.left, sign), _nnf(f.right, sign))
-    if isinstance(f, QUANT):
-        flip_q = {Forall: Exists, Exists: Forall}[type(f)]
-        ctor = type(f) if sign else flip_q
-        return ctor(f.var, _nnf(f.body, sign))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _dnf_lits(f: Formula) -> list[list[Lit]]:
-    """DNF of a quantifier-free NNF formula as literal lists."""
-    if isinstance(f, Atom):
-        return [[((peel(f.args[0])), (peel(f.args[1])), True)]]
-    if isinstance(f, Not):
-        inner = f.body
-        return [[((peel(inner.args[0])), (peel(inner.args[1])), False)]]
-    if isinstance(f, Or):
-        return _dnf_lits(f.left) + _dnf_lits(f.right)
-    if isinstance(f, And):
-        return [a + b for a in _dnf_lits(f.left) for b in _dnf_lits(f.right)]
-    raise TypeError(f"unexpected node in nnf: {print_formula(f)}")
+def _dnf_lits(f: Formula, sign: bool = True) -> list[list[Lit]]:
+    """DNF of a quantifier-free formula (of ~f when sign is False) as
+    literal lists: the cnf clauses of its negation, each sign flipped."""
+    return [
+        [(peel(a.args[0]), peel(a.args[1]), not s) for s, a in c]
+        for c in sat._clauses(f, not sign)
+    ]
 
 
 def _subst_side(side: Side, var: str, image: Side) -> Side:
@@ -311,7 +286,7 @@ def eliminate_quantifiers(f: Formula) -> Formula:
         raise TypeError(f"not a formula: {g!r}")
 
     def _exists(var: str, body: Formula) -> Formula:
-        conjuncts = _dnf_lits(_nnf(body))
+        conjuncts = _dnf_lits(body)
         surviving = []
         for c in conjuncts:
             eliminated = _eliminate_exists(var, c)
@@ -369,27 +344,20 @@ def qf_normal_form(f: Formula) -> Formula:
     contradictory input collapses to 0 != 0 and valid input to 0 = 0.
     """
     validate(f)
-    for _, g in _walk(f):
+    for _, g in subformulas(f):
         if isinstance(g, QUANT):
             raise ValueError("qf_normal_form expects a quantifier-free formula")
     conjuncts = _clean(
-        [c for c in _dnf_lits(_nnf(f)) if _conjunct_satisfiable(c)]
+        [c for c in _dnf_lits(f) if _conjunct_satisfiable(c)]
     )
     if not conjuncts:
         return FALSE
     negated = _clean(
-        [c for c in _dnf_lits(_nnf(f, sign=False)) if _conjunct_satisfiable(c)]
+        [c for c in _dnf_lits(f, sign=False) if _conjunct_satisfiable(c)]
     )
     if not negated:
         return TRUE
     return _dnf_formula(conjuncts)
-
-
-def _walk(f: Formula):
-    yield (), f
-    for i, k in enumerate(children(f)):
-        for pos, g in _walk(k):
-            yield (i,) + pos, g
 
 
 def decide(sentence: Formula) -> str:
@@ -456,7 +424,7 @@ def induction_instance(body: Formula, var: str) -> Formula:
     quantifier-free formula: body(0) and every step implies all of body.
     """
     validate(body)
-    for _, g in _walk(body):
+    for _, g in subformulas(body):
         if isinstance(g, QUANT):
             raise ValueError("the scheme takes a quantifier-free formula")
     from .syntax import Subst, apply
@@ -514,42 +482,11 @@ def eval_nat(f: Formula, slack: int = 0, env: Optional[dict] = None) -> bool:
 
 def _max_offset(f: Formula) -> int:
     out = 0
-    for _, g in _walk(f):
+    for _, g in subformulas(f):
         if isinstance(g, Atom):
             for t in g.args:
                 out = max(out, peel(t)[0])
     return out
-
-
-def eval_standard(f: Formula, bound: int, env: Optional[dict] = None) -> bool:
-    """Evaluate over the naturals with quantifiers bounded by 0..bound;
-    a flat-bound evaluator (see eval_nat for the decision oracle)."""
-    env = dict(env or {})
-
-    def term_value(t: Term, e: dict) -> int:
-        k, base = peel(t)
-        return k if base is None else k + e[base]
-
-    def go(g: Formula, e: dict) -> bool:
-        if isinstance(g, Atom):
-            return term_value(g.args[0], e) == term_value(g.args[1], e)
-        if isinstance(g, Not):
-            return not go(g.body, e)
-        if isinstance(g, And):
-            return go(g.left, e) and go(g.right, e)
-        if isinstance(g, Or):
-            return go(g.left, e) or go(g.right, e)
-        if isinstance(g, Implies):
-            return (not go(g.left, e)) or go(g.right, e)
-        if isinstance(g, Iff):
-            return go(g.left, e) == go(g.right, e)
-        if isinstance(g, Forall):
-            return all(go(g.body, {**e, g.var: n}) for n in range(bound + 1))
-        if isinstance(g, Exists):
-            return any(go(g.body, {**e, g.var: n}) for n in range(bound + 1))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f, env)
 
 
 def formula_size(f: Formula) -> int:

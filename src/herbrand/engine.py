@@ -22,13 +22,11 @@ from .expansion import (
     property_c,
 )
 from .syntax import (
-    And,
     App,
     Atom,
     Formula,
     LEXICON,
     Not,
-    Or,
     Subst,
     Symbol,
     Term,
@@ -204,33 +202,9 @@ def _spell(t: Atom | App | Var, number: dict[str, str]) -> str:
 
 def formula_clauses(f: Formula) -> list[frozenset]:
     """First-order cnf clauses of a quantifier-free formula by naive
-    distribution, literals as (sign, Atom)."""
-
-    def go(g: Formula, sign: bool) -> list[set]:
-        if isinstance(g, Atom):
-            return [{(sign, g)}]
-        if isinstance(g, Not):
-            return go(g.body, not sign)
-        from .syntax import Iff, Implies
-
-        if isinstance(g, Iff):
-            return go(And(Implies(g.left, g.right), Implies(g.right, g.left)), sign)
-        if isinstance(g, Implies):
-            return go(Or(Not(g.left), g.right), sign)
-        conjunctive = (isinstance(g, And) and sign) or (isinstance(g, Or) and not sign)
-        left, right = go(g.left, sign), go(g.right, sign)
-        if conjunctive:
-            return left + right
-        return [a | b for a in left for b in right]
-
-    out = []
-    seen = set()
-    for c in go(f, True):
-        fc = frozenset(c)
-        if fc not in seen:
-            seen.add(fc)
-            out.append(fc)
-    return out
+    distribution, literals as (sign, Atom), each distinct clause once in
+    the order first met."""
+    return list(dict.fromkeys(frozenset(c) for c in sat._clauses(f)))
 
 
 def standardize_apart(c: Clause, counter: Iterator[int]) -> Clause:
@@ -616,25 +590,6 @@ def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
 # unification-guided instance search (connection-style matings)
 
 
-def _paths(f: Formula) -> list[list[Literal]]:
-    """Paths through the validity-side matrix in negation normal form:
-    one literal from every disjunct, branching over conjuncts."""
-    g = sat._nnf_literals(f, True)
-
-    def go(h: Formula) -> list[list[Literal]]:
-        if isinstance(h, Atom):
-            return [[(True, h)]]
-        if isinstance(h, Not):
-            return [[(False, h.body)]]
-        if isinstance(h, Or):
-            return [a + b for a in go(h.left) for b in go(h.right)]
-        if isinstance(h, And):
-            return go(h.left) + go(h.right)
-        raise TypeError(f"unexpected node in nnf: {h!r}")
-
-    return go(g)
-
-
 def find_tautological_instances(
     d: HerbrandDisjunction, k: int, budget: int = 10**6
 ) -> Optional[tuple]:
@@ -652,7 +607,9 @@ def find_tautological_instances(
     filler = d.champ.terms[0]
     bound = d.champ.order
 
-    per_copy = _paths(d.matrix)
+    # the paths through a matrix are its cnf clauses: one literal from
+    # every disjunct, branching over conjuncts
+    per_copy = sat._clauses(d.matrix)
     if len(per_copy) ** k > budget:
         raise BudgetExceededError(
             f"{len(per_copy)}^{k} paths exceed the search budget {budget}"
@@ -661,9 +618,9 @@ def find_tautological_instances(
     for i in range(k):
         ren = Subst({y: Var(f"{y}@{i}") for y in d.gamma_vars})
         copies.append(apply(ren, d.matrix))
-    combined_paths: list[list[Literal]] = [[]]
+    combined_paths: list[tuple[Literal, ...]] = [()]
     for c in copies:
-        combined_paths = [p + q for p in combined_paths for q in _paths(c)]
+        combined_paths = [p + q for p in combined_paths for q in sat._clauses(c)]
 
     nodes = 0
 
@@ -674,7 +631,7 @@ def find_tautological_instances(
                 return False
         return True
 
-    def closed(path: list[Literal], sub: Subst) -> bool:
+    def closed(path: tuple[Literal, ...], sub: Subst) -> bool:
         seen: dict[str, bool] = {}
         for sign, atom in path:
             key = sat.atom_key(apply(sub, atom))

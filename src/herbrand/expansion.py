@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import sat
+from .arith import S, ZERO_SYM
 from .syntax import (
     And,
     App,
@@ -385,18 +386,6 @@ class FiniteStructure:
         if not self.domain:
             raise ValueError("the domain must be nonempty")
 
-    def eval_term(self, t: Term):
-        if isinstance(t, Var):
-            try:
-                return self.var_env[t.name]
-            except KeyError:
-                raise UninterpretedSymbolError(f"free variable {t.name} unassigned")
-        table = self.fn_tables.get((t.sym.name, t.sym.arity))
-        if table is None:
-            raise UninterpretedSymbolError(f"function {t.sym.name} uninterpreted")
-        args = tuple(self.eval_term(a) for a in t.args)
-        return table[args]
-
 
 def eval_in_structure(s: FiniteStructure, f: Formula) -> bool:
     """Standard Tarskian truth value, quantifiers ranging over the
@@ -519,8 +508,6 @@ def arith_substructure_witness(axioms: Sequence[Formula], n: int) -> FiniteStruc
     """
     if n < 1:
         raise ValueError("n is a positive natural number")
-    from .arith import S, ZERO_SYM  # local import; arith builds on syntax only
-
     champ = champ_fini([ZERO_SYM, S], (), n)
     H = max(height(t) for t in champ.terms)
     top = H + 1

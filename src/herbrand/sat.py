@@ -9,7 +9,9 @@ they are just part of the atom's spelling.
 
 Literals are (key, sign) pairs; a clause is a frozenset of literals and a
 ClauseSet is a set of clauses tagged with its polarity (cnf = conjunction
-of disjunctions, dnf = disjunction of conjunctions).
+of disjunctions, dnf = disjunction of conjunctions).  `_clauses`, the one
+clausifier of the package, works on (sign, Atom) literals before keying,
+so `engine` and `arith` build their first-order clauses with it too.
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ class ClauseSet:
         if self.polarity not in ("cnf", "dnf"):
             raise ValueError("polarity must be cnf or dnf")
 
-    def prune_trivial(self) -> "ClauseSet":
-        """Drop clauses containing both signs of one atom.
-
-        In a cnf these clauses are valid disjunctions, in a dnf they are
-        contradictory conjunctions; either way they carry no information.
-        """
-        kept = frozenset(c for c in self.clauses if not _has_complementary_pair(c))
-        return ClauseSet(self.polarity, kept)
-
 
 def _has_complementary_pair(clause: Clause) -> bool:
     keys = {}
@@ -100,48 +93,51 @@ def _has_complementary_pair(clause: Clause) -> bool:
     return False
 
 
-def _nnf_literals(f: Formula, sign: bool) -> Formula:
-    """Negation normal form with Iff expanded; output uses And/Or/Not-atom."""
-    if isinstance(f, Atom):
-        return f if sign else Not(f)
-    if isinstance(f, Not):
-        return _nnf_literals(f.body, not sign)
-    if isinstance(f, Iff):
-        return _nnf_literals(
-            And(Implies(f.left, f.right), Implies(f.right, f.left)), sign
-        )
-    if isinstance(f, Implies):
-        f = Or(Not(f.left), f.right)
-    if isinstance(f, Or):
-        ctor = Or if sign else And
-        return ctor(_nnf_literals(f.left, sign), _nnf_literals(f.right, sign))
-    if isinstance(f, And):
-        ctor = And if sign else Or
-        return ctor(_nnf_literals(f.left, sign), _nnf_literals(f.right, sign))
-    raise QuantifierPresentError(f"not sentential: {print_formula(f)}")
+def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
+    """Cnf clauses of f (of ~f when sign is False) by naive distribution,
+    literals as (sign, Atom), duplicates kept.
 
+    The one clausifier of the package.  A conjunctive node lists its
+    left side's clauses, then its right side's; a disjunctive node gives
+    the product, left side major.  Iff is read as a conjunction of two
+    implications, and A -> B as ~A | B.
 
-def _distribute(f: Formula, join) -> frozenset:
-    """Clauses of a NNF formula; `join` names the inner connective.
-
-    join=Or gives cnf clauses, join=And gives dnf clauses.  Naive
-    distribution with subsumption pruning, no definitional forms.
+    With `prune`, each product keeps only its ⊆-minimal clauses, each
+    once: that keeps nested disjunctions over repeated atoms from
+    multiplying out in full, and leaves the ⊆-minimal set at the root
+    the same.  Conjunctions only concatenate, so pruning them would
+    repeat work that one pruning at the root does.
     """
-    outer = And if join is Or else Or
+    if isinstance(f, Atom):
+        return [((sign, f),)]
+    if isinstance(f, Not):
+        return _clauses(f.body, not sign, prune)
+    if isinstance(f, Iff):
+        both = And(Implies(f.left, f.right), Implies(f.right, f.left))
+        return _clauses(both, sign, prune)
+    if isinstance(f, Implies):
+        left, right = _clauses(f.left, not sign, prune), _clauses(f.right, sign, prune)
+        conjunctive = not sign
+    elif isinstance(f, (And, Or)):
+        left, right = _clauses(f.left, sign, prune), _clauses(f.right, sign, prune)
+        conjunctive = isinstance(f, And) == sign
+    else:
+        raise QuantifierPresentError(
+            f"not sentential: quantifier ?/! in {print_formula(f)}"
+        )
+    if conjunctive:
+        return left + right
+    product = [a + b for a in left for b in right]
+    if prune and len(product) > 1:
+        return [tuple(c) for c in _prune({frozenset(c) for c in product})]
+    return product
 
-    def go(g: Formula) -> set[Clause]:
-        if isinstance(g, Atom):
-            return {frozenset([(atom_key(g), True)])}
-        if isinstance(g, Not):
-            return {frozenset([(atom_key(g.body), False)])}
-        if isinstance(g, outer):
-            return _prune(go(g.left) | go(g.right))
-        if isinstance(g, join):
-            left, right = go(g.left), go(g.right)
-            return _prune({a | b for a in left for b in right})
-        raise QuantifierPresentError(f"not sentential: {print_formula(g)}")
 
-    return frozenset(go(f))
+def _keyed(clauses: list[tuple], flip: bool = False) -> frozenset:
+    """The ⊆-minimal clauses over atom keys, each sign flipped if asked."""
+    return frozenset(_prune({
+        frozenset((atom_key(a), s != flip) for s, a in c) for c in clauses
+    }))
 
 
 def _prune(clauses: set[Clause]) -> set[Clause]:
@@ -169,15 +165,16 @@ def _prune(clauses: set[Clause]) -> set[Clause]:
 
 
 def cnf(f: Formula) -> ClauseSet:
-    return ClauseSet("cnf", _distribute(_nnf_literals(f, True), Or))
+    return ClauseSet("cnf", _keyed(_clauses(f, prune=True)))
 
 
 def dnf(f: Formula) -> ClauseSet:
-    return ClauseSet("dnf", _distribute(_nnf_literals(f, True), And))
+    # the dnf of f is the cnf of ~f with every literal negated
+    return ClauseSet("dnf", _keyed(_clauses(f, False, prune=True), flip=True))
 
 
 def cnf_of_negation(f: Formula) -> ClauseSet:
-    return ClauseSet("cnf", _distribute(_nnf_literals(f, False), Or))
+    return ClauseSet("cnf", _keyed(_clauses(f, False, prune=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +353,8 @@ def is_tautology(
     """Truth-functional validity of a quantifier-free formula.
 
     Returns (verdict, falsifying assignment when the verdict is False).
-    The assignment maps atom keys to truth values.
+    The assignment maps atom keys, in sorted order, to truth values.
     """
-    abstract(f)  # rejects quantifiers, builds no state we need here
     if engine == "dpll":
         sat, model = dpll(cnf_of_negation(f))
         return (False, model) if sat else (True, None)
@@ -367,22 +363,7 @@ def is_tautology(
         path = _all_paths_closed(sorted(d.clauses, key=sorted), {})
         if path is None:
             return True, None
-        atoms = {key for c in d.clauses for key, _ in c}
-        assignment = {key: not sign for key, sign in path.items()}
-        for key in atoms:
-            assignment.setdefault(key, False)
-        return False, assignment
+        atoms = sorted({key for c in d.clauses for key, _ in c})
+        return False, {key: not path.get(key, True) for key in atoms}
     raise ValueError(f"unknown engine {engine!r}")
 
-
-def dimacs_dump(cs: ClauseSet) -> str:
-    """DIMACS-like text for debugging: atom table then clause lines."""
-    atoms = sorted({key for c in cs.clauses for key, _ in c})
-    index = {key: i + 1 for i, key in enumerate(atoms)}
-    lines = [f"c polarity {cs.polarity}"]
-    lines += [f"c atom {i + 1} {key}" for i, key in enumerate(atoms)]
-    lines.append(f"p {cs.polarity} {len(atoms)} {len(cs.clauses)}")
-    for c in sorted(cs.clauses, key=sorted):
-        nums = sorted((index[k] if s else -index[k]) for k, s in c)
-        lines.append(" ".join(str(n) for n in nums) + " 0")
-    return "\n".join(lines) + "\n"

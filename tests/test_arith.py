@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from herbrand import arith
 from herbrand.arith import (
     FALSE,
     FreeVariableError,
@@ -11,7 +12,6 @@ from herbrand.arith import (
     decide,
     eliminate_quantifiers,
     eval_nat,
-    eval_standard,
     formula_size,
     qf_normal_form,
     s_term,
@@ -21,6 +21,7 @@ from herbrand.syntax import (
     EQ,
     Exists,
     Forall,
+    Iff,
     Implies,
     Not,
     And,
@@ -29,6 +30,8 @@ from herbrand.syntax import (
     parse,
     print_formula,
 )
+
+from util import eval_standard
 
 
 def test_quantifier_elimination_examples():
@@ -151,40 +154,111 @@ def _random_arith_term(rng, vars_):
     return s_term(rng.randrange(0, 3), rng.choice([None] + vars_))
 
 
-def _random_arith_qf(rng, depth, vars_):
+def _random_arith_qf(rng, depth, vars_, binary=(And, Or, Implies)):
     if depth == 0 or rng.random() < 0.35:
         return Atom(EQ, (_random_arith_term(rng, vars_),
                          _random_arith_term(rng, vars_)))
-    kind = rng.randrange(4)
+    kind = rng.randrange(len(binary) + 1)
     if kind == 0:
-        return Not(_random_arith_qf(rng, depth - 1, vars_))
-    ctor = (And, Or, Implies)[kind - 1]
-    return ctor(
-        _random_arith_qf(rng, depth - 1, vars_),
-        _random_arith_qf(rng, depth - 1, vars_),
+        return Not(_random_arith_qf(rng, depth - 1, vars_, binary))
+    return binary[kind - 1](
+        _random_arith_qf(rng, depth - 1, vars_, binary),
+        _random_arith_qf(rng, depth - 1, vars_, binary),
     )
 
 
-def _random_arith(rng, depth, vars_):
+def _random_arith(rng, depth, vars_, binary=(And, Or, Implies)):
     if depth == 0 or rng.random() < 0.3:
         return Atom(EQ, (_random_arith_term(rng, vars_),
                          _random_arith_term(rng, vars_)))
-    kind = rng.randrange(6)
+    kind = rng.randrange(len(binary) + 3)
     if kind == 0:
-        return Not(_random_arith(rng, depth - 1, vars_))
-    if kind < 4:
-        ctor = (And, Or, Implies)[kind - 1]
-        return ctor(
-            _random_arith(rng, depth - 1, vars_),
-            _random_arith(rng, depth - 1, vars_),
+        return Not(_random_arith(rng, depth - 1, vars_, binary))
+    if kind <= len(binary):
+        return binary[kind - 1](
+            _random_arith(rng, depth - 1, vars_, binary),
+            _random_arith(rng, depth - 1, vars_, binary),
         )
     v = f"v{len(vars_)}"
-    ctor = Forall if kind == 4 else Exists
-    return ctor(v, _random_arith(rng, depth - 1, vars_ + [v]))
+    ctor = Forall if kind == len(binary) + 1 else Exists
+    return ctor(v, _random_arith(rng, depth - 1, vars_ + [v], binary))
 
 
 def _closed_arith(rng):
     while True:
         f = _random_arith(rng, rng.randrange(1, 5), [])
+        if not free_vars(f):
+            return f
+
+
+# ---------------------------------------------------------------------------
+# the NNF pass and DNF reader that `sat._clauses` replaced, kept as the
+# reference: the same literal lists in the same order
+
+
+def _reference_nnf(f, sign=True):
+    if isinstance(f, Atom):
+        return f if sign else Not(f)
+    if isinstance(f, Not):
+        return _reference_nnf(f.body, not sign)
+    if isinstance(f, Iff):
+        both = And(Implies(f.left, f.right), Implies(f.right, f.left))
+        return _reference_nnf(both, sign)
+    if isinstance(f, Implies):
+        return _reference_nnf(Or(Not(f.left), f.right), sign)
+    if isinstance(f, (And, Or)):
+        flip = {And: Or, Or: And}[type(f)]
+        ctor = type(f) if sign else flip
+        return ctor(_reference_nnf(f.left, sign), _reference_nnf(f.right, sign))
+    raise TypeError(f)
+
+
+def _reference_dnf_lits(f):
+    if isinstance(f, Atom):
+        return [[(arith.peel(f.args[0]), arith.peel(f.args[1]), True)]]
+    if isinstance(f, Not):
+        inner = f.body
+        return [[(arith.peel(inner.args[0]), arith.peel(inner.args[1]), False)]]
+    if isinstance(f, Or):
+        return _reference_dnf_lits(f.left) + _reference_dnf_lits(f.right)
+    if isinstance(f, And):
+        return [a + b for a in _reference_dnf_lits(f.left) for b in _reference_dnf_lits(f.right)]
+    raise TypeError(f)
+
+
+_ALL_BINARY = (And, Or, Implies, Iff)
+
+
+def test_dnf_lits_match_the_reference():
+    rng = random.Random(47)
+    for _ in range(500):
+        f = _random_arith_qf(rng, rng.randrange(1, 5), ["x", "y"], _ALL_BINARY)
+        for sign in (True, False):
+            assert arith._dnf_lits(f, sign) == _reference_dnf_lits(_reference_nnf(f, sign))
+
+
+def test_elimination_matches_the_reference(monkeypatch):
+    rng = random.Random(53)
+    sentences = [_closed_arith_with(rng, _ALL_BINARY) for _ in range(300)]
+    qf = [_random_arith_qf(rng, rng.randrange(1, 4), ["x", "y"], _ALL_BINARY)
+          for _ in range(200)]
+
+    def outcomes():
+        return (
+            [print_formula(eliminate_quantifiers(f)) for f in sentences],
+            [decide(f) for f in sentences],
+            [print_formula(qf_normal_form(f)) for f in qf],
+        )
+
+    got = outcomes()
+    monkeypatch.setattr(
+        arith, "_dnf_lits", lambda f, sign=True: _reference_dnf_lits(_reference_nnf(f, sign))
+    )
+    assert got == outcomes()
+
+
+def _closed_arith_with(rng, binary):
+    while True:
+        f = _random_arith(rng, rng.randrange(1, 4), [], binary)
         if not free_vars(f):
             return f

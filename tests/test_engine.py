@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from herbrand import sat
 from herbrand.engine import (
     Clause,
     ProofResult,
@@ -22,9 +23,13 @@ from herbrand.engine import (
 from herbrand.expansion import check_instances, herbrand_disjunction, property_c
 from herbrand.sat import atom_key
 from herbrand.syntax import (
+    And,
     App,
     Atom,
+    Iff,
+    Implies,
     Not,
+    Or,
     PREDICATE,
     Subst,
     Symbol,
@@ -39,7 +44,7 @@ from herbrand.syntax import (
     term_vars,
 )
 
-from util import all_structures, random_clause, random_term
+from util import all_structures, random_clause, random_qf, random_term, reference_nnf
 
 CONST_A = Symbol("a", 0)
 FUN_F = Symbol("f", 1)
@@ -621,3 +626,56 @@ def test_prove_resolution_holds_free_variables_rigid():
     sigma = Subst({"x1": Var("x")})
     assert r.found and r.steps == 1 and sigma in r.witness
     assert minimize_witness(f, r.witness) == prove_dp(f, 1).witness == (sigma,)
+
+
+# ---------------------------------------------------------------------------
+# the clausifier and path enumerator that `sat._clauses` replaced, kept as
+# references: the same lists in the same order
+
+
+def _reference_formula_clauses(f):
+    def go(g, sign):
+        if isinstance(g, Atom):
+            return [{(sign, g)}]
+        if isinstance(g, Not):
+            return go(g.body, not sign)
+        if isinstance(g, Iff):
+            return go(And(Implies(g.left, g.right), Implies(g.right, g.left)), sign)
+        if isinstance(g, Implies):
+            return go(Or(Not(g.left), g.right), sign)
+        conjunctive = (isinstance(g, And) and sign) or (isinstance(g, Or) and not sign)
+        left, right = go(g.left, sign), go(g.right, sign)
+        if conjunctive:
+            return left + right
+        return [a | b for a in left for b in right]
+
+    out = []
+    for c in go(f, True):
+        if frozenset(c) not in out:
+            out.append(frozenset(c))
+    return out
+
+
+def _reference_paths(f):
+    def go(h):
+        if isinstance(h, Atom):
+            return [[(True, h)]]
+        if isinstance(h, Not):
+            return [[(False, h.body)]]
+        if isinstance(h, Or):
+            return [a + b for a in go(h.left) for b in go(h.right)]
+        if isinstance(h, And):
+            return go(h.left) + go(h.right)
+        raise TypeError(h)
+
+    return go(reference_nnf(f, True))
+
+
+def test_clauses_and_paths_match_the_references():
+    rng = random.Random(83)
+    for _ in range(600):
+        f = random_qf(rng, rng.randrange(1, 5))
+        assert formula_clauses(f) == _reference_formula_clauses(f)
+        assert formula_clauses(Not(f)) == _reference_formula_clauses(Not(f))
+        paths = [list(c) for c in sat._clauses(f)]
+        assert paths == _reference_paths(f)

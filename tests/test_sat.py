@@ -1,25 +1,30 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import herbrand
+from herbrand import sat
 from herbrand.sat import (
     ClauseSet,
     QuantifierPresentError,
+    _clauses,
     _prune,
     abstract,
     atom_key,
     cnf,
     cnf_of_negation,
-    dimacs_dump,
     dnf,
     dpll,
     gilmore_check,
     is_tautology,
 )
-from herbrand.syntax import Atom, Not, Or, PREDICATE, Symbol, parse
+from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
 
-from util import random_formula, truth_table_tautology
+from util import random_qf, reference_nnf, truth_table_tautology
 
 
 def qf(rng):
@@ -133,20 +138,102 @@ def test_determinism():
     assert first == second
 
 
-def test_prune_trivial_is_explicit():
-    cs = ClauseSet(
-        "dnf", frozenset([frozenset([("p", True), ("p", False)])])
+# ---------------------------------------------------------------------------
+# the distribution that `_clauses` replaced, pruning at every node, kept
+# as the reference for cnf, dnf and cnf_of_negation: the same sets
+
+
+def _reference_distribute(f, join):
+    outer = And if join is Or else Or
+
+    def go(g):
+        if isinstance(g, Atom):
+            return {frozenset([(atom_key(g), True)])}
+        if isinstance(g, Not):
+            return {frozenset([(atom_key(g.body), False)])}
+        if isinstance(g, outer):
+            return _prune(go(g.left) | go(g.right))
+        if isinstance(g, join):
+            left, right = go(g.left), go(g.right)
+            return _prune({a | b for a in left for b in right})
+        raise TypeError(g)
+
+    return frozenset(go(f))
+
+
+def test_clause_sets_match_the_distribution_reference():
+    rng = random.Random(61)
+    for _ in range(600):
+        f = random_qf(rng, rng.randrange(1, 5))
+        assert cnf(f).clauses == _reference_distribute(reference_nnf(f, True), Or)
+        assert dnf(f).clauses == _reference_distribute(reference_nnf(f, True), And)
+        assert cnf_of_negation(f).clauses == _reference_distribute(
+            reference_nnf(f, False), Or
+        )
+
+
+def test_clause_sets_prune_every_product(monkeypatch):
+    # a balanced Iff tree of depth 3 over three atoms: multiplied out in
+    # full, its cnf has 1,152 clauses of 8 literals and the cnf of its
+    # negation 2,704; at depth 4 the latter has 14,868,736
+    atoms = [parse(t) for t in ("P(a)", "P(b)", "P(c)")]
+
+    def tree(depth, i=0):
+        if depth == 0:
+            return atoms[i % 3]
+        return Iff(tree(depth - 1, 2 * i), tree(depth - 1, 2 * i + 1))
+
+    f = tree(3)
+    assert (len(_clauses(f)), len(_clauses(f, False))) == (1152, 2704)
+    keyed = sat._keyed
+    sizes = []
+
+    def recorded(clauses, flip=False):
+        sizes.append(len(clauses))
+        return keyed(clauses, flip)
+
+    monkeypatch.setattr(sat, "_keyed", recorded)
+    for run in (cnf, dnf, cnf_of_negation):
+        sizes.clear()
+        assert run(f).clauses == _reference_distribute(
+            reference_nnf(f, run is not cnf_of_negation), And if run is dnf else Or
+        )
+        assert sizes and max(sizes) <= 64
+
+
+@pytest.mark.parametrize(
+    "text", ["P(a) <-> (?x. P(x))", "(!x. P(x)) -> P(a)", "P(a) -> (Q(a) <-> !x. Q(x))"]
+)
+def test_quantifiers_are_rejected(text):
+    f = parse(text)
+    for run in (cnf, dnf, cnf_of_negation, is_tautology,
+                lambda g: is_tautology(g, "multiplication")):
+        with pytest.raises(QuantifierPresentError, match="quantifier"):
+            run(f)
+
+
+def test_falsifying_assignments_do_not_depend_on_the_hash_seed():
+    # the atoms a falsifying path leaves unconstrained come in key order
+    # too, not in set order, which follows PYTHONHASHSEED
+    script = (
+        "from herbrand.sat import is_tautology\n"
+        "from herbrand.syntax import parse\n"
+        "f = parse('(P(a) & Q(b) & U(f)) | (R(c) & ~S(d) & V(g)) | (T(e) & W(h))')\n"
+        "for engine in ('dpll', 'multiplication'):\n"
+        "    verdict, model = is_tautology(f, engine)\n"
+        "    print(verdict, list(model))\n"
     )
-    assert len(cs.clauses) == 1
-    assert len(cs.prune_trivial().clauses) == 0
-
-
-def test_dimacs_dump_shape():
-    text = dimacs_dump(cnf(parse("(A1 | A2) & ~A1")))
-    lines = text.strip().splitlines()
-    assert lines[0] == "c polarity cnf"
-    assert any(line.startswith("p cnf 2 2") for line in lines)
-    assert lines[-1].endswith(" 0")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(herbrand.__file__)))
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    keys = ["P(a)", "Q(b)", "R(c)", "S(d)", "T(e)", "U(f)", "V(g)", "W(h)"]
+    assert outputs == [f"False {keys}\n" * 2] * 3
 
 
 def _quadratic_prune(clauses):

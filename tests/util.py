@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from herbrand.arith import peel
 from herbrand.expansion import FiniteStructure
 from herbrand.sat import atom_key
 from herbrand.syntax import (
@@ -25,6 +26,7 @@ from herbrand.syntax import (
     children,
     formula_symbols,
     free_vars,
+    parse,
 )
 
 P1 = Symbol("P", 1, PREDICATE)
@@ -93,6 +95,58 @@ def random_formula(
     return ctor(v, random_formula(rng, depth - 1, vars_ + [v], preds, funcs, allow_iff))
 
 
+# atoms that print alike must be one propositional variable, whatever
+# object carries them; P(x) holds a free variable
+QF_ATOMS = ("P(a)", "P(f(b))", "P(x)", "Q(a)", "R(a, f(a))", "R(f(a), a)")
+
+
+def random_qf(rng: random.Random, depth: int) -> Formula:
+    """Random quantifier-free formula with every connective, Iff and
+    Implies included, over a few atoms.  Each occurrence of an atom is a
+    new object (equal to the others, not identical) unless it reuses the
+    one before it, which happens one time in four."""
+    made: dict = {}
+
+    def leaf() -> Formula:
+        text = rng.choice(QF_ATOMS)
+        if text not in made or rng.random() >= 0.25:
+            made[text] = parse(text, frees={"x"})
+        return made[text]
+
+    def go(d: int) -> Formula:
+        if d == 0 or rng.random() < 0.25:
+            return leaf()
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Not(go(d - 1))
+        ctor = (And, Or, Implies, Iff)[kind - 1]
+        return ctor(go(d - 1), go(d - 1))
+
+    return go(depth)
+
+
+def reference_nnf(f: Formula, sign: bool) -> Formula:
+    """Negation normal form with Iff expanded, out of And/Or/Not-atom: the
+    NNF pass of the clausifiers that `sat._clauses` replaced."""
+    if isinstance(f, Atom):
+        return f if sign else Not(f)
+    if isinstance(f, Not):
+        return reference_nnf(f.body, not sign)
+    if isinstance(f, Iff):
+        return reference_nnf(
+            And(Implies(f.left, f.right), Implies(f.right, f.left)), sign
+        )
+    if isinstance(f, Implies):
+        f = Or(Not(f.left), f.right)
+    if isinstance(f, Or):
+        ctor = Or if sign else And
+        return ctor(reference_nnf(f.left, sign), reference_nnf(f.right, sign))
+    if isinstance(f, And):
+        ctor = And if sign else Or
+        return ctor(reference_nnf(f.left, sign), reference_nnf(f.right, sign))
+    raise TypeError(f"not quantifier-free: {f!r}")
+
+
 def truth_table_tautology(f: Formula) -> bool:
     """Independent truth-table oracle over the atom keys."""
     atoms = sorted({atom_key(g) for g in _atoms(f)})
@@ -116,6 +170,37 @@ def truth_table_tautology(f: Formula) -> bool:
         if not ev(f, dict(zip(atoms, bits))):
             return False
     return True
+
+
+def eval_standard(f: Formula, bound: int, env: dict | None = None) -> bool:
+    """Truth of a 0/S/= formula over the naturals with every quantifier
+    bounded by 0..bound: a flat-bound oracle, blind to witnesses above
+    the bound (see `arith.eval_nat` for the exact evaluator)."""
+
+    def term_value(t: Term, e: dict) -> int:
+        k, base = peel(t)
+        return k if base is None else k + e[base]
+
+    def go(g: Formula, e: dict) -> bool:
+        if isinstance(g, Atom):
+            return term_value(g.args[0], e) == term_value(g.args[1], e)
+        if isinstance(g, Not):
+            return not go(g.body, e)
+        if isinstance(g, And):
+            return go(g.left, e) and go(g.right, e)
+        if isinstance(g, Or):
+            return go(g.left, e) or go(g.right, e)
+        if isinstance(g, Implies):
+            return (not go(g.left, e)) or go(g.right, e)
+        if isinstance(g, Iff):
+            return go(g.left, e) == go(g.right, e)
+        if isinstance(g, Forall):
+            return all(go(g.body, {**e, g.var: n}) for n in range(bound + 1))
+        if isinstance(g, Exists):
+            return any(go(g.body, {**e, g.var: n}) for n in range(bound + 1))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return go(f, dict(env or {}))
 
 
 def _atoms(f: Formula):

@@ -17,9 +17,8 @@ from .expansion import (
     BudgetExceededError,
     HerbrandDisjunction,
     _champ_for,
-    _check_instances_of,
+    ground_clauses,
     herbrand_disjunction,
-    property_c,
 )
 from .syntax import (
     App,
@@ -485,93 +484,44 @@ def prove_dp(
     always_lexicon: bool = False,
     should_stop=None,
 ) -> ProofResult:
-    """The same order loop with the matrix negation converted to clause
-    form once and the tautology test replaced by DPLL.
-
-    The formula is Skolemized once; each order only forms its champ
-    fini.  A base clause is grounded over the positions of its own
-    gamma-variables, which gives the same clauses as grounding it under
-    every substitution, and each base atom once per order and tuple of
-    images of its gamma-variables."""
-    d1 = herbrand_disjunction(f, 1, always_lexicon)
-    gamma = d1.gamma_vars
-    position = {v: i for i, v in enumerate(gamma)}
-    # each base atom once, with the positions of its gamma-variables
-    slots: dict[Atom, int] = {}
-    base_clauses = [
-        [(s, slots.setdefault(a, len(slots))) for s, a in c]
-        for c in formula_clauses(Not(d1.matrix))
-    ]
-    atoms = list(slots)
-    atom_positions = [
-        sorted({position[v] for t in a.args for v in term_vars(t) if v in position})
-        for a in atoms
-    ]
-    # per base clause: how many gamma-variables it has, and per literal
-    # the sign, the atom and where its gamma-variables sit among them
-    plans = []
-    for c in base_clauses:
-        own = sorted({p for _, slot in c for p in atom_positions[slot]})
-        plans.append((len(own), [
-            (s, slot, [own.index(p) for p in atom_positions[slot]]) for s, slot in c
-        ]))
-    for n in range(1, n_max + 1):
-        if should_stop is not None and should_stop():
-            return ProofResult(False, "dp", reason="cancelled")
-        dn = dataclasses.replace(d1, champ=_champ_for(d1.skolemized, n, always_lexicon))
-        if dn.count > budget:
-            return ProofResult(
-                False, "dp", order=None, reason=f"budget exceeded at order {n}"
-            )
-        terms = dn.champ.terms
-        # per base atom: image indices of its gamma-variables -> atom key
-        ground: list[dict[tuple, str]] = [{} for _ in atoms]
-        clauses = set()
-        for width, literals in plans:
-            for images in itertools.product(range(len(terms)), repeat=width):
-                clause = []
-                for s, slot, picks in literals:
-                    at = tuple(map(images.__getitem__, picks))
-                    key = ground[slot].get(at)
-                    if key is None:
-                        sigma = Subst({
-                            gamma[p]: terms[i] for p, i in zip(atom_positions[slot], at)
-                        })
-                        key = ground[slot][at] = sat.atom_key(apply(sigma, atoms[slot]))
-                    clause.append((key, s))
-                clauses.add(frozenset(clause))
-        satisfiable, _ = sat.dpll(sat.ClauseSet("cnf", frozenset(clauses)))
-        if not satisfiable:
-            witness = tuple(dn.substitutions())
-            return ProofResult(True, "dp", order=n, witness=witness)
-    return ProofResult(False, "dp", reason=f"no proof up to order {n_max}")
+    """The same order loop with the tautology test replaced by DPLL on
+    the clause form of the negation."""
+    return _order_loop(f, n_max, budget, always_lexicon, "dp", "dpll", should_stop)
 
 
 def _order_loop(
     f, n_max, budget, always_lexicon, method, engine, should_stop=None
 ) -> ProofResult:
+    """Property C at orders 1..n_max, the formula Skolemized once.  The
+    witness is the family's first-producer cover: for each ground clause
+    the odometer-first member yielding it, in odometer order.  It yields
+    the family's clauses, and greedy minimization keeps from it what it
+    keeps from the family."""
+    d1 = herbrand_disjunction(f, 1, always_lexicon)
     for n in range(1, n_max + 1):
         if should_stop is not None and should_stop():
             return ProofResult(False, method, reason="cancelled")
+        d = dataclasses.replace(d1, champ=_champ_for(d1.skolemized, n, always_lexicon))
         try:
-            verdict, witness = property_c(
-                f, n, budget, always_lexicon, engine=engine
-            )
+            clauses, _ = ground_clauses(d, budget=budget)
+            verdict, _ = sat.decide_negation(clauses, engine, budget)
         except BudgetExceededError as e:
             return ProofResult(False, method, reason=str(e))
         if verdict:
-            assert witness is not None
-            return ProofResult(True, method, order=n, witness=witness.substitutions)
+            firsts = sorted({positions[0] for positions in clauses.values()})
+            return ProofResult(True, method, order=n, witness=tuple(map(d.member, firsts)))
     return ProofResult(False, method, reason=f"no proof up to order {n_max}")
 
 
 def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
-    """Greedy pruning of a verified substitution family: drop entries
-    whose removal keeps the instance disjunction tautological."""
-    kept = list(sigmas)
-    if len(kept) < 2:
-        return tuple(kept)
-    d = herbrand_disjunction(f, 1)  # Skolemized once for every trial
+    """Greedy pruning of a verified substitution family: drop entries,
+    last first, whose removal keeps the instance disjunction
+    tautological, until no entry can go.  Each substitution is grounded
+    once; a trial joins the clauses of the entries it keeps."""
+    if len(sigmas) < 2:
+        return tuple(sigmas)
+    clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
+    kept = list(range(len(sigmas)))
     changed = True
     while changed:
         changed = False
@@ -579,11 +529,14 @@ def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
             if len(kept) == 1:
                 break
             trial = kept[:i] + kept[i + 1:]
-            verdict, _ = _check_instances_of(d, trial)
+            members = set(trial)
+            verdict, _ = sat.decide_negation(
+                c for c, positions in clauses.items() if not members.isdisjoint(positions)
+            )
             if verdict:
                 kept = trial
                 changed = True
-    return tuple(kept)
+    return tuple(sigmas[p] for p in kept)
 
 
 # ---------------------------------------------------------------------------

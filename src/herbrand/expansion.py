@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import sat
 from .arith import S, ZERO_SYM
+from .sat import DEFAULT_BUDGET, BudgetExceededError
 from .syntax import (
     And,
     App,
@@ -43,13 +45,6 @@ from .syntax import (
     with_children,
 )
 from .transform import skolemize_outer, to_antiprenex
-
-DEFAULT_BUDGET = 10**6
-
-
-class BudgetExceededError(Exception):
-    """The instance budget was hit; explicitly not a verdict."""
-
 
 class UninterpretedSymbolError(Exception):
     """A symbol of the formula has no table in the structure."""
@@ -195,6 +190,14 @@ class HerbrandDisjunction:
         for images in itertools.product(self.champ.terms, repeat=len(self.gamma_vars)):
             yield Subst(dict(zip(self.gamma_vars, images)))
 
+    def member(self, position: int) -> Subst:
+        """The substitution at `position` in `substitutions()`."""
+        images = []
+        for _ in self.gamma_vars:
+            position, i = divmod(position, len(self.champ))
+            images.append(self.champ.terms[i])
+        return Subst(dict(zip(self.gamma_vars, reversed(images))))
+
     def instance(self, sigma: Subst) -> Formula:
         return apply(sigma, self.matrix)
 
@@ -221,13 +224,6 @@ class PropertyCWitness:
     matrix: Formula
 
 
-def _disjoin(instances: list[Formula]) -> Formula:
-    out = instances[-1]
-    for inst in reversed(instances[:-1]):
-        out = Or(inst, out)
-    return out
-
-
 def check_instances(
     f: Formula, sigmas: Sequence[Subst], engine: str = "dpll"
 ) -> tuple[bool, Optional[dict]]:
@@ -235,66 +231,104 @@ def check_instances(
     tautology?  The tractable entry point when the full expansion is out
     of reach.  Every substitution must be total on the gamma-variables.
     """
-    return _check_instances_of(herbrand_disjunction(f, 1), sigmas, engine)
-
-
-def _check_instances_of(
-    d: HerbrandDisjunction, sigmas: Sequence[Subst], engine: str = "dpll"
-) -> tuple[bool, Optional[dict]]:
-    """`check_instances` on a prepared order-1 disjunction, so that a
-    caller checking many families of one formula Skolemizes it once."""
-    for s in sigmas:
-        missing = set(d.gamma_vars) - s.domain()
-        if missing:
-            raise ValueError(
-                f"substitution not total on the gamma-variables: missing {sorted(missing)}"
-            )
     if not sigmas:
         return False, None
-    big = _disjoin(_ground_instances(d.matrix, sigmas))
-    return sat.is_tautology(big, engine)
+    clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
+    return sat.decide_negation(clauses, engine)
 
 
-def _ground_instances(matrix: Formula, sigmas: Sequence[Subst]) -> list[Formula]:
-    """Equal to [apply(s, matrix) for s in sigmas], but each distinct
-    instance of a subformula is built once.
+def ground_clauses(
+    d: HerbrandDisjunction,
+    sigmas: Optional[Sequence[Subst]] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[dict[frozenset, list[int]], dict[str, Atom]]:
+    """The keyed cnf clauses of the negated matrix instances under
+    `sigmas`, or under the whole family `d.substitutions()` when `sigmas`
+    is None (more than `budget` members raise BudgetExceededError): the
+    package's one grounding of a matrix.
 
-    An instance of a subformula depends only on the images of its own
-    free variables, so it is memoized on the identities of the
-    subformula and of those images; `sigmas` and `matrix` keep them alive
-    for the duration of the call.  Atoms (and quantified subformulas)
-    that miss the memo are built by `apply`, connectives from their
-    grounded children.
+    Each clause of the negated matrix (`sat._clauses(matrix, False)`) is
+    grounded over the images of its own gamma-variables only, each atom
+    once per tuple of images of its own gamma-variables; substitutions
+    must be total on the gamma-variables.  Returns each distinct ground
+    clause with the ascending positions, in `sigmas` or in odometer
+    order, of the substitutions yielding it (for the family, too large
+    to list, only the first), and the ground atoms by key.
     """
-    leaf = (Atom, *QUANT)
-    own: dict[int, tuple[str, ...]] = {}
+    gamma = d.gamma_vars
+    where = {v: i for i, v in enumerate(gamma)}
+    if sigmas is None:
+        if d.count > budget:
+            raise BudgetExceededError(
+                f"order-{d.champ.order} disjunction has {d.count} instances, "
+                f"budget is {budget}"
+            )
+        terms = d.champ.terms
+    else:
+        for s in sigmas:
+            missing = set(gamma) - s.domain()
+            if missing:
+                raise ValueError(
+                    f"substitution not total on the gamma-variables: missing {sorted(missing)}"
+                )
+        # a row holds a substitution's images as indices into `terms`
+        number: dict[Term, int] = {}
+        rows = [[number.setdefault(s.get(v), len(number)) for v in gamma] for s in sigmas]
+        terms = list(number)
 
-    def note(g: Formula) -> set[str]:
-        if isinstance(g, Atom):
-            vs = set().union(*map(term_vars, g.args))
-        elif isinstance(g, QUANT):
-            vs = free_vars(g)
-        else:
-            vs = set().union(*map(note, children(g)))
-        own[id(g)] = tuple(sorted(vs))
-        return vs
+    slots: dict[Atom, int] = {}  # each base atom once
+    base = [
+        [(s, slots.setdefault(a, len(slots))) for s, a in c]
+        for c in dict.fromkeys(frozenset(c) for c in sat._clauses(d.matrix, False))
+    ]
+    atoms = list(slots)
+    atom_own = [
+        sorted({where[v] for t in a.args for v in term_vars(t) if v in where})
+        for a in atoms
+    ]
+    keys: list[dict[tuple, str]] = [{} for _ in atoms]  # images -> key, per atom
+    table: dict[str, Atom] = {}
+    # per base clause: its gamma-variables' positions, and per literal the
+    # sign, the atom and where the atom's gamma-variables sit among them
+    plans = []
+    for c in base:
+        own = sorted({p for _, slot in c for p in atom_own[slot]})
+        plans.append((own, [
+            (s, slot, [own.index(p) for p in atom_own[slot]]) for s, slot in c
+        ]))
 
-    note(matrix)
-    memo: dict[tuple, Formula] = {}
+    def ground(literals: list, images: tuple) -> frozenset:
+        clause = []
+        for s, slot, picks in literals:
+            at = tuple([images[j] for j in picks])
+            k = keys[slot].get(at)
+            if k is None:
+                sigma = Subst({gamma[p]: terms[i] for p, i in zip(atom_own[slot], at)})
+                atom = apply(sigma, atoms[slot])
+                k = keys[slot][at] = sat.atom_key(atom)
+                table[k] = atom
+            clause.append((k, s))
+        return frozenset(clause)
 
-    def ground(g: Formula, s: Subst, image_ids: dict[str, int]) -> Formula:
-        key = (id(g), *map(image_ids.get, own[id(g)]))
-        out = memo.get(key)
-        if out is None:
-            if isinstance(g, leaf):
-                out = apply(s, g)
-            else:
-                kids = tuple(ground(k, s, image_ids) for k in children(g))
-                out = with_children(g, kids)
-            memo[key] = out
-        return out
-
-    return [ground(matrix, s, {v: id(t) for v, t in s.items()}) for s in sigmas]
+    found: dict[frozenset, list[int]] = {}
+    if sigmas is None:
+        for own, literals in plans:
+            # the odometer-first member yielding an instance maps the
+            # clause's other gamma-variables to the first term
+            weights = [len(terms) ** (len(gamma) - 1 - p) for p in own]
+            for images in itertools.product(range(len(terms)), repeat=len(own)):
+                first = sum(map(mul, weights, images))
+                positions = found.setdefault(ground(literals, images), [first])
+                if first < positions[0]:
+                    positions[0] = first
+    else:
+        for position, row in enumerate(rows):
+            for own, literals in plans:
+                clause = ground(literals, tuple([row[p] for p in own]))
+                positions = found.setdefault(clause, [])
+                if not positions or positions[-1] != position:
+                    positions.append(position)
+    return found, table
 
 
 def property_c(
@@ -312,15 +346,11 @@ def property_c(
     if n < 1:
         raise ValueError("Property C orders are positive natural numbers")
     d = herbrand_disjunction(f, n, always_lexicon)
-    if d.count > budget:
-        raise BudgetExceededError(
-            f"order-{n} disjunction has {d.count} instances, budget is {budget}"
-        )
-    sigmas = list(d.substitutions())
-    verdict, _ = _check_instances_of(d, sigmas, engine)
+    clauses, _ = ground_clauses(d, budget=budget)
+    verdict, _ = sat.decide_negation(clauses, engine, budget)
     if not verdict:
         return False, None
-    return True, PropertyCWitness(n, tuple(sigmas), d.matrix)
+    return True, PropertyCWitness(n, tuple(d.substitutions()), d.matrix)
 
 
 def property_b(
@@ -440,17 +470,14 @@ def falsifying_structure(
 
     Functions are interpreted as term constructors, truncated at the
     height bound by a designated sink element (the enumeration-maximal
-    term).  Predicate tables come from the falsifying assignment.
+    term).  Predicate tables come from a DPLL model of the grounded
+    order-p clauses, over their ground atoms.
     """
     if p < 1:
         raise ValueError("the order p is a positive natural number")
     d = herbrand_disjunction(f, p, always_lexicon)
-    if d.count > budget:
-        raise BudgetExceededError(
-            f"order-{p} disjunction has {d.count} instances, budget is {budget}"
-        )
-    expansion = expand(d.skolemized, d.champ.terms)
-    verdict, assignment = sat.is_tautology(expansion)
+    clauses, atoms = ground_clauses(d, budget=budget)
+    verdict, assignment = sat.decide_negation(clauses)
     if verdict:
         return None
     assert assignment is not None
@@ -480,8 +507,7 @@ def falsifying_structure(
         fn_tables[(sym.name, sym.arity)] = table
 
     pred_tables: dict = {}
-    _, atom_table = sat.abstract(expansion)
-    for key, atom in sorted(atom_table.items()):
+    for key, atom in sorted(atoms.items()):
         args = tuple(print_term(t) for t in atom.args)
         pred_tables.setdefault((atom.pred.name, atom.pred.arity), {})[args] = (
             assignment.get(key, False)

@@ -1,5 +1,5 @@
-"""Sentential cores: propositional abstraction, the multiplication
-method, and DPLL.
+"""Sentential cores: the one clausifier, the multiplication method, and
+DPLL.
 
 A quantifier-free first-order formula is read propositionally by keying
 every atomic subformula on its canonical printed form; two atoms are the
@@ -28,8 +28,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    QUANT,
-    children,
     print_formula,
 )
 
@@ -37,8 +35,15 @@ Literal = tuple[str, bool]
 Clause = frozenset  # of Literal
 
 
+DEFAULT_BUDGET = 10**6
+
+
 class QuantifierPresentError(Exception):
     """Raised when a sentential operation meets a quantifier."""
+
+
+class BudgetExceededError(Exception):
+    """The instance budget was hit; explicitly not a verdict."""
 
 
 _ATOM_KEYS: dict = {}
@@ -49,29 +54,6 @@ def atom_key(a: Atom) -> str:
     if key is None:
         key = _ATOM_KEYS[a] = print_formula(a)
     return key
-
-
-def abstract(f: Formula) -> tuple[Formula, dict[str, Atom]]:
-    """Check f is quantifier-free and return it with its atom table.
-
-    The atom table maps canonical keys back to the atoms they abbreviate,
-    for witness reporting.
-    """
-    table: dict[str, Atom] = {}
-
-    def go(g: Formula):
-        if isinstance(g, QUANT):
-            raise QuantifierPresentError(
-                f"not sentential: quantifier ?/! in {print_formula(g)}"
-            )
-        if isinstance(g, Atom):
-            table[atom_key(g)] = g
-            return
-        for k in children(g):
-            go(k)
-
-    go(f)
-    return f, table
 
 
 @dataclass(frozen=True)
@@ -192,25 +174,45 @@ def gilmore_check(cs: ClauseSet) -> bool:
     """
     if cs.polarity == "cnf":
         return all(_has_complementary_pair(c) for c in cs.clauses)
-    return _all_paths_closed(sorted(cs.clauses, key=sorted), {}) is None
+    return _open_path(sorted(sorted(c) for c in cs.clauses), DEFAULT_BUDGET) is None
 
 
-def _all_paths_closed(conjuncts: list, picked: dict) -> Optional[dict]:
-    """Return a pair-free path (as an assignment dict) or None."""
-    if not conjuncts:
-        return dict(picked)
-    first, rest = conjuncts[0], conjuncts[1:]
-    for key, sign in sorted(first):
-        if picked.get(key, sign) != sign:
-            continue  # this pick closes the path; try another literal
-        fresh = key not in picked
-        picked[key] = sign
-        result = _all_paths_closed(rest, picked)
-        if result is not None:
-            return result
-        if fresh:
-            del picked[key]
-    return None
+def _open_path(conjuncts: list[list[Literal]], budget: int) -> Optional[dict]:
+    """A path through the conjuncts, one literal from each, without a
+    complementary pair, as a dict of its literals; None when every path
+    is closed.
+
+    Depth first with an explicit cursor per conjunct, its literals in
+    the given order; a literal whose complement is on the path closes
+    it, and a closed pick is passed over.  Each literal put on the path
+    counts against `budget`, past which BudgetExceededError is raised.
+    """
+    path: dict[str, bool] = {}
+    tried = [0] * len(conjuncts)  # per conjunct: literals tried so far
+    added: list = [None] * len(conjuncts)  # per conjunct: key it put on the path
+    depth = nodes = 0
+    while depth < len(conjuncts):
+        literals = conjuncts[depth]
+        i = tried[depth]
+        while i < len(literals) and path.get(literals[i][0], literals[i][1]) != literals[i][1]:
+            i += 1
+        if i == len(literals):  # every pick here closes: back up one conjunct
+            tried[depth] = 0
+            depth -= 1
+            if depth < 0:
+                return None
+            if added[depth] is not None:
+                del path[added[depth]]
+            continue
+        key, sign = literals[i]
+        tried[depth] = i + 1
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"path search exceeded the budget of {budget} nodes")
+        added[depth] = None if key in path else key
+        path[key] = sign
+        depth += 1
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +357,33 @@ def is_tautology(
     Returns (verdict, falsifying assignment when the verdict is False).
     The assignment maps atom keys, in sorted order, to truth values.
     """
-    if engine == "dpll":
-        sat, model = dpll(cnf_of_negation(f))
-        return (False, model) if sat else (True, None)
-    if engine == "multiplication":
-        d = dnf(f)
-        path = _all_paths_closed(sorted(d.clauses, key=sorted), {})
-        if path is None:
-            return True, None
-        atoms = sorted({key for c in d.clauses for key, _ in c})
-        return False, {key: not path.get(key, True) for key in atoms}
-    raise ValueError(f"unknown engine {engine!r}")
+    negation = _clauses(f, False, prune=True)
+    return decide_negation({frozenset((atom_key(a), s) for s, a in c) for c in negation}, engine)
 
+
+def decide_negation(
+    clauses, engine: str = "dpll", budget: int = DEFAULT_BUDGET
+) -> tuple[bool, Optional[dict[str, bool]]]:
+    """Is the formula whose negation has the keyed cnf `clauses` a
+    sentential tautology?  The one decision step of the package.
+
+    The clauses are pruned to the ⊆-minimal ones here, once.  The dpll
+    engine refutes them; the multiplication method searches the paths
+    through the formula's dnf, whose conjuncts are the clauses with every
+    literal negated, within `budget` nodes.  Returns (verdict,
+    falsifying assignment when the verdict is False), the assignment
+    keyed as `is_tautology`'s.
+    """
+    if engine not in ("dpll", "multiplication"):
+        raise ValueError(f"unknown engine {engine!r}")
+    clauses = _prune(set(clauses))
+    if engine == "dpll":
+        satisfiable, model = dpll(ClauseSet("cnf", frozenset(clauses)))
+        return (False, model) if satisfiable else (True, None)
+    path = _open_path(
+        sorted(sorted((key, not sign) for key, sign in c) for c in clauses), budget
+    )
+    if path is None:
+        return True, None
+    atoms = sorted({key for c in clauses for key, _ in c})
+    return False, {key: not path.get(key, True) for key in atoms}

@@ -202,16 +202,48 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3)])
+@pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3), ("gilmore", 4)])
 def test_prove_scaling_family_stdout(tmp_path, capsys, method, order):
+    # the gave-up report does not depend on the engine, so one file pins
+    # both at order 4; the multiplication method's path search goes
+    # through 3,375 conjuncts there, under the default recursion limit
     path = write_problem(tmp_path, SCALING)
     code, out, _ = run(
         capsys, ["prove", path, "--method", method, "--max-order", str(order)]
     )
-    with open(os.path.join(DATA, f"scaling_{method}_n{order}.out"), encoding="utf-8") as handle:
+    with open(os.path.join(DATA, f"scaling_{method if order == 3 else 'dp'}_n{order}.out"),
+              encoding="utf-8") as handle:
         expected = handle.read()
     assert code == 1
     assert out == expected
+
+
+VARIANT = (
+    "formula: (!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+    " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+    " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))\n"
+)
+
+
+def test_prove_dp_variant_at_order_3(tmp_path, capsys):
+    path = write_problem(tmp_path, VARIANT)
+    code, out, _ = run(capsys, ["prove", path, "--method", "dp", "--max-order", "3"])
+    assert code == 0
+    assert "order: 3\n" in out and "witness-verified: true\n" in out
+
+
+def test_prove_gilmore_variant_at_order_3_stops_on_the_budget(tmp_path, capsys):
+    # every path through the 250 conjuncts is closed: the multiplication
+    # method is exponential here, and the budget bounds its search
+    path = write_problem(tmp_path, VARIANT)
+    code, out, _ = run(capsys, [
+        "prove", path, "--method", "gilmore", "--max-order", "3", "--budget", "100000",
+    ])
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "verdict: gave-up",
+        "reason: path search exceeded the budget of 100000 nodes",
+    ]
 
 
 @pytest.mark.parametrize("method", ["dp", "race"])

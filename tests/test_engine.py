@@ -20,7 +20,12 @@ from herbrand.engine import (
     standardize_apart,
     unify,
 )
-from herbrand.expansion import check_instances, herbrand_disjunction, property_c
+from herbrand.expansion import (
+    check_instances,
+    ground_clauses,
+    herbrand_disjunction,
+    property_c,
+)
 from herbrand.sat import atom_key
 from herbrand.syntax import (
     And,
@@ -551,6 +556,36 @@ def test_minimize_witness_skolemizes_once(monkeypatch):
     assert len(witness) == 3 and len(calls) == 1
 
 
+def test_first_producer_cover_minimizes_like_the_family():
+    from util import random_formula
+    from herbrand.syntax import rectify
+
+    rng = random.Random(808)
+    fixed = [
+        parse("?x. (P(x) -> (!y. P(y)))"),
+        parse("?x. (A(x) -> A(f(x)))"),
+        parse("?x. (A(x) -> A(f(f(x))))"),
+        parse("(?x. P(x)) | ~(?y. P(y))"),
+        parse("?x,y. ((A(x) & A(y)) -> (A(c1) & A(c2)))"),
+    ]
+    orders, shrunk = set(), 0
+    while len(orders) < 3 or shrunk < 5 or fixed:
+        f = fixed.pop() if fixed else rectify(random_formula(rng, rng.randrange(1, 5), []))
+        r = prove_dp(f, 3, budget=100)
+        if not r.found:
+            continue
+        d = herbrand_disjunction(f, r.order)
+        family = list(d.substitutions())
+        cover = r.witness
+        assert [family.index(s) for s in cover] == sorted(map(family.index, cover))
+        assert set(ground_clauses(d, cover)[0]) == set(ground_clauses(d, family)[0])
+        assert minimize_witness(f, cover) == minimize_witness(f, family)
+        assert prove_gilmore(f, 3, budget=100).witness == cover
+        orders.add(r.order)
+        shrunk += len(cover) < len(family)
+    assert orders == {1, 2, 3}
+
+
 def test_find_tautological_instances_respects_order():
     # the needed instance has height 2, so it exists at order 3, not 2
     f = parse("?x. (P(x) | ~(?y. P(y)))")
@@ -577,27 +612,41 @@ def test_find_tautological_instances_respects_order():
 def test_prove_dp_clause_sets_match_per_substitution_grounding(
     monkeypatch, text, frees, n_max
 ):
-    from herbrand import sat
+    # both engines: the grounder's unpruned clauses against grounding the
+    # negated matrix under every substitution, and dpll's input pruned once
+    from herbrand import engine, sat
 
-    seen = []
-    dpll = sat.dpll
+    grounded, refuted = [], []
+    ground, dpll = engine.ground_clauses, sat.dpll
 
-    def recorded(cs):
-        seen.append(cs)
+    def recorded_ground(*args, **kwargs):
+        out = ground(*args, **kwargs)
+        grounded.append(out[0])
+        return out
+
+    def recorded_dpll(cs):
+        refuted.append(cs)
         return dpll(cs)
 
-    monkeypatch.setattr(sat, "dpll", recorded)
+    monkeypatch.setattr(engine, "ground_clauses", recorded_ground)
+    monkeypatch.setattr(sat, "dpll", recorded_dpll)
     f = parse(text, frees=frees)
-    prove_dp(f, n_max)
-    assert len(seen) == n_max
-    for n, cs in enumerate(seen, 1):
-        d = herbrand_disjunction(f, n)
-        expected = {
-            frozenset((sat.atom_key(apply(sigma, a)), s) for s, a in c)
-            for sigma in d.substitutions()
-            for c in formula_clauses(Not(d.matrix))
-        }
-        assert cs.clauses == expected
+    for prove in (prove_dp, prove_gilmore):
+        grounded.clear()
+        refuted.clear()
+        assert prove(f, n_max).reason == f"no proof up to order {n_max}"
+        assert len(grounded) == n_max
+        assert len(refuted) == (n_max if prove is prove_dp else 0)
+        for n, clauses in enumerate(grounded, 1):
+            d = herbrand_disjunction(f, n)
+            expected = {
+                frozenset((sat.atom_key(apply(sigma, a)), s) for s, a in c)
+                for sigma in d.substitutions()
+                for c in formula_clauses(Not(d.matrix))
+            }
+            assert set(clauses) == expected
+            if refuted:
+                assert refuted[n - 1].clauses == sat._prune(expected)
 
 
 def test_prove_dp_skolemizes_once(monkeypatch):

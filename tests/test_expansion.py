@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,7 +6,6 @@ import pytest
 
 from herbrand.expansion import (
     BudgetExceededError,
-    _ground_instances,
     arith_substructure_witness,
     champ_fini,
     check_instances,
@@ -14,6 +14,7 @@ from herbrand.expansion import (
     expand,
     falsifying_structure,
     godel_dreben_order,
+    ground_clauses,
     herbrand_complexity,
     herbrand_disjunction,
     load_structure,
@@ -419,19 +420,63 @@ def test_property_c_soundness_sample():
             assert eval_in_structure(s, f)
 
 
-def test_ground_instances_matches_apply():
+def _reference_grounding(d, sigmas):
+    """Per substitution: apply it to the matrix, clausify the negation,
+    key the atoms.  Returns each substitution's clauses and the atoms."""
+    from herbrand import sat
+
+    per, atoms = [], {}
+    for sigma in sigmas:
+        instance = apply(sigma, d.matrix)
+        per.append({
+            frozenset((sat.atom_key(a), s) for s, a in c)
+            for c in sat._clauses(instance, False)
+        })
+        atoms.update((sat.atom_key(g), g) for _, g in subformulas(instance)
+                     if isinstance(g, Atom))
+    return per, atoms
+
+
+def test_ground_clauses_match_per_substitution_grounding():
     rng = random.Random(31)
-    for _ in range(200):
-        f = random_formula(
-            rng, 4, ["x", "y", "z"], preds=(P1, Q1, R2), funcs=(CONST_A, FUN_F)
-        )
-        terms = [parse_term(t) for t in ("a", "f(a)", "f(f(a))", "y")]
+    families = explicit = 0
+    while families < 60 or explicit < 60:
+        f = rectify(random_formula(
+            rng, 4, [], preds=(P1, Q1, R2), funcs=(CONST_A, FUN_F)
+        ))
+        d = herbrand_disjunction(f, rng.randrange(1, 4))
+        if not d.gamma_vars or d.count > 2000:
+            continue
+        # the full family: every clause, its odometer-first producer
+        family = list(d.substitutions())
+        per, atoms = _reference_grounding(d, family)
+        clauses, table = ground_clauses(d)
+        assert set(clauses) == set().union(*per)
+        for clause, positions in clauses.items():
+            assert positions == [min(p for p, cs in enumerate(per) if clause in cs)]
+            assert d.member(positions[0]) == family[positions[0]]
+        assert table == atoms
+        families += 1
+        # an explicit list, repeats and equal copies of images included:
+        # every clause with every producer
         sigmas = []
         for _ in range(rng.randrange(1, 12)):
-            # identical image objects across substitutions, equal copies
-            # of them, and variables left unbound
-            bound = {v: rng.choice(terms) for v in ("x", "y", "z") if rng.random() < 0.8}
+            sigma = rng.choice(family)
             if rng.random() < 0.3:
-                bound = {v: parse_term(print_term(t)) for v, t in bound.items()}
-            sigmas.append(Subst(bound))
-        assert _ground_instances(f, sigmas) == [apply(s, f) for s in sigmas]
+                sigma = Subst({v: dataclasses.replace(t) for v, t in sigma.items()})
+            sigmas.append(sigma)
+        per, atoms = _reference_grounding(d, sigmas)
+        clauses, table = ground_clauses(d, sigmas)
+        assert clauses == {
+            clause: [p for p, cs in enumerate(per) if clause in cs]
+            for clause in set().union(*per)
+        }
+        assert table == atoms
+        explicit += 1
+
+
+def test_ground_clauses_budget():
+    d = herbrand_disjunction(parse(RUNNING_EXAMPLE), 4)
+    with pytest.raises(BudgetExceededError):
+        ground_clauses(d, budget=d.count - 1)
+    assert ground_clauses(d, [], budget=0) == ({}, {})

@@ -12,8 +12,8 @@ from herbrand.sat import (
     ClauseSet,
     QuantifierPresentError,
     _clauses,
+    _open_path,
     _prune,
-    abstract,
     atom_key,
     cnf,
     cnf_of_negation,
@@ -44,16 +44,6 @@ def qf(rng):
         return ctor(go(depth - 1), go(depth - 1))
 
     return go(rng.randrange(1, 6))
-
-
-def test_abstract_examples():
-    f = parse("P(a) | ~P(a)")
-    _, table = abstract(f)
-    assert set(table) == {"P(a)"}
-    with pytest.raises(QuantifierPresentError):
-        abstract(parse("(?x. P(x)) | ~(?x. P(x))"))
-    _, table = abstract(parse("P(x, f(a, y)) | Q(b)", frees={"x", "y"}))
-    assert len(table) == 2
 
 
 def test_tautology_examples():
@@ -109,6 +99,55 @@ def test_gilmore_examples():
             frozenset([frozenset([("p", True)]), frozenset([("p", False)])]),
         )
     )
+
+
+def _all_paths_closed(conjuncts: list, picked: dict):
+    """The recursive path search `_open_path` replaced, kept as the
+    reference: a pair-free path (as an assignment dict) or None."""
+    if not conjuncts:
+        return dict(picked)
+    first, rest = conjuncts[0], conjuncts[1:]
+    for key, sign in sorted(first):
+        if picked.get(key, sign) != sign:
+            continue  # this pick closes the path; try another literal
+        fresh = key not in picked
+        picked[key] = sign
+        result = _all_paths_closed(rest, picked)
+        if result is not None:
+            return result
+        if fresh:
+            del picked[key]
+    return None
+
+
+def test_open_path_matches_the_recursive_reference():
+    rng = random.Random(71)
+    closed = 0
+    for _ in range(2000):
+        keys = [f"p{i}" for i in range(rng.randrange(1, 6))]
+        conjuncts = sorted({
+            frozenset((rng.choice(keys), rng.random() < 0.5)
+                      for _ in range(rng.randrange(1, 4)))
+            for _ in range(rng.randrange(0, 9))
+        }, key=sorted)
+        want = _all_paths_closed(conjuncts, {})
+        assert _open_path([sorted(c) for c in conjuncts], 10**6) == want
+        closed += want is None
+    assert 200 < closed < 1800
+
+
+def test_open_path_is_bounded_by_the_budget_not_the_stack():
+    # a path through more conjuncts than the recursion limit allows frames
+    deep = [[(f"p{i}", True), (f"p{i + 1}", False)] for i in range(5 * sys.getrecursionlimit())]
+    path = _open_path(deep, 10**6)
+    assert path is not None and all(path.values())
+    # every path closed: p or q, p or ~q, ~p or q, ~p or ~q, then chaff the
+    # search multiplies out before it meets the clash
+    chaff = [[(f"c{i}", True), (f"c{i}", False)] for i in range(20)]
+    pigeon = [[("p", s1), ("q", s2)] for s1 in (True, False) for s2 in (True, False)]
+    assert _open_path(pigeon, 100) is None
+    with pytest.raises(sat.BudgetExceededError):
+        _open_path(chaff + pigeon, 10**4)
 
 
 def test_dpll_examples():

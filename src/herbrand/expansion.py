@@ -247,13 +247,14 @@ def ground_clauses(
     is None (more than `budget` members raise BudgetExceededError): the
     package's one grounding of a matrix.
 
-    Each clause of the negated matrix (`sat._clauses(matrix, False)`) is
-    grounded over the images of its own gamma-variables only, each atom
-    once per tuple of images of its own gamma-variables; substitutions
-    must be total on the gamma-variables.  Returns each distinct ground
-    clause with the ascending positions, in `sigmas` or in odometer
-    order, of the substitutions yielding it (for the family, too large
-    to list, only the first), and the ground atoms by key.
+    Each ⊆-minimal clause of the negated matrix (`sat._clauses(matrix,
+    False, prune=True)`; a pruned clause contains a kept one, and so do
+    their groundings) is grounded over the images of its own
+    gamma-variables only; substitutions must be total on them.  Returns
+    each distinct ground clause with the ascending positions, in `sigmas`
+    or in odometer order, of the substitutions yielding it (for the
+    family, too large to list, only the first), and every ground atom of
+    the instances by key.
     """
     gamma = d.gamma_vars
     where = {v: i for i, v in enumerate(gamma)}
@@ -276,18 +277,27 @@ def ground_clauses(
         rows = [[number.setdefault(s.get(v), len(number)) for v in gamma] for s in sigmas]
         terms = list(number)
 
-    slots: dict[Atom, int] = {}  # each base atom once
+    atoms = list(dict.fromkeys(g for _, g in subformulas(d.matrix) if isinstance(g, Atom)))
+    slots = {a: i for i, a in enumerate(atoms)}
     base = [
-        [(s, slots.setdefault(a, len(slots))) for s, a in c]
-        for c in dict.fromkeys(frozenset(c) for c in sat._clauses(d.matrix, False))
+        [(s, slots[a]) for s, a in c]
+        for c in dict.fromkeys(frozenset(c) for c in sat._clauses(d.matrix, False, prune=True))
     ]
-    atoms = list(slots)
     atom_own = [
         sorted({where[v] for t in a.args for v in term_vars(t) if v in where})
         for a in atoms
     ]
-    keys: list[dict[tuple, str]] = [{} for _ in atoms]  # images -> key, per atom
+    # every ground atom of the instances, keyed once per tuple of images
+    # of its own gamma-variables
+    keys: list[dict[tuple, str]] = [{} for _ in atoms]
     table: dict[str, Atom] = {}
+    for slot, own in enumerate(atom_own):
+        for at in (itertools.product(range(len(terms)), repeat=len(own)) if sigmas is None
+                   else (tuple([row[p] for p in own]) for row in rows)):
+            if at not in keys[slot]:
+                atom = apply(Subst({gamma[p]: terms[i] for p, i in zip(own, at)}), atoms[slot])
+                keys[slot][at] = k = sat.atom_key(atom)
+                table[k] = atom
     # per base clause: its gamma-variables' positions, and per literal the
     # sign, the atom and where the atom's gamma-variables sit among them
     plans = []
@@ -298,17 +308,9 @@ def ground_clauses(
         ]))
 
     def ground(literals: list, images: tuple) -> frozenset:
-        clause = []
-        for s, slot, picks in literals:
-            at = tuple([images[j] for j in picks])
-            k = keys[slot].get(at)
-            if k is None:
-                sigma = Subst({gamma[p]: terms[i] for p, i in zip(atom_own[slot], at)})
-                atom = apply(sigma, atoms[slot])
-                k = keys[slot][at] = sat.atom_key(atom)
-                table[k] = atom
-            clause.append((k, s))
-        return frozenset(clause)
+        return frozenset([
+            (keys[slot][tuple([images[j] for j in picks])], s) for s, slot, picks in literals
+        ])
 
     found: dict[frozenset, list[int]] = {}
     if sigmas is None:

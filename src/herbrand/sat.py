@@ -170,7 +170,8 @@ def gilmore_check(cs: ClauseSet) -> bool:
     iff every disjunction contains an atom together with its negation.
     With dnf polarity the set is multiplied out first: every way of
     picking one literal from each conjunct must contain a complementary
-    pair, which is checked path by path with early elimination.
+    pair, which is checked path by path with early elimination; past
+    DEFAULT_BUDGET (10^6) path nodes BudgetExceededError is raised.
     """
     if cs.polarity == "cnf":
         return all(_has_complementary_pair(c) for c in cs.clauses)
@@ -357,8 +358,7 @@ def is_tautology(
     Returns (verdict, falsifying assignment when the verdict is False).
     The assignment maps atom keys, in sorted order, to truth values.
     """
-    negation = _clauses(f, False, prune=True)
-    return decide_negation({frozenset((atom_key(a), s) for s, a in c) for c in negation}, engine)
+    return decide_negation(cnf_of_negation(f).clauses, engine)
 
 
 def decide_negation(

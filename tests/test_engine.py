@@ -612,8 +612,9 @@ def test_find_tautological_instances_respects_order():
 def test_prove_dp_clause_sets_match_per_substitution_grounding(
     monkeypatch, text, frees, n_max
 ):
-    # both engines: the grounder's unpruned clauses against grounding the
-    # negated matrix under every substitution, and dpll's input pruned once
+    # both engines: the grounder's clauses against grounding the negated
+    # matrix under every substitution, ⊆-minimal ones alike, and dpll's
+    # input pruned once
     from herbrand import engine, sat
 
     grounded, refuted = [], []
@@ -644,9 +645,61 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(
                 for sigma in d.substitutions()
                 for c in formula_clauses(Not(d.matrix))
             }
-            assert set(clauses) == expected
+            assert sat._prune(set(clauses)) == sat._prune(expected)
             if refuted:
                 assert refuted[n - 1].clauses == sat._prune(expected)
+
+
+def test_grounding_keeps_an_iff_matrix_small(monkeypatch):
+    # ?x. <a balanced Iff tree over three atoms>, leaf i the atom i mod 3:
+    # at depth 4 the cnf of the negated matrix multiplies out to
+    # 14,868,736 clauses.  The order loop, the witness check and the
+    # gave-up structure ground it pruned at every product, as at depth 3,
+    # which is checked first so that a grounder that stops pruning fails
+    # there (2,704 clauses) instead of filling memory at depth 4.
+    from herbrand.expansion import eval_in_structure, expand, falsifying_structure
+
+    def sentence(leaves, depth):
+        atoms = [parse(t) for t in leaves]
+
+        def tree(depth, i=0):
+            if depth == 0:
+                return atoms[i % 3]
+            return Iff(tree(depth - 1, 2 * i), tree(depth - 1, 2 * i + 1))
+
+        return parse(f"?x. ({print_formula(tree(depth))})")
+
+    clausify = sat._clauses
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        out = clausify(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(sat, "_clauses", recorded)
+    ground_clauses(herbrand_disjunction(sentence(("P(x)", "P(a)", "P(b)"), 3), 1))
+    assert sizes and max(sizes) <= 64
+    monkeypatch.undo()
+
+    # the tree reads P(x) <-> P(b), valid at x = b ...
+    valid = sentence(("P(a)", "P(x)", "P(b)"), 4)
+    for prove in (prove_dp, prove_gilmore):
+        result = prove(valid, 2)
+        assert result.found
+        assert check_instances(valid, result.witness) == (True, None)
+    at = {t: Subst({"x": parse_term(t)}) for t in ("a", "b")}
+    for engine in ("dpll", "multiplication"):
+        assert check_instances(valid, [at["b"]], engine) == (True, None)
+        assert not check_instances(valid, [at["a"]], engine)[0]
+    assert minimize_witness(valid, [at["a"], at["b"]]) == (at["b"],)
+    # ... and here P(a) <-> P(b), which a two-element structure falsifies
+    invalid = sentence(("P(x)", "P(a)", "P(b)"), 4)
+    for prove in (prove_dp, prove_gilmore):
+        assert prove(invalid, 2).reason == "no proof up to order 2"
+    structure = falsifying_structure(invalid, 2)
+    d = herbrand_disjunction(invalid, 2)
+    assert not eval_in_structure(structure, expand(d.skolemized, d.champ.terms))
 
 
 def test_prove_dp_skolemizes_once(monkeypatch):

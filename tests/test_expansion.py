@@ -420,26 +420,31 @@ def test_property_c_soundness_sample():
             assert eval_in_structure(s, f)
 
 
-def _reference_grounding(d, sigmas):
-    """Per substitution: apply it to the matrix, clausify the negation,
-    key the atoms.  Returns each substitution's clauses and the atoms."""
+def _reference_grounding(d, sigmas, prune=False):
+    """Per substitution: apply it to each clause of the negated matrix
+    (each ⊆-minimal one with `prune`) and key the atoms.  Returns each
+    substitution's clauses and the atoms of the instances."""
     from herbrand import sat
 
+    base = sat._clauses(d.matrix, False, prune)
     per, atoms = [], {}
     for sigma in sigmas:
-        instance = apply(sigma, d.matrix)
         per.append({
-            frozenset((sat.atom_key(a), s) for s, a in c)
-            for c in sat._clauses(instance, False)
+            frozenset((sat.atom_key(apply(sigma, a)), s) for s, a in c) for c in base
         })
-        atoms.update((sat.atom_key(g), g) for _, g in subformulas(instance)
+        atoms.update((sat.atom_key(g), g) for _, g in subformulas(apply(sigma, d.matrix))
                      if isinstance(g, Atom))
     return per, atoms
 
 
 def test_ground_clauses_match_per_substitution_grounding():
+    # the grounder against grounding the negated matrix's ⊆-minimal
+    # clauses under each substitution; the ⊆-minimal ground clauses are
+    # those of grounding every clause, and the table has every ground atom
+    from herbrand.sat import _prune
+
     rng = random.Random(31)
-    families = explicit = 0
+    families = explicit = pruned = 0
     while families < 60 or explicit < 60:
         f = rectify(random_formula(
             rng, 4, [], preds=(P1, Q1, R2), funcs=(CONST_A, FUN_F)
@@ -449,9 +454,12 @@ def test_ground_clauses_match_per_substitution_grounding():
             continue
         # the full family: every clause, its odometer-first producer
         family = list(d.substitutions())
-        per, atoms = _reference_grounding(d, family)
+        per, atoms = _reference_grounding(d, family, prune=True)
+        every, _ = _reference_grounding(d, family)
         clauses, table = ground_clauses(d)
         assert set(clauses) == set().union(*per)
+        assert _prune(set(clauses)) == _prune(set().union(*every))
+        pruned += set(clauses) != set().union(*every)
         for clause, positions in clauses.items():
             assert positions == [min(p for p, cs in enumerate(per) if clause in cs)]
             assert d.member(positions[0]) == family[positions[0]]
@@ -465,14 +473,17 @@ def test_ground_clauses_match_per_substitution_grounding():
             if rng.random() < 0.3:
                 sigma = Subst({v: dataclasses.replace(t) for v, t in sigma.items()})
             sigmas.append(sigma)
-        per, atoms = _reference_grounding(d, sigmas)
+        per, atoms = _reference_grounding(d, sigmas, prune=True)
+        every, _ = _reference_grounding(d, sigmas)
         clauses, table = ground_clauses(d, sigmas)
         assert clauses == {
             clause: [p for p, cs in enumerate(per) if clause in cs]
             for clause in set().union(*per)
         }
+        assert _prune(set(clauses)) == _prune(set().union(*every))
         assert table == atoms
         explicit += 1
+    assert pruned
 
 
 def test_ground_clauses_budget():

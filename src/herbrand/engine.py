@@ -2,12 +2,22 @@
 loop with the multiplication method, the same loop with a DPLL core, and
 resolution with a given-clause saturation, plus the unification-guided
 instance search backing Herbrand-complexity queries.
+
+Resolution is positive resolution with negative selection, the binary
+form of Robinson's positive hyperresolution ("Automatic deduction with
+hyper-resolution", 1965): a clause with a negative literal resolves
+only on one selected negative literal, so every resolvent has one
+all-positive premise, and only all-positive clauses are factored.  With
+tautology deletion and forward subsumption it is refutationally
+complete (Bachmair & Ganzinger, "Resolution Theorem Proving", Handbook
+of Automated Reasoning, 2001).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -99,6 +109,11 @@ def unify(s, t, under: Optional[Subst] = None) -> Unifier:
 # clauses
 
 Literal = tuple[bool, Atom]  # (sign, atom)
+
+# Resolution gives up on a clause with a term higher than this.  The
+# printer and unifier recurse on term height, and negative selection can
+# build an f(f(...)) chain within a small step budget.
+TERM_HEIGHT_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +264,66 @@ def factor(c: Clause, l1: Literal, l2: Literal) -> Optional[Clause]:
     return c.apply_sub(u.substitution)
 
 
+def _profile(c: Clause) -> Counter:
+    """How many literals `c` has of each sign and predicate."""
+    return Counter((sign, atom.pred) for sign, atom in c.literals)
+
+
+def _subsumes(c: Clause, c_profile: Counter, d: Clause, d_profile: Counter) -> bool:
+    """Whether some substitution of `c`'s variables maps every literal of
+    `c` into `d` (θ-subsumption), where `c` has no more literals than `d`
+    of any sign and predicate.  `d`'s variables stay fixed, so the two
+    clauses may share variable names."""
+    if len(c) > len(d) or any(d_profile[k] < n for k, n in c_profile.items()):
+        return False
+    targets: dict = {}
+    for sign, atom in d.literals:
+        targets.setdefault((sign, atom.pred), []).append(atom.args)
+    todo = list(c.literals)
+    # depth-first over one candidate image per literal, without recursion
+    stack = [(0, {})]
+    while stack:
+        i, binding = stack.pop()
+        if i == len(todo):
+            return True
+        sign, atom = todo[i]
+        for args in targets[(sign, atom.pred)]:
+            extended = _match(atom.args, args, binding)
+            if extended is not None:
+                stack.append((i + 1, extended))
+    return False
+
+
+def _match(pattern: tuple, target: tuple, binding: dict) -> Optional[dict]:
+    """`binding` extended so that it maps the `pattern` terms onto the
+    `target` terms, binding only pattern variables, or None."""
+    binding = dict(binding)
+    pairs = list(zip(pattern, target))
+    while pairs:
+        p, t = pairs.pop()
+        if isinstance(p, Var):
+            if binding.setdefault(p.name, t) != t:
+                return None
+        elif isinstance(t, App) and p.sym == t.sym:
+            pairs.extend(zip(p.args, t.args))
+        else:
+            return None
+    return binding
+
+
+def _too_high(c: Clause) -> bool:
+    """Whether some term of `c` is higher than TERM_HEIGHT_LIMIT, found
+    without recursion."""
+    stack = [(t, 1) for _, atom in c.literals for t in atom.args]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, App):
+            if depth > TERM_HEIGHT_LIMIT:
+                return True
+            stack.extend((a, depth + 1) for a in t.args)
+    return False
+
+
 def rebuild_provenance(c: Clause) -> tuple:
     """The (initial_index, Subst over gamma vars) pairs of `c`'s
     derivation tree, rebuilt from the parent records.
@@ -324,7 +399,28 @@ def prove_resolution(
     empty clause, extracts one substitution of the gamma-variables per
     initial-clause copy from the provenance, grounds residual variables
     with the lexicon, and returns them as a Property C style witness.
-    Exhausting the budget means gave-up, never invalid.  With `dual` the
+
+    The calculus is positive resolution with negative selection.  In a
+    clause with a negative literal only the first negative literal in
+    resolution order (atoms by print, then sign) may resolve; an
+    all-positive clause may resolve on every literal, and only such a
+    clause is factored.  A clause's eligible literals are chosen once,
+    when it is given, so each clause has one fixed selection, and every
+    resolvent has an all-positive premise.  A new clause is dropped when
+    it is a tautology, a renamed copy of a kept clause, or θ-subsumed by
+    a kept clause (an initial or pushed one) with no more literals of
+    any sign and predicate; nothing kept is ever deleted.
+    Selection with positive factoring, tautology deletion and
+    subsumption is refutationally complete, and the FIFO queue makes the
+    loop fair, so every unsatisfiable clause set is refuted within some
+    budget.
+
+    `steps` counts resolution and factoring attempts: each pair of
+    eligible literals of opposite sign (resolution) or of the same sign
+    (factoring) over one predicate is one step, whether or not it
+    unifies, and `step_budget` bounds them.  Exhausting the budget, a
+    saturated clause set, or a new clause with a term higher than
+    `TERM_HEIGHT_LIMIT` means gave-up, never invalid.  With `dual` the
     trace presents clauses as the conjunctions of a disjunctive set.
     """
     d = herbrand_disjunction(f, 1)
@@ -371,16 +467,23 @@ def prove_resolution(
     # FIFO over the iteration a clause was produced in, clause size as
     # the tiebreak within one iteration: fair and deterministic
     passive: list[tuple[int, int, int, Clause]] = []
+    # every initial or pushed clause, with its profile, for forward
+    # subsumption; nothing is ever deleted from it
+    kept: list[tuple[Clause, Counter]] = []
     for c in initial:
         heapq.heappush(passive, (0, len(c), next(seq), c))
+        kept.append((c, _profile(c)))
         log("clause", clause=c)
-    # each clause's literals in resolution order, sorted once
+    # each given clause with its eligible literals in resolution order
     processed: list[tuple[Clause, list[Literal]]] = []
     steps = 0
     iteration = 0
 
-    def sorted_literals(c: Clause) -> list[Literal]:
-        return sorted(c.literals, key=lambda l: (print_formula(l[1]), l[0]))
+    def gave_up(reason: str, note: str) -> ProofResult:
+        log("verdict", f"gave-up ({note})")
+        return ProofResult(
+            False, "resolution", steps=steps, reason=reason, trace=tuple(events)
+        )
 
     while passive:
         if should_stop is not None and should_stop():
@@ -391,28 +494,25 @@ def prove_resolution(
         iteration += 1
         _, _, _, given = heapq.heappop(passive)
         given = standardize_apart(given, counter)
-        given_lits = sorted_literals(given)
-        processed.append((given, given_lits))
+        given_lits = sorted(given.literals, key=lambda l: (print_formula(l[1]), l[0]))
+        negative = [l for l in given_lits if not l[0]]
+        # selection: only the first negative literal, if there is one
+        eligible = negative[:1] or given_lits
 
         new: list[Clause] = []
         for right, right_lits in processed:
-            if right is given:
-                right = standardize_apart(given, counter)
-                right_lits = sorted_literals(right)
-            for l1 in given_lits:
+            for l1 in eligible:
                 for l2 in right_lits:
                     if l1[0] == l2[0] or l1[1].pred != l2[1].pred:
                         continue
                     if steps >= step_budget:
-                        log("verdict", "gave-up (budget)")
-                        return ProofResult(
-                            False, "resolution", steps=steps,
-                            reason="step budget exhausted", trace=tuple(events),
-                        )
+                        return gave_up("step budget exhausted", "budget")
                     steps += 1
                     r = resolve(given, right, l1, l2)
                     if r is None:
                         continue
+                    if _too_high(r):
+                        return gave_up("term height limit", "term height")
                     log("resolvent", clause=r)
                     if r.is_empty():
                         witness = _extract_witness(r, gamma, rigid)
@@ -422,26 +522,35 @@ def prove_resolution(
                             trace=tuple(events),
                         )
                     new.append(r)
-        for i, l1 in enumerate(given_lits):
-            for l2 in given_lits[i + 1:]:
-                if l1[0] != l2[0] or l1[1].pred != l2[1].pred:
-                    continue
-                fc = factor(given, l1, l2)
-                if fc is not None and fc.literals != given.literals:
+        processed.append((given, eligible))
+        if not negative:  # only all-positive clauses are factored
+            for i, l1 in enumerate(given_lits):
+                for l2 in given_lits[i + 1:]:
+                    if l1[1].pred != l2[1].pred:
+                        continue
+                    if steps >= step_budget:
+                        return gave_up("step budget exhausted", "budget")
+                    steps += 1
+                    fc = factor(given, l1, l2)
+                    if fc is None or fc.literals == given.literals:
+                        continue
+                    if _too_high(fc):
+                        return gave_up("term height limit", "term height")
                     log("factor", clause=fc)
                     new.append(fc)
         for c in new:
             key = c.key()
             if key is None:
                 continue  # sound to drop: a tautologous clause never helps
-            if key not in seen:
-                seen.add(key)
-                heapq.heappush(passive, (iteration, len(c), next(seq), c))
-    log("verdict", "gave-up (saturated)")
-    return ProofResult(
-        False, "resolution", steps=steps, reason="saturated without refutation",
-        trace=tuple(events),
-    )
+            if key in seen:
+                continue
+            seen.add(key)
+            profile = _profile(c)
+            if any(_subsumes(k, kp, c, profile) for k, kp in kept):
+                continue
+            heapq.heappush(passive, (iteration, len(c), next(seq), c))
+            kept.append((c, profile))
+    return gave_up("saturated without refutation", "saturated")
 
 
 def _extract_witness(empty: Clause, gamma: Sequence[str], rigid: set[str]) -> tuple:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -244,6 +245,21 @@ def test_prove_gilmore_variant_at_order_3_stops_on_the_budget(tmp_path, capsys):
         "verdict: gave-up",
         "reason: path search exceeded the budget of 100000 nodes",
     ]
+
+
+def test_prove_resolution_stops_at_the_term_height_limit(tmp_path, capsys):
+    # negative selection builds an f(f(...)) chain here within the budget;
+    # the loop gives up on its height before the recursive printer meets it
+    path = write_problem(
+        tmp_path,
+        "formula: ~(!q0. (!q1. R(q1, f(q0))) | Q(a) & Q(a)"
+        " | P(q0) & (R(f(q0), q0) -> R(f(a), a)))\n",
+    )
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["prove", path, "--method", "resolution", "--budget", "2000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out.splitlines()[:2] == ["verdict: gave-up", "reason: term height limit"]
 
 
 @pytest.mark.parametrize("method", ["dp", "race"])

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -356,6 +357,61 @@ def test_factor():
     assert fc is not None and len(fc.literals) == 1
 
 
+def _reference_subsumes(c, d):
+    """θ-subsumption by unification against a frozen copy of `d`, trying
+    every image of every literal of `c`; `c` may not have more literals
+    than `d` of any sign and predicate."""
+    def by_kind(clause):
+        return sorted((sign, atom.pred.name) for sign, atom in clause)
+
+    kinds_d = by_kind(d)
+    for kind in set(by_kind(c)):
+        if by_kind(c).count(kind) > kinds_d.count(kind):
+            return False
+    freeze = Subst({v: App(Symbol(f"#{v}", 0))
+                    for _, atom in d for t in atom.args for v in term_vars(t)})
+    frozen = [(sign, apply(freeze, atom)) for sign, atom in d]
+    images = [[b for s, b in frozen if s == sign and b.pred == a.pred] for sign, a in c]
+    for choice in itertools.product(*images):
+        sigma = Subst()
+        for (_, a), b in zip(c, choice):
+            u = unify(a, b, under=sigma)
+            if not u.ok:
+                break
+            sigma = u.substitution
+        else:
+            return True
+    return False
+
+
+def test_forward_subsumption_matches_the_reference():
+    from herbrand.engine import _profile, _subsumes
+
+    rng = random.Random(8)
+    agree = Counter()
+    for _ in range(2000):
+        c = Clause(random_clause(rng, ["x", "y"], rng.randrange(1, 4)))
+        if rng.random() < 0.5:
+            # an instance of c, over variables that share c's names, plus
+            # more literals: subsumed unless c has two literals it merges
+            theta = Subst({v: random_term(rng, ["x", "z"], 1) for v in ("x", "y")})
+            extra = random_clause(rng, ["x", "z"], rng.randrange(0, 3))
+            d = Clause(frozenset((s, apply(theta, a)) for s, a in c.literals) | extra)
+        else:
+            d = Clause(random_clause(rng, ["x", "z"], rng.randrange(1, 5)))
+        want = _reference_subsumes(list(c.literals), list(d.literals))
+        assert _subsumes(c, _profile(c), d, _profile(d)) == want, (c, d)
+        agree[want] += 1
+    assert agree[True] > 500 and agree[False] > 500
+    # no clause subsumes a clause with fewer literals, its own factor
+    # included
+    P = Symbol("P", 1, PREDICATE)
+    c = Clause(frozenset([(True, Atom(P, (Var("x"),))), (True, Atom(P, (App(CONST_A),)))]))
+    d = Clause(frozenset([(True, Atom(P, (App(CONST_A),)))]))
+    assert not _subsumes(c, _profile(c), d, _profile(d))
+    assert _subsumes(d, _profile(d), c, _profile(c))
+
+
 def test_prove_resolution_examples():
     r = prove_resolution(parse("P(a) | ~P(a)"))
     assert r.found and r.steps == 0
@@ -428,26 +484,51 @@ def _witness(*rows):
     )
 
 
-def test_prove_resolution_running_example():
-    A = parse(
-        "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
-        " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
-        " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))"
-    )
-    r = prove_resolution(A, 100000)
-    assert r.found
-    assert check_instances(A, list(r.witness))[0]
-    # pinned: any change to the loop order or the provenance shows here
-    assert r.steps == 36361
+RUNNING_EXAMPLE = (
+    "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+    " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+    " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))"
+)
+
+
+def _running_example_witness():
     vw = "m_star(v_star, w_star)"
     vwu = f"m_star({vw}, u_star)"
-    assert r.witness == _witness(
+    return _witness(
         {"a": "v_star", "b": vw, "c": vwu},
         {"x": "v_star", "y": "w_star"},
         {"x": vw, "y": "u_star"},
         {"n": vwu},
         {"a": "w_star", "b": vw, "c": vwu},
     )
+
+
+def test_prove_resolution_running_example():
+    A = parse(RUNNING_EXAMPLE)
+    r = prove_resolution(A, 100000)
+    assert r.found
+    assert check_instances(A, list(r.witness))[0]
+    # pinned: any change to the loop order or the provenance shows here
+    assert r.steps == 69
+    assert r.witness == _running_example_witness()
+
+
+def test_prove_resolution_running_example_within_a_small_budget():
+    # negative selection and forward subsumption refute the running
+    # example in well under a thousand inferences
+    r = prove_resolution(parse(RUNNING_EXAMPLE), 1000)
+    assert r.found and r.witness == _running_example_witness()
+
+
+def test_prove_resolution_counts_factoring_steps():
+    # the refutation takes 6 resolution and 4 factoring attempts, and the
+    # budget bounds both
+    f = parse("?x,y,z. ~((P(x) | P(y) | P(z)) & ~P(a))")
+    r = prove_resolution(f)
+    assert r.found and r.steps == 10
+    assert check_instances(f, list(r.witness))[0]
+    r = prove_resolution(f, 9)
+    assert r.gave_up and r.steps == 9 and r.reason == "step budget exhausted"
 
 
 def test_prove_resolution_two_goal_variant():
@@ -459,7 +540,7 @@ def test_prove_resolution_two_goal_variant():
     r = prove_resolution(A, 100000)
     assert r.found
     assert check_instances(A, list(r.witness))[0]
-    assert r.steps == 16
+    assert r.steps == 6
     assert r.witness == _witness(
         {"n": "m_star(u_star, v_star)"},
         {"x": "u_star", "y": "v_star"},
@@ -517,6 +598,25 @@ def test_resolution_witness_bridge():
         r = prove_resolution(f, 5000)
         assert r.found, text
         assert check_instances(f, list(r.witness))[0], text
+
+
+def test_resolution_proves_what_dp_proves():
+    # negative selection and forward subsumption lose no proof that the
+    # order loop finds at order 2, and every witness they read out holds
+    from util import random_formula
+    from herbrand.syntax import rectify
+
+    rng = random.Random(5)
+    by_dp = 0
+    for _ in range(300):
+        f = rectify(random_formula(rng, rng.randrange(3, 8), []))
+        r = prove_resolution(f, 2000)
+        if r.found:
+            assert check_instances(f, list(r.witness))[0], f
+        if prove_dp(f, 2).found:
+            by_dp += 1
+            assert r.found, f
+    assert by_dp >= 20
 
 
 def test_minimize_witness():

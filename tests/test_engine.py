@@ -361,13 +361,11 @@ def _reference_subsumes(c, d):
     """θ-subsumption by unification against a frozen copy of `d`, trying
     every image of every literal of `c`; `c` may not have more literals
     than `d` of any sign and predicate."""
-    def by_kind(clause):
-        return sorted((sign, atom.pred.name) for sign, atom in clause)
+    def kinds(clause):
+        return Counter((sign, atom.pred) for sign, atom in clause)
 
-    kinds_d = by_kind(d)
-    for kind in set(by_kind(c)):
-        if by_kind(c).count(kind) > kinds_d.count(kind):
-            return False
+    if kinds(c) - kinds(d):
+        return False
     freeze = Subst({v: App(Symbol(f"#{v}", 0))
                     for _, atom in d for t in atom.args for v in term_vars(t)})
     frozen = [(sign, apply(freeze, atom)) for sign, atom in d]
@@ -393,7 +391,7 @@ def test_forward_subsumption_matches_the_reference():
         c = Clause(random_clause(rng, ["x", "y"], rng.randrange(1, 4)))
         if rng.random() < 0.5:
             # an instance of c, over variables that share c's names, plus
-            # more literals: subsumed unless c has two literals it merges
+            # more literals: subsumed unless theta merges two of c's literals
             theta = Subst({v: random_term(rng, ["x", "z"], 1) for v in ("x", "y")})
             extra = random_clause(rng, ["x", "z"], rng.randrange(0, 3))
             d = Clause(frozenset((s, apply(theta, a)) for s, a in c.literals) | extra)

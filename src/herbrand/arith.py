@@ -136,19 +136,6 @@ def _dnf_lits(f: Formula, sign: bool = True) -> list[list[Lit]]:
     ]
 
 
-def _subst_side(side: Side, var: str, image: Side) -> Side:
-    k, base = side
-    if base != var:
-        return side
-    j, new_base = image
-    return (k + j, new_base)
-
-
-def _subst_lit(lit: Lit, var: str, image: Side) -> Lit:
-    (a, u), (b, v), pos = lit
-    return (_subst_side((a, u), var, image), _subst_side((b, v), var, image), pos)
-
-
 def _eliminate_exists(var: str, conjunct: list[Lit]) -> Optional[list[Lit]]:
     """Literals equivalent to ?var over the conjunct, or None when the
     conjunct is contradictory."""
@@ -298,45 +285,16 @@ def eliminate_quantifiers(f: Formula) -> Formula:
 
 
 def _conjunct_satisfiable(conjunct: list[Lit]) -> bool:
-    """Satisfiability over the naturals of a conjunction of literals, by
-    solved-form substitution; complete for this signature."""
-    work = list(conjunct)
-    while True:
-        normalized = []
-        for lit in work:
-            n = _norm_lit(lit)
-            if n is False:
-                return False
-            if n is not True:
-                normalized.append(n)
-        work = normalized
-        eq = next(
-            (l for l in work if l[2] and (l[0][1] is not None or l[1][1] is not None)),
-            None,
-        )
-        if eq is None:
-            # ground or disequation-only remainder: each normalized
-            # disequation with distinct sides is satisfiable, and the
-            # exclusions can always be avoided in an infinite domain
-            return True
-        (a, u), (b, v), _ = eq
-        work.remove(eq)
-        if u is not None:
-            d, c, other = a, b, v
-            var = u
-        else:
-            d, c, other = b, a, u
-            var = v
-        if c < d and other is None:
+    """Satisfiability over the naturals of a conjunction of literals:
+    its variables are eliminated one at a time, in sorted order, and the
+    ground literals left decide; complete for this signature."""
+    work: Optional[list[Lit]] = conjunct
+    variables = {base for lit in conjunct for _, base in lit[:2] if base is not None}
+    for var in sorted(variables):
+        work = _eliminate_exists(var, work)
+        if work is None:
             return False
-        if c >= d:
-            image: Side = (c - d, other)
-            work = [_subst_lit(l, var, image) for l in work]
-        else:
-            # S^d(var) = S^c(other): eliminate the other variable instead
-            assert other is not None
-            work = [_subst_lit(l, other, (d - c, var)) for l in work]
-    return True
+    return all(_norm_lit(lit) is True for lit in work)
 
 
 def qf_normal_form(f: Formula) -> Formula:

@@ -113,12 +113,12 @@ def cmd_prove(args) -> int:
         result = _race(formula, n_max, budget, args.always_lexicon)
     else:
         result = _run_method(
-            args.method, formula, n_max, budget, args.always_lexicon, args.trace,
-            dual=args.dual,
+            args.method, formula, n_max, budget, args.always_lexicon, args.trace
         )
 
     report: dict = {}
     code = EXIT_GAVE_UP
+    structure = None
     if result.found:
         code = EXIT_FOUND
         report["verdict"] = "proof-found"
@@ -128,23 +128,17 @@ def cmd_prove(args) -> int:
                 report["order"] = result.order
             if result.method == "resolution":
                 report["steps"] = result.steps
-        witness = list(result.witness)
-        minimized: tuple = ()
-        if witness:
-            verified, _ = expansion.check_instances(formula, witness)
-            if not verified:
-                print("internal error: witness failed re-verification", file=sys.stderr)
-                return EXIT_ERROR
-            report["witness-verified"] = "true"
-            if args.method != "race" or args.proof_out:
-                minimized = engine.minimize_witness(formula, witness)
-            if args.method != "race":
-                report["witness"] = _witness_lines(minimized)
+        minimized = engine.minimize_witness(formula, result.witness)
+        if not minimized:
+            print("internal error: witness failed re-verification", file=sys.stderr)
+            return EXIT_ERROR
+        report["witness-verified"] = "true"
+        if args.method != "race":
+            report["witness"] = _witness_lines(minimized)
     else:
         report["verdict"] = "gave-up"
         if args.method != "race":
             report["reason"] = result.reason
-        structure = None
         try:
             structure = expansion.falsifying_structure(
                 formula, n_max, budget, args.always_lexicon
@@ -153,30 +147,21 @@ def cmd_prove(args) -> int:
             report["falsifying-structure"] = "not computed (budget)"
         if structure is not None:
             report["falsifying-structure"] = [""]
-            _emit(report, args.json)
-            sys.stdout.write(expansion.dump_structure(structure))
-            if args.trace and result.trace:
-                for line in result.trace:
-                    print(f"trace: {line}")
-            print(f"time: {time.monotonic() - t0:.3f}s", file=sys.stderr)
-            if expect is not None and expect != report["verdict"]:
-                print(
-                    f"expectation failed: annotated {expect}, "
-                    f"got {report['verdict']}",
-                    file=sys.stderr,
-                )
-                return EXIT_ERROR
-            return code
 
-    if args.trace and result.trace:
-        report["trace"] = list(result.trace)
+    trace = []
+    if args.trace:
+        for kind, payload in result.trace:
+            if isinstance(payload, engine.Clause):
+                payload = payload.pretty(args.dual)
+            trace.append(f"{kind} {payload}")
+    if trace and structure is None:
+        report["trace"] = trace
 
     if args.proof_out and result.found:
         order = result.order if result.order is not None else 1
-        pcw = expansion.PropertyCWitness(
-            order, tuple(minimized), expansion.herbrand_disjunction(formula, 1).matrix
+        derivation = proofcalc.mp_eliminate(
+            formula, expansion.PropertyCWitness(order, minimized)
         )
-        derivation = proofcalc.mp_eliminate(formula, pcw)
         violation = proofcalc.check(derivation)
         if violation is not None:
             print(f"internal error: derivation does not check: {violation}",
@@ -187,6 +172,10 @@ def cmd_prove(args) -> int:
         report["proof-out"] = args.proof_out
 
     _emit(report, args.json)
+    if structure is not None:
+        sys.stdout.write(expansion.dump_structure(structure))
+        for line in trace:
+            print(f"trace: {line}")
     print(f"time: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     if expect is not None and expect != report["verdict"]:
         print(
@@ -198,7 +187,7 @@ def cmd_prove(args) -> int:
 
 
 def _run_method(method, formula, n_max, budget, always_lexicon, trace,
-                should_stop=None, dual=False):
+                should_stop=None):
     if method == "gilmore":
         return engine.prove_gilmore(
             formula, n_max, budget, always_lexicon, should_stop=should_stop
@@ -209,7 +198,7 @@ def _run_method(method, formula, n_max, budget, always_lexicon, trace,
         )
     if method == "resolution":
         return engine.prove_resolution(
-            formula, budget, trace=trace, should_stop=should_stop, dual=dual
+            formula, budget, trace=trace, should_stop=should_stop
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -549,10 +538,7 @@ def _selftest_checks():
     def check_running_derivation():
         f = parse(running)
         s1, s2 = running_witness()
-        witness = expansion.PropertyCWitness(
-            4, (s1, s2), expansion.herbrand_disjunction(f, 1).matrix
-        )
-        d = proofcalc.mp_eliminate(f, witness)
+        d = proofcalc.mp_eliminate(f, expansion.PropertyCWitness(4, (s1, s2)))
         return (
             proofcalc.check(d) is None
             and proofcalc.count_rule(d, proofcalc.MP) == 0

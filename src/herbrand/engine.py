@@ -369,7 +369,7 @@ class ProofResult:
     steps: int = 0
     witness: tuple = ()
     reason: str = ""
-    trace: tuple = ()
+    trace: tuple = ()  # (kind, Clause or note) events
 
     @property
     def gave_up(self) -> bool:
@@ -391,7 +391,6 @@ def _ground_residuals(sub: Subst, gamma_vars: Sequence[str]) -> Subst:
 
 def prove_resolution(
     f: Formula, step_budget: int = 2000, trace: bool = False, should_stop=None,
-    dual: bool = False,
 ) -> ProofResult:
     """Refutation-side resolution with a fair given-clause loop.
 
@@ -420,8 +419,9 @@ def prove_resolution(
     (factoring) over one predicate is one step, whether or not it
     unifies, and `step_budget` bounds them.  Exhausting the budget, a
     saturated clause set, or a new clause with a term higher than
-    `TERM_HEIGHT_LIMIT` means gave-up, never invalid.  With `dual` the
-    trace presents clauses as the conjunctions of a disjunctive set.
+    `TERM_HEIGHT_LIMIT` means gave-up, never invalid.  With `trace` the
+    result's trace holds `(kind, payload)` events, each payload a Clause
+    or a note.
     """
     d = herbrand_disjunction(f, 1)
     gamma = d.gamma_vars
@@ -437,10 +437,9 @@ def prove_resolution(
     ]
     events = []
 
-    def log(kind: str, payload=None, clause: Optional[Clause] = None):
+    def log(kind: str, payload) -> None:
         if trace:
-            body = clause.pretty(dual) if clause is not None else payload
-            events.append(f"{kind} {body}")
+            events.append((kind, payload))
 
     # propositional fast path: the clause set may already be unsat when
     # atoms are read as spelled (a gamma-variable `y` as `#y`, never as a
@@ -473,7 +472,7 @@ def prove_resolution(
     for c in initial:
         heapq.heappush(passive, (0, len(c), next(seq), c))
         kept.append((c, _profile(c)))
-        log("clause", clause=c)
+        log("clause", c)
     # each given clause with its eligible literals in resolution order
     processed: list[tuple[Clause, list[Literal]]] = []
     steps = 0
@@ -513,7 +512,7 @@ def prove_resolution(
                         continue
                     if _too_high(r):
                         return gave_up("term height limit", "term height")
-                    log("resolvent", clause=r)
+                    log("resolvent", r)
                     if r.is_empty():
                         witness = _extract_witness(r, gamma, rigid)
                         log("verdict", f"proof-found {steps} steps")
@@ -536,7 +535,7 @@ def prove_resolution(
                         continue
                     if _too_high(fc):
                         return gave_up("term height limit", "term height")
-                    log("factor", clause=fc)
+                    log("factor", fc)
                     new.append(fc)
         for c in new:
             key = c.key()
@@ -623,13 +622,18 @@ def _order_loop(
 
 
 def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
-    """Greedy pruning of a verified substitution family: drop entries,
-    last first, whose removal keeps the instance disjunction
+    """Verify a substitution family, then prune it greedily.
+
+    Returns () when the instance disjunction is not a sentential
+    tautology; a verified family is never empty.  Otherwise drops
+    entries, last first, whose removal keeps the disjunction
     tautological, until no entry can go.  Each substitution is grounded
-    once; a trial joins the clauses of the entries it keeps."""
-    if len(sigmas) < 2:
-        return tuple(sigmas)
+    once; the check and every trial decide the clauses of the entries
+    they keep."""
     clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
+    verdict, _ = sat.decide_negation(clauses)
+    if not verdict:
+        return ()
     kept = list(range(len(sigmas)))
     changed = True
     while changed:
@@ -684,8 +688,6 @@ def find_tautological_instances(
     for c in copies:
         combined_paths = [p + q for p in combined_paths for q in sat._clauses(c)]
 
-    nodes = 0
-
     def grounded_ok(sub: Subst) -> bool:
         for _v, image in sub.items():
             residual = Subst({v: filler for v in term_vars(image)})
@@ -693,37 +695,44 @@ def find_tautological_instances(
                 return False
         return True
 
-    def closed(path: tuple[Literal, ...], sub: Subst) -> bool:
+    def closing(path: tuple[Literal, ...], sub: Subst) -> Iterator[Subst]:
+        """The extensions of `sub` to try for a path: `sub` alone when it
+        already closes the path, else each complementary pair's unifier
+        under `sub` that stays inside the champ fini."""
         seen: dict[str, bool] = {}
         for sign, atom in path:
             key = sat.atom_key(apply(sub, atom))
             if seen.get(key, sign) != sign:
-                return True
+                yield sub
+                return
             seen[key] = sign
-        return False
-
-    def search(index: int, sub: Subst) -> Optional[Subst]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError("instance search budget exhausted")
-        if index == len(combined_paths):
-            return sub
-        path = combined_paths[index]
-        if closed(path, sub):
-            return search(index + 1, sub)
         for (s1, a1), (s2, a2) in itertools.combinations(path, 2):
             if s1 == s2 or a1.pred != a2.pred:
                 continue
             u = unify(a1, a2, under=sub)
-            if not u.ok or not grounded_ok(u.substitution):
-                continue
-            result = search(index + 1, u.substitution)
-            if result is not None:
-                return result
-        return None
+            if u.ok and grounded_ok(u.substitution):
+                yield u.substitution
 
-    solution = search(0, Subst())
+    # depth-first over the paths in order, without recursion: the stack
+    # holds one iterator of extensions per path on the way down, and each
+    # substitution entered counts one node against the budget
+    nodes = 0
+    stack: list[Iterator[Subst]] = []
+    sub: Optional[Subst] = Subst()
+    while sub is not None:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("instance search budget exhausted")
+        if len(stack) == len(combined_paths):
+            break
+        stack.append(closing(combined_paths[len(stack)], sub))
+        sub = None
+        while stack and sub is None:
+            sub = next(stack[-1], None)
+            if sub is None:
+                stack.pop()
+    solution = sub
+
     if solution is None:
         return None
     out = []

@@ -221,7 +221,6 @@ def herbrand_disjunction(
 class PropertyCWitness:
     order: int
     substitutions: tuple[Subst, ...]
-    matrix: Formula
 
 
 def check_instances(
@@ -352,7 +351,7 @@ def property_c(
     verdict, _ = sat.decide_negation(clauses, engine, budget)
     if not verdict:
         return False, None
-    return True, PropertyCWitness(n, tuple(d.substitutions()), d.matrix)
+    return True, PropertyCWitness(n, tuple(d.substitutions()))
 
 
 def property_b(

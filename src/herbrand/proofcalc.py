@@ -351,7 +351,7 @@ def monotone_replace(d: Derivation, context: Formula, at: Position) -> Derivatio
 @dataclass
 class _Leaf:
     atom: Atom
-    binders: dict  # var -> ("gamma", node, group index) | ("delta", node)
+    binders: dict  # var -> its binder: a _Group or a _DeltaN
 
 
 @dataclass
@@ -360,15 +360,19 @@ class _Conn:
     kids: list
 
 
-@dataclass
+@dataclass(eq=False)
 class _Group:
-    ground: Optional[Term]
-    boxed: Optional[Term]
-    child: object
+    """One copy of a gamma node's subformula: the substitutions giving
+    its variable one value."""
+
+    boxed: Term
+    owner: "_GammaN"
+    index: int
+    child: object = None
     introduced: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _GammaN:
     quant: type
     var: str
@@ -381,7 +385,7 @@ class _GammaN:
     preorder: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _DeltaN:
     quant: type
     var: str
@@ -389,6 +393,28 @@ class _DeltaN:
     child: object = None
     introduced: bool = False
     preorder: int = 0
+
+
+def _walk(node):
+    """Every skeleton node of the tree under `node`, itself included,
+    children first; a gamma node's groups are nodes of their own."""
+    if isinstance(node, _Conn):
+        kids = node.kids
+    elif isinstance(node, _GammaN):
+        kids = node.groups
+    elif isinstance(node, (_DeltaN, _Group)):
+        kids = (node.child,)
+    else:
+        kids = ()
+    for kid in kids:
+        yield from _walk(kid)
+    yield node
+
+
+def _events(node) -> list:
+    """The quantifier introductions under `node`, children first: one
+    per gamma group and one per delta node."""
+    return [n for n in _walk(node) if isinstance(n, (_Group, _DeltaN))]
 
 
 def _box_term(t: Term) -> Term:
@@ -463,14 +489,15 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
                 else:
                     grouped = [(sigmas[0].get(g.var) or Var(g.var), list(subs))]
                 for j, (value, bucket) in enumerate(grouped):
-                    child = build(
+                    group = _Group(_box_term(value), node, j)
+                    group.child = build(
                         g.body,
                         sign,
                         bucket,
                         {**ground, g.var: value},
-                        {**binders, g.var: ("gamma", node, j)},
+                        {**binders, g.var: group},
                     )
-                    node.groups.append(_Group(value, _box_term(value), child))
+                    node.groups.append(group)
                 if len(node.groups) == 1:
                     node.copy_names.append(g.var)
                 else:
@@ -493,7 +520,7 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
                 sign,
                 subs,
                 {**ground, g.var: ground_term},
-                {**binders, g.var: ("delta", node)},
+                {**binders, g.var: node},
             )
             return node
         raise ValueError(f"cannot handle {print_formula(g)}")
@@ -502,15 +529,12 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
 
     # -- rendering the current whole formula ------------------------------
 
-    def leaf_image(entry) -> Term:
-        kind = entry[0]
-        if kind == "delta":
-            return Var(entry[1].name)
-        _, node, j = entry
-        group = node.groups[j]
-        if group.introduced:
-            return Var(node.copy_names[j])
-        return group.boxed
+    def leaf_image(binder) -> Term:
+        if isinstance(binder, _DeltaN):
+            return Var(binder.name)
+        if binder.introduced:
+            return Var(binder.owner.copy_names[binder.index])
+        return binder.boxed
 
     def render(node) -> Formula:
         if isinstance(node, _Leaf):
@@ -587,93 +611,36 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
 
     # -- intro events, topologically ordered -------------------------------
 
-    intro_events: list[tuple] = []
+    # an event waits for every event below it; a delta node also waits
+    # for each gamma group whose term uses its boxed name
+    events = _events(root)
+    deps = {e: set(_events(e.child)) for e in events}
+    delta_by_name: dict[str, list] = {}
+    for e in events:
+        if isinstance(e, _DeltaN):
+            delta_by_name.setdefault(e.name, []).append(e)
+    for e in events:
+        if isinstance(e, _Group):
+            for name in term_vars(e.boxed):
+                for delta in delta_by_name.get(name, ()):
+                    deps[delta].add(e)
 
-    def collect(node):
-        if isinstance(node, _Leaf):
-            return
-        if isinstance(node, _Conn):
-            for kid in node.kids:
-                collect(kid)
-            return
-        if isinstance(node, _DeltaN):
-            collect(node.child)
-            intro_events.append(("delta", node, None))
-            return
-        for j, group in enumerate(node.groups):
-            collect(group.child)
-            intro_events.append(("gamma", node, j))
+    def rank(e) -> tuple:
+        if isinstance(e, _Group):
+            return (e.owner.preorder, e.index, "gamma")
+        return (e.preorder, 0, "delta")
 
-    collect(root)
-
-    consumers: dict[str, list] = {}
-    delta_names = set()
-
-    def scan_names(node):
-        if isinstance(node, _Conn):
-            for kid in node.kids:
-                scan_names(kid)
-        elif isinstance(node, _DeltaN):
-            delta_names.add(node.name)
-            scan_names(node.child)
-        elif isinstance(node, _GammaN):
-            for group in node.groups:
-                scan_names(group.child)
-
-    scan_names(root)
-    for kind, node, j in intro_events:
-        if kind == "gamma":
-            for name in term_vars(node.groups[j].boxed) & delta_names:
-                consumers.setdefault(name, []).append((node, j))
-
-    def subtree_events(node) -> set:
-        out = set()
-
-        def walk(n):
-            if isinstance(n, _Leaf):
-                return
-            if isinstance(n, _Conn):
-                for kid in n.kids:
-                    walk(kid)
-                return
-            if isinstance(n, _DeltaN):
-                out.add(("delta", id(n), None))
-                walk(n.child)
-                return
-            for jj, group in enumerate(n.groups):
-                out.add(("gamma", id(n), jj))
-                walk(group.child)
-
-        walk(node)
-        return out
-
-    deps: dict[tuple, set] = {}
-    for kind, node, j in intro_events:
-        key = (kind, id(node), j)
-        if kind == "gamma":
-            deps[key] = subtree_events(node.groups[j].child)
-        else:
-            deps[key] = subtree_events(node.child)
-            for gnode, gj in consumers.get(node.name, ()):
-                deps[key].add(("gamma", id(gnode), gj))
-
-    by_key = {
-        (kind, id(node), j): (kind, node, j) for kind, node, j in intro_events
-    }
     emitted: set = set()
-    order: list[tuple] = []
-    pending = set(by_key)
+    order: list = []
+    pending = set(events)
     while pending:
-        ready = [
-            key for key in pending if not (deps[key] - emitted)
-        ]
+        ready = [e for e in pending if not (deps[e] - emitted)]
         if not ready:
             raise AssertionError("cyclic quantifier dependencies")
-        ready.sort(key=lambda key: (by_key[key][1].preorder, key[2] or 0, key[0]))
-        key = ready[0]
-        pending.remove(key)
-        emitted.add(key)
-        order.append(by_key[key])
+        e = min(ready, key=rank)
+        pending.remove(e)
+        emitted.add(e)
+        order.append(e)
 
     # -- emit the derivation -----------------------------------------------
 
@@ -683,39 +650,22 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
         raise AssertionError("the starting formula is not a sentential tautology")
     steps = [Step(t0, T_AXIOM)]
 
-    for kind, node, j in order:
-        if kind == "gamma":
-            group = node.groups[j]
-            group.introduced = True
-            conclusion = render(root)
-            pos = path_of(node, j)
+    for e in order:
+        e.introduced = True
+        conclusion = render(root)
+        if isinstance(e, _Group):
+            pos = path_of(e.owner, e.index)
             steps.append(
-                Step(
-                    conclusion,
-                    GEN_GAMMA,
-                    (len(steps) - 1,),
-                    at=pos,
-                    term=group.boxed,
-                )
+                Step(conclusion, GEN_GAMMA, (len(steps) - 1,), at=pos, term=e.boxed)
             )
         else:
-            node.introduced = True
-            conclusion = render(root)
-            pos = path_of(node)
+            pos = path_of(e)
             steps.append(Step(conclusion, GEN_DELTA, (len(steps) - 1,), at=pos))
 
-    def emit_merges(node):
-        if isinstance(node, _Leaf):
-            return
-        if isinstance(node, _Conn):
-            for kid in node.kids:
-                emit_merges(kid)
-            return
-        if isinstance(node, _DeltaN):
-            emit_merges(node.child)
-            return
-        for group in node.groups:
-            emit_merges(group.child)
+    # merge each gamma node's copies back, deepest first
+    for node in _walk(root):
+        if not isinstance(node, _GammaN):
+            continue
         d = len(node.groups)
         while node.merged_suffix < d and d > 1:
             live = d - node.merged_suffix
@@ -740,8 +690,6 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
                     ),
                 )
             )
-
-    emit_merges(root)
 
     derivation = Derivation(tuple(steps))
     violation = check(derivation)

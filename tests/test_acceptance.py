@@ -136,7 +136,7 @@ def test_criterion_1_running_example_reproduction():
     assert herbrand_complexity(A, 4, 3) == 2
 
     # (d) a checkable modus-ponens-free derivation
-    witness = PropertyCWitness(4, (s1, s2), d.matrix)
+    witness = PropertyCWitness(4, (s1, s2))
     derivation = mp_eliminate(A, witness)
     assert check(derivation) is None
     assert count_rule(derivation, MP) == 0
@@ -211,7 +211,7 @@ def test_criterion_4_membership_and_soundness():
     A = parse(RUNNING_EXAMPLE)
     s1, s2 = two_instance_witness_substitutions()
     d = herbrand_disjunction(A, 4)
-    witness = PropertyCWitness(4, (s1, s2), d.matrix)
+    witness = PropertyCWitness(4, (s1, s2))
     derivation = mp_eliminate(A, witness)
 
     # per-conjunct membership: every conjunct of the starting

@@ -262,3 +262,67 @@ def _closed_arith_with(rng, binary):
         f = _random_arith(rng, rng.randrange(1, 4), [], binary)
         if not free_vars(f):
             return f
+
+
+def _reference_conjunct_satisfiable(conjunct):
+    """The solved-form substitution solver `arith` used before it solved
+    conjuncts by eliminating their variables."""
+
+    def subst_side(side, var, image):
+        k, base = side
+        if base != var:
+            return side
+        j, new_base = image
+        return (k + j, new_base)
+
+    def subst_lit(lit, var, image):
+        (a, u), (b, v), pos = lit
+        return (subst_side((a, u), var, image), subst_side((b, v), var, image), pos)
+
+    work = list(conjunct)
+    while True:
+        normalized = []
+        for lit in work:
+            n = arith._norm_lit(lit)
+            if n is False:
+                return False
+            if n is not True:
+                normalized.append(n)
+        work = normalized
+        eq = next(
+            (l for l in work if l[2] and (l[0][1] is not None or l[1][1] is not None)),
+            None,
+        )
+        if eq is None:
+            return True
+        (a, u), (b, v), _ = eq
+        work.remove(eq)
+        if u is not None:
+            d, c, other = a, b, v
+            var = u
+        else:
+            d, c, other = b, a, u
+            var = v
+        if c < d and other is None:
+            return False
+        if c >= d:
+            work = [subst_lit(l, var, (c - d, other)) for l in work]
+        else:
+            work = [subst_lit(l, other, (d - c, var)) for l in work]
+
+
+def test_conjunct_solver_matches_the_reference():
+    # offsets 0-3 over four variables and 0, up to six literals
+    rng = random.Random(59)
+    bases = [None, "w", "x", "y", "z"]
+    verdicts = set()
+    for _ in range(20000):
+        conjunct = [
+            ((rng.randrange(4), rng.choice(bases)), (rng.randrange(4), rng.choice(bases)),
+             rng.random() < 0.6)
+            for _ in range(rng.randrange(7))
+        ]
+        want = _reference_conjunct_satisfiable(conjunct)
+        assert arith._conjunct_satisfiable(conjunct) == want, conjunct
+        verdicts.add(want)
+    assert verdicts == {True, False}

@@ -326,3 +326,110 @@ def test_every_method_gives_the_same_witness(tmp_path, capsys, text, witness):
         assert "witness-verified: true" in out
         witnesses |= {line for line in out.splitlines() if line.startswith("witness:")}
     assert witnesses == {witness}
+
+
+# stdout of `prove` captured before the trace was rendered in the CLI and
+# the report got one epilogue: a proof with a factor step, and a gave-up
+# report whose falsifying structure comes before the trace lines
+TRACED_PROOF = "formula: ?x,y. ((P(x) | P(y)) -> P(f(x)))\n"
+TRACED_GAVE_UP = "formula: ?x. (P(x) -> Q(f(x)))\n"
+PROOF_REPORT = """\
+verdict: proof-found
+method: resolution
+steps: 4
+witness-verified: true
+witness: {x -> f(l), y -> f(l)}
+witness: {x -> l, y -> l}
+"""
+GAVE_UP_STRUCTURE = """\
+domain: l f(l)
+var l: l
+fn f: (f(l))->f(l)
+fn f: (l)->f(l)
+pred P: (l)->T
+pred Q: (f(l))->F
+"""
+GAVE_UP_TRACE = """\
+trace: clause P(x)
+trace: clause ~Q(f(x))
+trace: verdict gave-up (saturated)
+"""
+GAVE_UP_JSON = (
+    '{"falsifying-structure": [""], "reason": "saturated without refutation",'
+    ' "verdict": "gave-up"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "text, flags, expected",
+    [
+        (TRACED_PROOF, ["--trace"], PROOF_REPORT + """\
+trace: clause P(x) | P(y)
+trace: clause ~P(f(x))
+trace: resolvent P([y@1.1])
+trace: resolvent P([x@1.0])
+trace: factor P([y@1.1])
+trace: resolvent []
+trace: verdict proof-found 4 steps
+"""),
+        (TRACED_PROOF, ["--trace", "--dual"], PROOF_REPORT + """\
+trace: clause ~P(x) & ~P(y)
+trace: clause P(f(x))
+trace: resolvent ~P([y@1.1])
+trace: resolvent ~P([x@1.0])
+trace: factor ~P([y@1.1])
+trace: resolvent #
+trace: verdict proof-found 4 steps
+"""),
+        (TRACED_PROOF, ["--trace", "--json"],
+         '{"method": "resolution", "steps": 4, "trace": ["clause P(x) | P(y)",'
+         ' "clause ~P(f(x))", "resolvent P([y@1.1])", "resolvent P([x@1.0])",'
+         ' "factor P([y@1.1])", "resolvent []", "verdict proof-found 4 steps"],'
+         ' "verdict": "proof-found", "witness": ["{x -> f(l), y -> f(l)}",'
+         ' "{x -> l, y -> l}"], "witness-verified": "true"}\n'),
+        (TRACED_GAVE_UP, ["--max-order", "1", "--trace"],
+         "verdict: gave-up\nreason: saturated without refutation\n"
+         "falsifying-structure: \n" + GAVE_UP_STRUCTURE + GAVE_UP_TRACE),
+        (TRACED_GAVE_UP, ["--max-order", "1", "--json"], GAVE_UP_JSON + GAVE_UP_STRUCTURE),
+        (TRACED_GAVE_UP, ["--max-order", "1", "--json", "--trace"],
+         GAVE_UP_JSON + GAVE_UP_STRUCTURE + GAVE_UP_TRACE),
+    ],
+    ids=["trace", "dual", "trace-json", "gave-up-trace", "gave-up-json", "gave-up-json-trace"],
+)
+def test_prove_output_shapes_pinned(tmp_path, capsys, text, flags, expected):
+    path = write_problem(tmp_path, text)
+    code, out, _ = run(capsys, ["prove", path, "--method", "resolution", *flags])
+    assert code == (0 if text == TRACED_PROOF else 1)
+    assert out == expected
+
+
+def test_prove_rejects_a_witness_that_does_not_verify(tmp_path, capsys, monkeypatch):
+    from herbrand import engine
+    from herbrand.syntax import Subst, parse_term
+
+    def unsound(f, *_args, **_kwargs):
+        return engine.ProofResult(
+            True, "dp", order=1, witness=(Subst({"x": parse_term("a")}),)
+        )
+
+    monkeypatch.setattr(engine, "prove_dp", unsound)
+    path = write_problem(tmp_path, "formula: ?x. P(x)\n")
+    drv = str(tmp_path / "proof.drv")
+    code, out, err = run(capsys, ["prove", path, "--method", "dp", "--proof-out", drv])
+    assert code == 2 and out == ""
+    assert err == "internal error: witness failed re-verification\n"
+    assert not os.path.exists(drv)
+
+
+COMPLEXITY_ELEVEN = (
+    "formula: ?x. ((P1(x) & P2(x) & P3(x) & P4(x) & P5(x) & P6(x) & P7(x)"
+    " & P8(x) & P9(x) & P10(x) & P11(x)) -> (P1(b) & P2(b) & P3(b) & P4(b)"
+    " & P5(b) & P6(b) & P7(b) & P8(b) & P9(b) & P10(b) & P11(f(b))))\n"
+)
+
+
+def test_complexity_search_runs_under_the_default_recursion_limit(tmp_path, capsys):
+    # 11^3 = 1,331 combined paths: the search must not recurse once per path
+    path = write_problem(tmp_path, COMPLEXITY_ELEVEN)
+    code, out, err = run(capsys, ["complexity", path, "-n", "2", "--max-instances", "3"])
+    assert (code, out, err) == (1, "complexity: none\n", "")

@@ -64,7 +64,7 @@ def two_instance_witness():
     )
     s1 = Subst({"a": vs, "b": t1, "c": t2, "x": vs, "y": ws, "n": t2})
     s2 = Subst({"a": ws, "b": t1, "c": t2, "x": us, "y": t1, "n": t2})
-    return A, PropertyCWitness(4, (s1, s2), herbrand_disjunction(A, 4).matrix)
+    return A, PropertyCWitness(4, (s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def test_monotone_formula_level_claim_is_invalid():
 
 def test_mp_eliminate_trivial():
     f = parse("P(a) | ~P(a)")
-    w = PropertyCWitness(1, (Subst(),), herbrand_disjunction(f, 1).matrix)
+    w = PropertyCWitness(1, (Subst(),))
     d = mp_eliminate(f, w)
     assert len(d.steps) == 1 and d.steps[0].rule == T_AXIOM
     assert alpha_eq(d.final, f)
@@ -302,7 +302,6 @@ def test_mp_eliminate_small():
     w = PropertyCWitness(
         2,
         (Subst({"x": parse_term("y_star")}),),
-        herbrand_disjunction(f, 2).matrix,
     )
     d = mp_eliminate(f, w)
     assert check(d) is None
@@ -316,7 +315,6 @@ def test_mp_eliminate_rejects_bad_witness():
     f = parse("(?x. P(x)) | ~(?y. P(y))")
     w = PropertyCWitness(
         2, (Subst({"x": parse_term("l", {"l"})}),),
-        herbrand_disjunction(f, 2).matrix,
     )
     with pytest.raises(WitnessError):
         mp_eliminate(f, w)
@@ -430,7 +428,7 @@ def test_derivation_soundness_spot_check():
 
         witness = minimize_witness(f, list(result.witness))
         pcw = PropertyCWitness(
-            result.order, tuple(witness), herbrand_disjunction(f, 1).matrix
+            result.order, tuple(witness)
         )
         d = mp_eliminate(f, pcw)
         assert check(d) is None
@@ -449,7 +447,7 @@ def test_mp_eliminate_three_fold_multiplicity():
     subs = tuple(
         Subst({"x": parse_term(c)}) for c in ("c1", "c2", "c3")
     )
-    w = PropertyCWitness(2, subs, herbrand_disjunction(f, 1).matrix)
+    w = PropertyCWitness(2, subs)
     d = mp_eliminate(f, w)
     assert check(d) is None
     assert count_rule(d, GEN_GAMMA_SIMP) == 2
@@ -471,7 +469,6 @@ def test_mp_eliminate_merges_below_a_quantifier():
     w = PropertyCWitness(
         2,
         (Subst({"x": parse_term("c1")}), Subst({"x": parse_term("c2")})),
-        herbrand_disjunction(f, 1).matrix,
     )
     d = mp_eliminate(f, w)
     assert check(d) is None
@@ -496,7 +493,7 @@ def test_mp_eliminate_random_valid_corpus():
 
         witness = minimize_witness(f, list(result.witness))
         pcw = PropertyCWitness(
-            result.order, tuple(witness), herbrand_disjunction(f, 1).matrix
+            result.order, tuple(witness)
         )
         d = mp_eliminate(f, pcw)
         assert check(d) is None

@@ -211,7 +211,14 @@ def herbrand_disjunction(
     The champ fini is formed over the function and free-variable symbols
     occurring in the outer Skolemized form.
     """
-    skolemized = skolemize_outer(rectify(f))
+    return skolemized_disjunction(skolemize_outer(rectify(f)), n, always_lexicon)
+
+
+def skolemized_disjunction(
+    skolemized: Formula, n: int, always_lexicon: bool = False
+) -> HerbrandDisjunction:
+    """`herbrand_disjunction` of the formula whose outer Skolemized form
+    is given."""
     matrix, gamma = strip_gamma_quantifiers(skolemized)
     champ = _champ_for(skolemized, n, always_lexicon)
     return HerbrandDisjunction(matrix, tuple(gamma), champ, skolemized)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import sat
-from .expansion import PropertyCWitness, check_instances
+from .expansion import PropertyCWitness, ground_clauses, skolemized_disjunction
 from .syntax import (
     And,
     App,
@@ -435,16 +435,17 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
     Biconditionals are expanded first, so for inputs containing them the
     derivation proves the expanded form.
     """
-    f_work = rectify(expand_iff(f)) if _has_iff(f) else rectify(f)
-    verdict, _ = check_instances(f, list(witness.substitutions))
-    if not verdict:
+    # as skolemize_outer(rectify(f)) reads it, so the witness names its gamma-variables
+    f_work = rectify(expand_iff(rectify(f))) if _has_iff(f) else rectify(f)
+    skolemized, sk = skolem_table(f_work)
+    clauses, _ = ground_clauses(skolemized_disjunction(skolemized, 1), witness.substitutions)
+    if not sat.decide_negation(clauses)[0]:
         raise WitnessError("the witness instances do not disjoin to a tautology")
     sigmas = []
     for s in witness.substitutions:
         if s not in sigmas:
             sigmas.append(s)
 
-    sk = skolem_table(f_work)
     used_names = set(bound_vars(f_work)) | free_vars(f_work)
     used_names |= {s.name for s in formula_symbols(f_work)}
     preorder = itertools.count()

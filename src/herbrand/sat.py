@@ -170,12 +170,13 @@ def gilmore_check(cs: ClauseSet) -> bool:
     iff every disjunction contains an atom together with its negation.
     With dnf polarity the set is multiplied out first: every way of
     picking one literal from each conjunct must contain a complementary
-    pair, which is checked path by path with early elimination; past
-    DEFAULT_BUDGET (10^6) path nodes BudgetExceededError is raised.
+    pair, which `_open_path` checks path by path, shortest conjuncts
+    first, with early elimination and absorption; past DEFAULT_BUDGET
+    (10^6) path nodes BudgetExceededError is raised.
     """
     if cs.polarity == "cnf":
         return all(_has_complementary_pair(c) for c in cs.clauses)
-    return _open_path(sorted(sorted(c) for c in cs.clauses), DEFAULT_BUDGET) is None
+    return _open_path([sorted(c) for c in cs.clauses], DEFAULT_BUDGET) is None
 
 
 def _open_path(conjuncts: list[list[Literal]], budget: int) -> Optional[dict]:
@@ -183,11 +184,16 @@ def _open_path(conjuncts: list[list[Literal]], budget: int) -> Optional[dict]:
     complementary pair, as a dict of its literals; None when every path
     is closed.
 
-    Depth first with an explicit cursor per conjunct, its literals in
-    the given order; a literal whose complement is on the path closes
-    it, and a closed pick is passed over.  Each literal put on the path
-    counts against `budget`, past which BudgetExceededError is raised.
+    Depth first, shortest conjuncts first (ties by their literals, which
+    the callers sort), with an explicit cursor per conjunct, its
+    literals in the given order.  A literal whose complement is on the
+    path closes it and is passed over; a conjunct with a literal already
+    on the path is absorbed, x(x + y) = x, and passed without branching,
+    since any other pick only adds literals.  Each literal put on the
+    path and each absorbed conjunct count one node against `budget`,
+    past which BudgetExceededError is raised.
     """
+    conjuncts = sorted(conjuncts, key=lambda c: (len(c), c))
     path: dict[str, bool] = {}
     tried = [0] * len(conjuncts)  # per conjunct: literals tried so far
     added: list = [None] * len(conjuncts)  # per conjunct: key it put on the path
@@ -195,23 +201,25 @@ def _open_path(conjuncts: list[list[Literal]], budget: int) -> Optional[dict]:
     while depth < len(conjuncts):
         literals = conjuncts[depth]
         i = tried[depth]
-        while i < len(literals) and path.get(literals[i][0], literals[i][1]) != literals[i][1]:
-            i += 1
-        if i == len(literals):  # every pick here closes: back up one conjunct
-            tried[depth] = 0
-            depth -= 1
-            if depth < 0:
-                return None
-            if added[depth] is not None:
-                del path[added[depth]]
-            continue
-        key, sign = literals[i]
-        tried[depth] = i + 1
+        if not i and any(path.get(key) == sign for key, sign in literals):
+            tried[depth], added[depth] = len(literals), None  # absorbed
+        else:
+            while i < len(literals) and path.get(literals[i][0], literals[i][1]) != literals[i][1]:
+                i += 1
+            if i == len(literals):  # every pick here closes: back up one conjunct
+                tried[depth] = 0
+                depth -= 1
+                if depth < 0:
+                    return None
+                if added[depth] is not None:
+                    del path[added[depth]]
+                continue
+            key, sign = literals[i]
+            path[key] = sign
+            tried[depth], added[depth] = i + 1, key
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"path search exceeded the budget of {budget} nodes")
-        added[depth] = None if key in path else key
-        path[key] = sign
         depth += 1
     return path
 
@@ -370,9 +378,10 @@ def decide_negation(
     The clauses are pruned to the ⊆-minimal ones here, once.  The dpll
     engine refutes them; the multiplication method searches the paths
     through the formula's dnf, whose conjuncts are the clauses with every
-    literal negated, within `budget` nodes.  Returns (verdict,
-    falsifying assignment when the verdict is False), the assignment
-    keyed as `is_tautology`'s.
+    literal negated, within `budget` nodes (`_open_path`).  Returns
+    (verdict, falsifying assignment when the verdict is False), the
+    assignment keyed as `is_tautology`'s; the multiplication method's
+    falsifies the first open path found, and sets atoms off it False.
     """
     if engine not in ("dpll", "multiplication"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -380,9 +389,7 @@ def decide_negation(
     if engine == "dpll":
         satisfiable, model = dpll(ClauseSet("cnf", frozenset(clauses)))
         return (False, model) if satisfiable else (True, None)
-    path = _open_path(
-        sorted(sorted((key, not sign) for key, sign in c) for c in clauses), budget
-    )
+    path = _open_path([sorted((key, not sign) for key, sign in c) for c in clauses], budget)
     if path is None:
         return True, None
     atoms = sorted({key for c in clauses for key, _ in c})

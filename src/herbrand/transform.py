@@ -274,13 +274,13 @@ def _skolemize(f: Formula, inner: bool, table: Optional[dict] = None) -> Formula
     return go(f, 1, (), Subst())
 
 
-def skolem_table(f: Formula) -> dict:
-    """Map from each delta-bound variable of a rectified, biconditional
-    free formula to the (Skolem symbol, gamma-argument names) that
+def skolem_table(f: Formula) -> tuple[Formula, dict]:
+    """The outer Skolemized form of a rectified, biconditional free
+    formula, from one pass, with a map from each of its delta-bound
+    variables to the (Skolem symbol, gamma-argument names) that
     skolemize_outer assigns it."""
     table: dict = {}
-    _skolemize(f, inner=False, table=table)
-    return table
+    return _skolemize(f, inner=False, table=table), table
 
 
 def skolemize_outer(f: Formula) -> Formula:

@@ -233,18 +233,42 @@ def test_prove_dp_variant_at_order_3(tmp_path, capsys):
     assert "order: 3\n" in out and "witness-verified: true\n" in out
 
 
-def test_prove_gilmore_variant_at_order_3_stops_on_the_budget(tmp_path, capsys):
-    # every path through the 250 conjuncts is closed: the multiplication
-    # method is exponential here, and the budget bounds its search
+def test_prove_gilmore_variant_at_order_3(tmp_path, capsys):
+    # every path through the 250 conjuncts is closed; multiplied shortest
+    # first with absorption, the search takes 112 nodes (over 10^6 before)
     path = write_problem(tmp_path, VARIANT)
-    code, out, _ = run(capsys, [
-        "prove", path, "--method", "gilmore", "--max-order", "3", "--budget", "100000",
-    ])
+    outs = {}
+    for method in ("gilmore", "dp"):
+        code, out, _ = run(capsys, [
+            "prove", path, "--method", method, "--max-order", "3", "--budget", "100000",
+        ])
+        assert code == 0
+        outs[method] = out.splitlines()
+    assert outs["gilmore"][1] == "method: gilmore"
+    assert outs["gilmore"][:1] + outs["gilmore"][2:] == outs["dp"][:1] + outs["dp"][2:]
+
+
+def test_prove_gilmore_pigeonhole_stops_on_the_budget(tmp_path, capsys):
+    # PHP(5,4) over 0-ary atoms: five pigeons in four holes put two in
+    # one hole.  Every path is closed, the multiplication method is
+    # exponential here, and the budget bounds its search
+    hyp = " & ".join(
+        "(" + " | ".join(f"H_{i}_{j}" for j in range(1, 5)) + ")" for i in range(1, 6)
+    )
+    con = " | ".join(
+        f"(H_{i}_{j} & H_{k}_{j})"
+        for j in range(1, 5) for i in range(1, 6) for k in range(i + 1, 6)
+    )
+    path = write_problem(tmp_path, f"formula: ({hyp}) -> ({con})\n")
+    argv = ["prove", path, "--budget", "100000", "--method"]
+    code, out, _ = run(capsys, argv + ["gilmore"])
     assert code == 1
     assert out.splitlines()[:2] == [
         "verdict: gave-up",
         "reason: path search exceeded the budget of 100000 nodes",
     ]
+    code, out, _ = run(capsys, argv + ["dp"])
+    assert code == 0 and "verdict: proof-found" in out
 
 
 def test_prove_resolution_stops_at_the_term_height_limit(tmp_path, capsys):

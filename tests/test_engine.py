@@ -582,6 +582,30 @@ def test_gilmore_dp_agree_on_corpus():
         agree += 1
 
 
+def test_gilmore_and_dp_give_the_same_answer_and_witness():
+    # the order loop and the witness cover are shared, so wherever
+    # neither search stops on a budget the two engines must agree.  Half
+    # the draws are g | ~g, its binders renamed apart: about half the
+    # formulas are valid, some 40 of them first at order 2 or 3
+    from util import random_formula, P1, Q1, R2, CONST_A, FUN_F
+    from herbrand.syntax import rectify
+
+    rng = random.Random(505)
+    compared = proved = 0
+    while compared < 200:
+        f = random_formula(rng, rng.randrange(2, 6), [], preds=(P1, Q1, R2),
+                           funcs=(CONST_A, FUN_F), allow_iff=True)
+        f = rectify(Or(f, Not(f)) if rng.random() < 0.5 else f)
+        g = prove_gilmore(f, 3, budget=10**4)
+        d = prove_dp(f, 3, budget=10**4)
+        if "budget" in g.reason or "budget" in d.reason:
+            continue
+        assert (g.found, g.order, g.witness) == (d.found, d.order, d.witness)
+        compared += 1
+        proved += d.found
+    assert proved > 80
+
+
 def test_resolution_witness_bridge():
     # proof-found implies the extracted witness passes check_instances
     corpus = [

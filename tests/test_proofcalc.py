@@ -503,6 +503,42 @@ def test_mp_eliminate_random_valid_corpus():
     assert built == 40
 
 
+def test_mp_eliminate_skolemizes_once(monkeypatch):
+    # the input check grounds the witness over the Skolemized form the
+    # delta table comes from
+    from herbrand import transform
+
+    calls = []
+    skolemize = transform._skolemize
+
+    def counted(g, inner, table=None):
+        calls.append(g)
+        return skolemize(g, inner, table)
+
+    A, w = two_instance_witness()
+    monkeypatch.setattr(transform, "_skolemize", counted)
+    assert check(mp_eliminate(A, w)) is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text", ["(!x. ?y. R(x, y)) <-> (!x. ?y. R(x, y))", "(?x. P(x)) <-> (?x. P(x))"]
+)
+def test_mp_eliminate_names_biconditional_binders_as_the_prover(text):
+    # binders that clash inside a biconditional: the prover's witness
+    # names the gamma-variables of rectify(expand_iff(rectify(f)))
+    from herbrand.engine import minimize_witness
+    from herbrand.syntax import expand_iff
+
+    f = parse(text)
+    result = prove_dp(f, 3)
+    d = mp_eliminate(
+        f, PropertyCWitness(result.order, minimize_witness(f, list(result.witness)))
+    )
+    assert check(d) is None
+    assert alpha_eq(d.final, expand_iff(f))
+
+
 def test_mp_eliminate_symbols_stay_within_goal():
     A, w = two_instance_witness()
     d = mp_eliminate(A, w)

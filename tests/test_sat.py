@@ -101,23 +101,35 @@ def test_gilmore_examples():
     )
 
 
-def _all_paths_closed(conjuncts: list, picked: dict):
-    """The recursive path search `_open_path` replaced, kept as the
-    reference: a pair-free path (as an assignment dict) or None."""
+def _search_paths(conjuncts: list, picked: dict, absorb: bool):
+    """Recursive path search through the conjuncts in the given order: a
+    pair-free path (as an assignment dict) or None.  Without `absorb` it
+    is the search `_open_path` replaced."""
     if not conjuncts:
         return dict(picked)
     first, rest = conjuncts[0], conjuncts[1:]
+    if absorb and any(picked.get(key) == sign for key, sign in first):
+        return _search_paths(rest, picked, absorb)
     for key, sign in sorted(first):
         if picked.get(key, sign) != sign:
             continue  # this pick closes the path; try another literal
         fresh = key not in picked
         picked[key] = sign
-        result = _all_paths_closed(rest, picked)
+        result = _search_paths(rest, picked, absorb)
         if result is not None:
             return result
         if fresh:
             del picked[key]
     return None
+
+
+def _all_paths_closed(conjuncts: list):
+    """The rule `_open_path` follows, kept as the reference: shortest
+    conjuncts first, ties broken by their sorted literals, and a
+    conjunct with a literal already on the path passed without
+    branching."""
+    ordered = sorted((sorted(c) for c in conjuncts), key=lambda c: (len(c), c))
+    return _search_paths(ordered, {}, absorb=True)
 
 
 def test_open_path_matches_the_recursive_reference():
@@ -130,10 +142,26 @@ def test_open_path_matches_the_recursive_reference():
                       for _ in range(rng.randrange(1, 4)))
             for _ in range(rng.randrange(0, 9))
         }, key=sorted)
-        want = _all_paths_closed(conjuncts, {})
-        assert _open_path([sorted(c) for c in conjuncts], 10**6) == want
+        want = _all_paths_closed(conjuncts)
+        got = _open_path([sorted(c) for c in conjuncts], 10**6)
+        assert got == want
+        # the search before ordering and absorption, as the verdict oracle
+        assert (got is None) == (_search_paths(conjuncts, {}, absorb=False) is None)
         closed += want is None
     assert 200 < closed < 1800
+
+
+def test_an_absorbed_conjunct_counts_one_node():
+    # q goes on the path first (shortest conjunct); each a_i | q is then
+    # absorbed, one node and no branch, so every path through the closed
+    # pigeon pattern over x, y is tried once (6 nodes), not once per pick
+    # from the a_i | q
+    pigeon = [[("x", s1), ("y", s2)] for s1 in (True, False) for s2 in (True, False)]
+    for k in (0, 10):
+        conjuncts = [[("q", True)]] + [[(f"a{i}", True), ("q", True)] for i in range(k)]
+        assert _open_path(conjuncts + pigeon, 7 + k) is None
+        with pytest.raises(sat.BudgetExceededError, match=f"budget of {6 + k} nodes"):
+            _open_path(conjuncts + pigeon, 6 + k)
 
 
 def test_open_path_is_bounded_by_the_budget_not_the_stack():

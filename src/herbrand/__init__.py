@@ -60,7 +60,7 @@ from .expansion import (
     property_b,
     property_c,
 )
-from .sat import ClauseSet, dpll, gilmore_check, is_tautology
+from .sat import ClauseSet, dpll, is_tautology
 from .engine import (
     Clause,
     Unifier,

@@ -145,8 +145,11 @@ def cmd_prove(args) -> int:
             )
         except BudgetExceededError:
             report["falsifying-structure"] = "not computed (budget)"
-        if structure is not None:
-            report["falsifying-structure"] = [""]
+        else:
+            report["falsifying-structure"] = (
+                [""] if structure is not None
+                else f"none (Property C holds at order {n_max})"
+            )
 
     trace = []
     if args.trace:
@@ -159,14 +162,10 @@ def cmd_prove(args) -> int:
 
     if args.proof_out and result.found:
         order = result.order if result.order is not None else 1
+        # mp_eliminate checks the derivation it builds
         derivation = proofcalc.mp_eliminate(
             formula, expansion.PropertyCWitness(order, minimized)
         )
-        violation = proofcalc.check(derivation)
-        if violation is not None:
-            print(f"internal error: derivation does not check: {violation}",
-                  file=sys.stderr)
-            return EXIT_ERROR
         with open(args.proof_out, "w", encoding="utf-8") as handle:
             handle.write(proofcalc.dump_derivation(derivation, frees))
         report["proof-out"] = args.proof_out

@@ -66,15 +66,6 @@ class ClauseSet:
             raise ValueError("polarity must be cnf or dnf")
 
 
-def _has_complementary_pair(clause: Clause) -> bool:
-    keys = {}
-    for key, sign in clause:
-        if keys.get(key, sign) != sign:
-            return True
-        keys[key] = sign
-    return False
-
-
 def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
     """Cnf clauses of f (of ~f when sign is False) by naive distribution,
     literals as (sign, Atom), duplicates kept.
@@ -163,29 +154,13 @@ def cnf_of_negation(f: Formula) -> ClauseSet:
 # the multiplication method
 
 
-def gilmore_check(cs: ClauseSet) -> bool:
-    """Complementary-pair elimination over the multiplied-out form.
-
-    With cnf polarity the input already is the multiplied-out form: true
-    iff every disjunction contains an atom together with its negation.
-    With dnf polarity the set is multiplied out first: every way of
-    picking one literal from each conjunct must contain a complementary
-    pair, which `_open_path` checks path by path, shortest conjuncts
-    first, with early elimination and absorption; past DEFAULT_BUDGET
-    (10^6) path nodes BudgetExceededError is raised.
-    """
-    if cs.polarity == "cnf":
-        return all(_has_complementary_pair(c) for c in cs.clauses)
-    return _open_path([sorted(c) for c in cs.clauses], DEFAULT_BUDGET) is None
-
-
 def _open_path(conjuncts: list[list[Literal]], budget: int) -> Optional[dict]:
     """A path through the conjuncts, one literal from each, without a
     complementary pair, as a dict of its literals; None when every path
     is closed.
 
     Depth first, shortest conjuncts first (ties by their literals, which
-    the callers sort), with an explicit cursor per conjunct, its
+    `decide_negation` sorts), with an explicit cursor per conjunct, its
     literals in the given order.  A literal whose complement is on the
     path closes it and is passed over; a conjunct with a literal already
     on the path is absorbed, x(x + y) = x, and passed without branching,

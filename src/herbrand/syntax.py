@@ -792,31 +792,28 @@ class _Parser:
             self.expect(")")
             return f
         if t.kind in ("ident", "zero"):
-            term, head = self.term(bound, allow_predicate=True)
-            nxt = self.peek().text
-            if nxt == "=":
+            lhs, head = self.term(bound, allow_predicate=True)
+            op = self.peek().text
+            if op in ("=", "!="):
                 self.next()
                 rhs, _ = self.term(bound)
+                if head is not None:
+                    name, args = head
+                    lhs = App(self.lookup(name, len(args), PLAIN_FUNCTION), args)
                 self.lookup("=", 2, PREDICATE)
-                return Atom(EQ, (term, rhs))
-            if nxt == "!=":
-                self.next()
-                rhs, _ = self.term(bound)
-                self.lookup("=", 2, PREDICATE)
-                return Not(Atom(EQ, (term, rhs)))
-            # not an equation: reread the head as a predicate
+                eq = Atom(EQ, (lhs, rhs))
+                return eq if op == "=" else Not(eq)
             if head is None:
                 raise self.error("a variable is not a formula")
             name, args = head
-            pred = self.lookup(name, len(args), PREDICATE)
-            if pred.kind != PREDICATE:
-                raise self.error(f"{name} is used both as function and predicate")
-            return Atom(pred, args)
+            return Atom(self.lookup(name, len(args), PREDICATE), args)
         raise self.error("expected a formula")
 
     def term(self, bound, allow_predicate=False):
-        """Returns (term, head) where head=(name, args) when the term is a
-        bare or applied identifier that could be reread as an atom."""
+        """Returns (term, None), or with `allow_predicate` and a bare or
+        applied identifier that is not a variable, (None, (name, args)):
+        the head is undecided until the caller sees whether an equation
+        follows."""
         t = self.peek()
         if t.kind == "zero":
             self.next()
@@ -836,55 +833,13 @@ class _Parser:
                 args.append(self.term(bound)[0])
             self.expect(")")
             args_t = tuple(args)
-            if allow_predicate:
-                return (
-                    self._function_app(name, args_t, defer=True),
-                    (name, args_t),
-                )
-            sym = self.lookup(name, len(args_t), PLAIN_FUNCTION)
-            return App(sym, args_t), None
-        if name in bound or name in self.frees or name == LEXICON:
+        elif name in bound or name in self.frees or name == LEXICON:
             return Var(name), None
+        else:
+            args_t = ()
         if allow_predicate:
-            return self._function_app(name, (), defer=True), (name, ())
-        sym = self.lookup(name, 0, PLAIN_FUNCTION)
-        return App(sym), None
-
-    def _function_app(self, name, args, defer=False):
-        # when the identifier may still turn out to be a predicate, delay
-        # committing it to the symbol table until '='/')' disambiguates
-        if defer:
-            existing = self.symbols.get(name)
-            sk = _skolem_symbol_for(name, len(args))
-            if sk is not None:
-                existing = self.symbols.get(sk.name)
-            if existing is not None and existing.kind != PREDICATE:
-                return App(existing, args)
-            sym = (
-                sk
-                if sk is not None
-                else Symbol(name, len(args), PLAIN_FUNCTION)
-            )
-            return App(sym, args)
-        sym = self.lookup(name, len(args), PLAIN_FUNCTION)
-        return App(sym, args)
-
-
-def _intern_symbols(f: Formula, parser: _Parser) -> Formula:
-    """Second pass: commit deferred function symbols and check arities."""
-
-    def fix_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        sym = parser.lookup(t.sym.name, t.sym.arity, t.sym.kind)
-        return App(sym, tuple(fix_term(a) for a in t.args))
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(fix_term(t) for t in g.args))
-        return with_children(g, tuple(go(k) for k in children(g)))
-
-    return go(f)
+            return None, (name, args_t)
+        return App(self.lookup(name, len(args_t), PLAIN_FUNCTION), args_t), None
 
 
 def parse(text: str, frees: Optional[set[str]] = None) -> Formula:
@@ -901,7 +856,7 @@ def parse(text: str, frees: Optional[set[str]] = None) -> Formula:
     t = p.peek()
     if t.kind != "eof":
         raise SyntaxError_(f"unexpected trailing input {t.text!r}", t.line, t.col)
-    return _intern_symbols(f, p)
+    return f
 
 
 def parse_term(text: str, frees: Optional[set[str]] = None) -> Term:

@@ -263,10 +263,15 @@ def test_prove_gilmore_pigeonhole_stops_on_the_budget(tmp_path, capsys):
     argv = ["prove", path, "--budget", "100000", "--method"]
     code, out, _ = run(capsys, argv + ["gilmore"])
     assert code == 1
-    assert out.splitlines()[:2] == [
+    # dpll refutes the grounded clauses, so no falsifying structure exists
+    assert out.splitlines() == [
         "verdict: gave-up",
         "reason: path search exceeded the budget of 100000 nodes",
+        "falsifying-structure: none (Property C holds at order 3)",
     ]
+    code, out, _ = run(capsys, argv + ["gilmore", "--json"])
+    assert code == 1
+    assert json.loads(out)["falsifying-structure"] == "none (Property C holds at order 3)"
     code, out, _ = run(capsys, argv + ["dp"])
     assert code == 0 and "verdict: proof-found" in out
 
@@ -443,6 +448,31 @@ def test_prove_rejects_a_witness_that_does_not_verify(tmp_path, capsys, monkeypa
     assert code == 2 and out == ""
     assert err == "internal error: witness failed re-verification\n"
     assert not os.path.exists(drv)
+
+
+def test_prove_reports_a_derivation_that_does_not_check(tmp_path, capsys, monkeypatch):
+    from herbrand import proofcalc
+
+    def rejecting(_derivation):
+        return proofcalc.Violation(0, proofcalc.T_AXIOM, "rejected")
+
+    monkeypatch.setattr(proofcalc, "check", rejecting)
+    path = write_problem(tmp_path, "formula: (?x. P(x)) | ~(?y. P(y))\n")
+    drv = str(tmp_path / "proof.drv")
+    code, out, err = run(capsys, ["prove", path, "--method", "dp", "--proof-out", drv])
+    assert code == 2 and out == ""
+    assert err == (
+        "internal error: AssertionError: constructed derivation does not check:"
+        " step 0 (SententialTautologyAxiom): rejected\n"
+    )
+    assert not os.path.exists(drv)
+
+
+def test_prove_rejects_inconsistent_arities_of_an_equation_head(tmp_path, capsys):
+    path = write_problem(tmp_path, "formula: y_star(a) = b & y_star(a, b) = c\n")
+    code, out, err = run(capsys, ["prove", path])
+    assert (code, out) == (2, "")
+    assert err == "error: y_star used with inconsistent arity\n"
 
 
 COMPLEXITY_ELEVEN = (

@@ -19,7 +19,6 @@ from herbrand.sat import (
     cnf_of_negation,
     dnf,
     dpll,
-    gilmore_check,
     is_tautology,
 )
 from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
@@ -61,7 +60,6 @@ def test_engines_agree_with_truth_table():
         got_dpll, model = is_tautology(f, "dpll")
         got_mult, model2 = is_tautology(f, "multiplication")
         assert got_dpll == got_mult == expected
-        assert gilmore_check(dnf(f)) == expected
         sat_, _ = dpll(cnf_of_negation(f))
         assert (not sat_) == expected
         for verdict, assignment in ((got_dpll, model), (got_mult, model2)):
@@ -88,16 +86,12 @@ def _eval_keys(f, row):
 
 
 def test_gilmore_examples():
-    # already multiplied out: a single disjunction with a complementary pair
-    assert gilmore_check(
-        ClauseSet("cnf", frozenset([frozenset([("p", True), ("p", False)])]))
-    )
-    # p | ~p as a dnf needs the multiplication first
-    assert gilmore_check(
-        ClauseSet(
-            "dnf",
-            frozenset([frozenset([("p", True)]), frozenset([("p", False)])]),
-        )
+    # p | ~p: the one path, through ~p and p, is closed
+    assert is_tautology(parse("A1 | ~A1"), "multiplication") == (True, None)
+    # (p & q) | ~p | ~q is closed only once multiplied out
+    assert is_tautology(parse("(A1 & A2) | ~A1 | ~A2"), "multiplication") == (True, None)
+    assert is_tautology(parse("(A1 & A2) | ~A1"), "multiplication") == (
+        False, {"A1": True, "A2": False}
     )
 
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from herbrand.syntax import (
+    EQ,
+    LEXICON,
+    PLAIN_FUNCTION,
+    ZERO,
     App,
+    ArityMismatchError,
     Atom,
     CaptureError,
     Exists,
@@ -21,10 +26,13 @@ from herbrand.syntax import (
     Symbol,
     SyntaxError_,
     Var,
+    _Parser,
+    _skolem_symbol_for,
     alpha_eq,
     apply,
     apply_term,
     bound_vars,
+    children,
     compose,
     free_vars,
     height,
@@ -38,6 +46,7 @@ from herbrand.syntax import (
     subformula_at,
     subformulas,
     term_vars,
+    with_children,
 )
 
 from util import CONST_A, CONST_B, FUN_F, FUN_G, random_formula, random_term
@@ -63,10 +72,190 @@ def test_parse_error_position():
 
 
 def test_arity_mismatch():
-    from herbrand.syntax import ArityMismatchError
-
     with pytest.raises(ArityMismatchError):
         parse("P(a) & P(a, b)")
+
+
+def test_arity_mismatch_of_an_equation_head_names_the_printed_symbol():
+    with pytest.raises(ArityMismatchError, match=r"\Ay_star used with inconsistent arity\Z"):
+        parse("y_star(a) = b & y_star(a, b) = c")
+
+
+class _TwoPassParser(_Parser):
+    """The two-pass reading `parse` replaced, kept as the reference: the
+    head of an equation's left side is built with a provisional symbol,
+    and `_intern_symbols` commits it on a second walk of the tree."""
+
+    def primary(self, bound):
+        t = self.peek()
+        if t.text == "(":
+            self.next()
+            f = self.formula(bound)
+            self.expect(")")
+            return f
+        if t.kind in ("ident", "zero"):
+            term, head = self.term(bound, allow_predicate=True)
+            nxt = self.peek().text
+            if nxt == "=":
+                self.next()
+                rhs, _ = self.term(bound)
+                self.lookup("=", 2, PREDICATE)
+                return Atom(EQ, (term, rhs))
+            if nxt == "!=":
+                self.next()
+                rhs, _ = self.term(bound)
+                self.lookup("=", 2, PREDICATE)
+                return Not(Atom(EQ, (term, rhs)))
+            if head is None:
+                raise self.error("a variable is not a formula")
+            name, args = head
+            pred = self.lookup(name, len(args), PREDICATE)
+            if pred.kind != PREDICATE:
+                raise self.error(f"{name} is used both as function and predicate")
+            return Atom(pred, args)
+        raise self.error("expected a formula")
+
+    def term(self, bound, allow_predicate=False):
+        t = self.peek()
+        if t.kind == "zero":
+            self.next()
+            self.lookup("0", 0, PLAIN_FUNCTION)
+            return App(ZERO), None
+        if t.kind == "boxed":
+            return Var(self.next().text[1:-1]), None
+        if t.kind != "ident":
+            raise self.error("expected a term")
+        name = self.next().text
+        if self.peek().text == "(":
+            self.next()
+            args = [self.term(bound)[0]]
+            while self.peek().text == ",":
+                self.next()
+                args.append(self.term(bound)[0])
+            self.expect(")")
+            args_t = tuple(args)
+            if allow_predicate:
+                return (
+                    self._function_app(name, args_t, defer=True),
+                    (name, args_t),
+                )
+            sym = self.lookup(name, len(args_t), PLAIN_FUNCTION)
+            return App(sym, args_t), None
+        if name in bound or name in self.frees or name == LEXICON:
+            return Var(name), None
+        if allow_predicate:
+            return self._function_app(name, (), defer=True), (name, ())
+        sym = self.lookup(name, 0, PLAIN_FUNCTION)
+        return App(sym), None
+
+    def _function_app(self, name, args, defer=False):
+        if defer:
+            existing = self.symbols.get(name)
+            sk = _skolem_symbol_for(name, len(args))
+            if sk is not None:
+                existing = self.symbols.get(sk.name)
+            if existing is not None and existing.kind != PREDICATE:
+                return App(existing, args)
+            sym = (
+                sk
+                if sk is not None
+                else Symbol(name, len(args), PLAIN_FUNCTION)
+            )
+            return App(sym, args)
+        sym = self.lookup(name, len(args), PLAIN_FUNCTION)
+        return App(sym, args)
+
+
+def _intern_symbols(f, parser):
+    def fix_term(t):
+        if isinstance(t, Var):
+            return t
+        sym = parser.lookup(t.sym.name, t.sym.arity, t.sym.kind)
+        return App(sym, tuple(fix_term(a) for a in t.args))
+
+    def go(g):
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(fix_term(t) for t in g.args))
+        return with_children(g, tuple(go(k) for k in children(g)))
+
+    return go(f)
+
+
+def _two_pass_parse(text, frees):
+    p = _TwoPassParser(text, frozenset(frees))
+    f = p.formula(frozenset())
+    t = p.peek()
+    if t.kind != "eof":
+        raise SyntaxError_(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    return _intern_symbols(f, p)
+
+
+# symbol names with their usual arity; the Skolem-shaped predicate name
+# and the names shared by predicates and functions make kind clashes
+# possible, and an arity off by one makes an arity clash
+_PREDICATES = {"P": 1, "Q": 2, "R": 0, "p_star": 1, "f": 1}
+_FUNCTIONS = {"f": 1, "g": 2, "a": 0, "b": 0, "m_star": 2, "y_star": 1, "u_star2": 0, "R": 0}
+
+
+def _random_parse_input(rng: random.Random):
+    """Formula text in the input syntax, full of equations, applied,
+    0-ary and Skolem-shaped function heads, with a clash now and then."""
+    bound: list[str] = []
+
+    def application(table, depth):
+        name = rng.choice(sorted(table))
+        n = table[name] + (rng.random() < 0.02)
+        if not n:
+            return name
+        return f"{name}({', '.join(term(depth + 1) for _ in range(n))})"
+
+    def term(depth=0):
+        r = rng.random()
+        if depth > 3 or r < 0.35:
+            # a boxed name cannot begin a formula, so only an argument is one
+            boxed = ["[m_star(a, b)]"] if depth else []
+            return rng.choice(bound + boxed + ["z", LEXICON, "0", "a"])
+        if r < 0.37:
+            return application(_PREDICATES, depth)  # a predicate where a term goes
+        return application(_FUNCTIONS, depth)
+
+    def formula(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            if rng.random() < 0.5:
+                return f"{term()} {rng.choice(['=', '!='])} {term()}"
+            return application(_PREDICATES, 0)
+        if r < 0.4:
+            return f"~{formula(depth - 1)}"
+        if r < 0.55:
+            var = rng.choice(["x", "y", "w"])
+            bound.append(var)
+            body = formula(depth - 1)
+            bound.pop()
+            return f"({rng.choice('!?')}{var}. {body})"
+        op = rng.choice(["&", "|", "->", "<->"])
+        return f"({formula(depth - 1)} {op} {formula(depth - 1)})"
+
+    return formula(rng.randrange(0, 5))
+
+
+def _outcome(read, text):
+    try:
+        return read(text, {"z"})
+    except (SyntaxError_, ArityMismatchError) as e:
+        return type(e)
+
+
+def test_one_pass_parse_matches_the_two_pass_reference():
+    rng = random.Random(11)
+    clashes = equations = 0
+    for _ in range(3000):
+        text = _random_parse_input(rng)
+        want = _outcome(_two_pass_parse, text)
+        assert _outcome(parse, text) == want, text
+        clashes += want is ArityMismatchError
+        equations += "=" in text and not isinstance(want, type)
+    assert clashes > 200 and equations > 1000
 
 
 def test_lexicon_reserved():

@@ -377,76 +377,6 @@ def axiom(tag: str) -> Formula:
     raise ValueError(f"unknown axiom tag {tag!r}")
 
 
-def induction_instance(body: Formula, var: str) -> Formula:
-    """The structural-induction scheme instantiated with a
-    quantifier-free formula: body(0) and every step implies all of body.
-    """
-    validate(body)
-    for _, g in subformulas(body):
-        if isinstance(g, QUANT):
-            raise ValueError("the scheme takes a quantifier-free formula")
-    from .syntax import Subst, apply
-
-    base = apply(Subst({var: App(ZERO)}), body)
-    fresh = "y" if var != "y" else "y0"
-    stepped = apply(Subst({var: App(S, (Var(fresh),))}), body)
-    hypothesis = apply(Subst({var: Var(fresh)}), body)
-    step = Forall(fresh, Implies(hypothesis, stepped))
-    return Implies(And(base, step), Forall(var, body))
-
-
-def eval_nat(f: Formula, slack: int = 0, env: Optional[dict] = None) -> bool:
-    """Exact truth over the naturals by bounded evaluation with
-    value-relative quantifier ranges.
-
-    A flat bound on every quantifier cannot decide this theory (for
-    every B, `!x. ?y. y = S(x)` fails at x = B although it holds on the
-    naturals).  Instead each quantifier ranges up to max(values in the
-    environment, offsets in the formula) + delta, where delta exceeds
-    every successor offset: any larger witness is indistinguishable from
-    that one, so the evaluation is a decision procedure.  `slack` widens
-    every range, which lets tests validate stability.
-    """
-    validate(f)
-    delta = _max_offset(f) + 1
-
-    def go(g: Formula, e: dict) -> bool:
-        if isinstance(g, Atom):
-            return _value(g.args[0], e) == _value(g.args[1], e)
-        if isinstance(g, Not):
-            return not go(g.body, e)
-        if isinstance(g, And):
-            return go(g.left, e) and go(g.right, e)
-        if isinstance(g, Or):
-            return go(g.left, e) or go(g.right, e)
-        if isinstance(g, Implies):
-            return (not go(g.left, e)) or go(g.right, e)
-        if isinstance(g, Iff):
-            return go(g.left, e) == go(g.right, e)
-        if isinstance(g, (Forall, Exists)):
-            top = max([delta] + list(e.values())) + delta + slack
-            values = range(top + 1)
-            if isinstance(g, Forall):
-                return all(go(g.body, {**e, g.var: v}) for v in values)
-            return any(go(g.body, {**e, g.var: v}) for v in values)
-        raise TypeError(f"not a formula: {g!r}")
-
-    def _value(t: Term, e: dict) -> int:
-        k, base = peel(t)
-        return k if base is None else k + e[base]
-
-    return go(f, dict(env or {}))
-
-
-def _max_offset(f: Formula) -> int:
-    out = 0
-    for _, g in subformulas(f):
-        if isinstance(g, Atom):
-            for t in g.args:
-                out = max(out, peel(t)[0])
-    return out
-
-
 def formula_size(f: Formula) -> int:
     """Node count of the formula tree including term nodes."""
 

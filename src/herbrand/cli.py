@@ -128,7 +128,7 @@ def cmd_prove(args) -> int:
                 report["order"] = result.order
             if result.method == "resolution":
                 report["steps"] = result.steps
-        minimized = engine.minimize_witness(formula, result.witness)
+        minimized = engine.minimize_witness(formula, result.witness, result.analysis)
         if not minimized:
             print("internal error: witness failed re-verification", file=sys.stderr)
             return EXIT_ERROR
@@ -141,7 +141,8 @@ def cmd_prove(args) -> int:
             report["reason"] = result.reason
         try:
             structure = expansion.falsifying_structure(
-                formula, n_max, budget, args.always_lexicon
+                formula, n_max, budget, args.always_lexicon, result.analysis,
+                result.grounding,
             )
         except BudgetExceededError:
             report["falsifying-structure"] = "not computed (budget)"
@@ -164,7 +165,7 @@ def cmd_prove(args) -> int:
         order = result.order if result.order is not None else 1
         # mp_eliminate checks the derivation it builds
         derivation = proofcalc.mp_eliminate(
-            formula, expansion.PropertyCWitness(order, minimized)
+            formula, expansion.PropertyCWitness(order, minimized), result.analysis
         )
         with open(args.proof_out, "w", encoding="utf-8") as handle:
             handle.write(proofcalc.dump_derivation(derivation, frees))
@@ -561,11 +562,10 @@ def _selftest_checks():
 
     def check_dpll_core():
         unsat = sat.ClauseSet(
-            "cnf",
-            frozenset([frozenset([("p", True)]), frozenset([("p", False)])]),
+            frozenset([frozenset([("p", True)]), frozenset([("p", False)])])
         )
         return sat.dpll(unsat) == (False, None) and sat.dpll(
-            sat.ClauseSet("cnf", frozenset())
+            sat.ClauseSet(frozenset())
         ) == (True, {})
 
     def check_resolvent_display():

@@ -15,7 +15,6 @@ of Automated Reasoning, 2001).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,8 +24,8 @@ from typing import Iterator, Optional, Sequence
 from . import sat
 from .expansion import (
     BudgetExceededError,
+    Grounding,
     HerbrandDisjunction,
-    _champ_for,
     ground_clauses,
     herbrand_disjunction,
 )
@@ -363,6 +362,12 @@ def rebuild_provenance(c: Clause) -> tuple:
 
 @dataclass(frozen=True)
 class ProofResult:
+    """A prover's verdict.  `analysis` is the order-1 Herbrand analysis
+    the prover made of its formula, for the steps after it (witness
+    minimization, derivation, falsifying structure) to reuse; the order
+    loop that ran out of orders also leaves its last order's
+    `grounding`."""
+
     found: bool
     method: str
     order: Optional[int] = None
@@ -370,6 +375,8 @@ class ProofResult:
     witness: tuple = ()
     reason: str = ""
     trace: tuple = ()  # (kind, Clause or note) events
+    analysis: Optional[HerbrandDisjunction] = field(default=None, compare=False, repr=False)
+    grounding: Optional[Grounding] = field(default=None, compare=False, repr=False)
 
     @property
     def gave_up(self) -> bool:
@@ -446,7 +453,6 @@ def prove_resolution(
     # constant `y`); then one lexicon-grounding suffices
     spelling = {y: f"#{y}" for y in gamma}
     prop = sat.ClauseSet(
-        "cnf",
         frozenset(
             frozenset((_spell(a, spelling), s) for s, a in c.literals)
             for c in initial
@@ -456,7 +462,9 @@ def prove_resolution(
     if not satisfiable:
         witness = (_ground_residuals(Subst(), gamma),)
         log("verdict", "proof-found 0 steps (propositionally closed)")
-        return ProofResult(True, "resolution", steps=0, witness=witness, trace=tuple(events))
+        return ProofResult(
+            True, "resolution", steps=0, witness=witness, trace=tuple(events), analysis=d
+        )
 
     import heapq
 
@@ -481,14 +489,15 @@ def prove_resolution(
     def gave_up(reason: str, note: str) -> ProofResult:
         log("verdict", f"gave-up ({note})")
         return ProofResult(
-            False, "resolution", steps=steps, reason=reason, trace=tuple(events)
+            False, "resolution", steps=steps, reason=reason, trace=tuple(events),
+            analysis=d,
         )
 
     while passive:
         if should_stop is not None and should_stop():
             return ProofResult(
                 False, "resolution", steps=steps, reason="cancelled",
-                trace=tuple(events),
+                trace=tuple(events), analysis=d,
             )
         iteration += 1
         _, _, _, given = heapq.heappop(passive)
@@ -518,7 +527,7 @@ def prove_resolution(
                         log("verdict", f"proof-found {steps} steps")
                         return ProofResult(
                             True, "resolution", steps=steps, witness=witness,
-                            trace=tuple(events),
+                            trace=tuple(events), analysis=d,
                         )
                     new.append(r)
         processed.append((given, eligible))
@@ -600,56 +609,80 @@ def prove_dp(
 def _order_loop(
     f, n_max, budget, always_lexicon, method, engine, should_stop=None
 ) -> ProofResult:
-    """Property C at orders 1..n_max, the formula Skolemized once.  The
-    witness is the family's first-producer cover: for each ground clause
-    the odometer-first member yielding it, in odometer order.  It yields
-    the family's clauses, and greedy minimization keeps from it what it
-    keeps from the family."""
-    d1 = herbrand_disjunction(f, 1, always_lexicon)
+    """Property C at orders 1..n_max, from one Herbrand analysis of f.
+    The witness is the family's first-producer cover: for each ground
+    clause the odometer-first member yielding it, in odometer order.  It
+    yields the family's clauses, and minimization keeps from it what it
+    keeps from the family.  Running out of orders leaves the last
+    order's grounding, with the DPLL model when the engine is DPLL."""
+    analysis = herbrand_disjunction(f, 1, always_lexicon)
+
+    def gave_up(reason: str, grounding: Optional[Grounding] = None) -> ProofResult:
+        return ProofResult(False, method, reason=reason, analysis=analysis,
+                           grounding=grounding)
+
+    grounding = None
     for n in range(1, n_max + 1):
         if should_stop is not None and should_stop():
-            return ProofResult(False, method, reason="cancelled")
-        d = dataclasses.replace(d1, champ=_champ_for(d1.skolemized, n, always_lexicon))
+            return gave_up("cancelled")
+        d = analysis.at_order(n, always_lexicon)
         try:
-            clauses, _ = ground_clauses(d, budget=budget)
-            verdict, _ = sat.decide_negation(clauses, engine, budget)
+            clauses, atoms = ground_clauses(d, budget=budget)
+            verdict, model = sat.decide_negation(clauses, engine, budget)
         except BudgetExceededError as e:
-            return ProofResult(False, method, reason=str(e))
+            return gave_up(str(e))
         if verdict:
             firsts = sorted({positions[0] for positions in clauses.values()})
-            return ProofResult(True, method, order=n, witness=tuple(map(d.member, firsts)))
-    return ProofResult(False, method, reason=f"no proof up to order {n_max}")
+            return ProofResult(True, method, order=n, witness=tuple(map(d.member, firsts)),
+                               analysis=analysis)
+        grounding = Grounding(d, clauses, atoms, model if engine == "dpll" else None)
+    return gave_up(f"no proof up to order {n_max}", grounding)
 
 
-def minimize_witness(f: Formula, sigmas: Sequence[Subst]) -> tuple:
-    """Verify a substitution family, then prune it greedily.
+def minimize_witness(
+    f: Formula, sigmas: Sequence[Subst], analysis: Optional[HerbrandDisjunction] = None
+) -> tuple:
+    """Verify a substitution family, then prune it.
 
     Returns () when the instance disjunction is not a sentential
-    tautology; a verified family is never empty.  Otherwise drops
-    entries, last first, whose removal keeps the disjunction
-    tautological, until no entry can go.  Each substitution is grounded
-    once; the check and every trial decide the clauses of the entries
-    they keep."""
-    clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
-    verdict, _ = sat.decide_negation(clauses)
-    if not verdict:
+    tautology; a verified family is never empty.  Otherwise it keeps
+    what dropping entries one at a time, last first, keeps: an entry
+    goes when the disjunction over the entries before it and the kept
+    entries after it is still tautological.  Whether a family is
+    tautological is monotone in its entries (more entries, more clauses
+    to refute), so a run of entries that can all go together is dropped
+    with one decision, and one that cannot is split in two, the later
+    half first (deletion by bisection, as in Junker's QuickXplain,
+    2004).  The pruned family cannot lose another entry.  Each
+    substitution is grounded once, from `analysis`, f's Herbrand
+    analysis, when given; the check and every trial decide the clauses
+    of the entries they keep."""
+    clauses, _ = ground_clauses(analysis or herbrand_disjunction(f, 1), sigmas)
+    if not sat.decide_negation(clauses)[0]:
         return ()
-    kept = list(range(len(sigmas)))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept) - 1, -1, -1):
-            if len(kept) == 1:
-                break
-            trial = kept[:i] + kept[i + 1:]
-            members = set(trial)
-            verdict, _ = sat.decide_negation(
-                c for c, positions in clauses.items() if not members.isdisjoint(positions)
-            )
-            if verdict:
-                kept = trial
-                changed = True
-    return tuple(sigmas[p] for p in kept)
+
+    def tautological(members: set) -> bool:
+        return sat.decide_negation(
+            c for c, positions in clauses.items() if not members.isdisjoint(positions)
+        )[0]
+
+    kept: list[int] = []  # kept entries after the run in hand, descending
+    # half-open runs still to prune, the last one next; a lower half
+    # carries how many entries were kept when its whole run could not
+    # go: if its upper half went entirely, it faces that same family
+    runs = [(0, len(sigmas), None)]
+    while runs:
+        lo, hi, failed_at = runs.pop()
+        # every entry before the run is still there; an empty family is
+        # no tautology
+        if (lo or kept) and failed_at != len(kept) and tautological({*range(lo), *kept}):
+            continue
+        if hi - lo == 1:
+            kept.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        runs += [(lo, mid, len(kept)), (mid, hi, None)]
+    return tuple(sigmas[p] for p in reversed(kept))
 
 
 # ---------------------------------------------------------------------------

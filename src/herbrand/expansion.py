@@ -5,8 +5,9 @@ structures with evaluation, and falsifying-structure extraction.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -33,14 +34,12 @@ from .syntax import (
     Var,
     apply,
     children,
-    formula_symbols,
-    free_vars,
-    function_symbols,
     height,
     print_formula,
     print_term,
     rectify,
     subformulas,
+    term_symbols,
     term_vars,
     with_children,
 )
@@ -120,11 +119,6 @@ def champ_fini(
     return ChampFini(n, frozenset(funcs), frozenset(variables), tuple(terms))
 
 
-def _champ_for(f: Formula, n: int, always_lexicon: bool) -> ChampFini:
-    """T_n over the function and free-variable symbols occurring in f."""
-    return champ_fini(function_symbols(f), free_vars(f), n, always_lexicon)
-
-
 # ---------------------------------------------------------------------------
 # expansion and disjunction
 
@@ -172,14 +166,41 @@ def strip_gamma_quantifiers(f: Formula) -> tuple[Formula, list[str]]:
 
 @dataclass(frozen=True)
 class HerbrandDisjunction:
+    """The Herbrand analysis of a formula at one order: its outer
+    Skolemized form, the matrix with its gamma-variables, the champ fini
+    of that order, and what grounding needs, worked out once.
+
+    `skolem` maps each delta-bound variable of the rectified formula to
+    its (Skolem symbol, gamma-argument names); `variables` are the free
+    variables of the Skolemized form, which with the champ's signature
+    give the champ fini of any order (`at_order`).  `atoms` are the
+    matrix's atoms, an atom's index being its slot, and `atom_own` per
+    slot the ascending positions among `gamma_vars` of the atom's
+    gamma-variables.  `plans` holds each ⊆-minimal clause of the negated
+    matrix (`sat._clauses(matrix, False, prune=True)`; a pruned clause
+    contains a kept one, and so do their groundings) as the positions of
+    its own gamma-variables and, per literal, the sign, the slot and
+    where the atom's gamma-variables sit among the clause's.
+    """
+
     matrix: Formula
     gamma_vars: tuple[str, ...]
     champ: ChampFini
     skolemized: Formula
+    skolem: dict = field(compare=False, repr=False)
+    variables: frozenset = field(compare=False, repr=False)
+    atoms: tuple = field(compare=False, repr=False)
+    atom_own: tuple = field(compare=False, repr=False)
+    plans: tuple = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.champ) ** len(self.gamma_vars)
+
+    def at_order(self, n: int, always_lexicon: bool = False) -> "HerbrandDisjunction":
+        """The same analysis over the champ fini of order n."""
+        champ = champ_fini(self.champ.signature, self.variables, n, always_lexicon)
+        return dataclasses.replace(self, champ=champ)
 
     def substitutions(self) -> Iterator[Subst]:
         """All maps from the gamma-variables into the champ fini, in
@@ -205,29 +226,52 @@ class HerbrandDisjunction:
 def herbrand_disjunction(
     f: Formula, n: int, always_lexicon: bool = False
 ) -> HerbrandDisjunction:
-    """Matrix, gamma-variable set and substitution family of f's
-    Herbrand disjunction of order n.
+    """The Herbrand analysis of f at order n, from one Skolemization.
 
     The champ fini is formed over the function and free-variable symbols
     occurring in the outer Skolemized form.
     """
-    return skolemized_disjunction(skolemize_outer(rectify(f)), n, always_lexicon)
-
-
-def skolemized_disjunction(
-    skolemized: Formula, n: int, always_lexicon: bool = False
-) -> HerbrandDisjunction:
-    """`herbrand_disjunction` of the formula whose outer Skolemized form
-    is given."""
+    skolem: dict = {}
+    skolemized = skolemize_outer(rectify(f), skolem)
     matrix, gamma = strip_gamma_quantifiers(skolemized)
-    champ = _champ_for(skolemized, n, always_lexicon)
-    return HerbrandDisjunction(matrix, tuple(gamma), champ, skolemized)
+    where = {v: i for i, v in enumerate(gamma)}
+    atoms = tuple(dict.fromkeys(g for _, g in subformulas(matrix) if isinstance(g, Atom)))
+    slots = {a: i for i, a in enumerate(atoms)}
+    atom_vars = [set().union(*map(term_vars, a.args)) for a in atoms]
+    atom_own = tuple(tuple(sorted(where[v] for v in vs if v in where)) for vs in atom_vars)
+    plans = []
+    for c in dict.fromkeys(frozenset(c) for c in sat._clauses(matrix, False, prune=True)):
+        literals = [(s, slots[a]) for s, a in c]
+        own = sorted({p for _, slot in literals for p in atom_own[slot]})
+        plans.append((tuple(own), tuple(
+            (s, slot, tuple(own.index(p) for p in atom_own[slot])) for s, slot in literals
+        )))
+    # the gamma-quantifiers were the only binders left, each binding
+    # its own name
+    variables = frozenset().union(*atom_vars) - set(gamma)
+    functions = {s for a in atoms for t in a.args for s in term_symbols(t)}
+    champ = champ_fini(functions, variables, n, always_lexicon)
+    return HerbrandDisjunction(
+        matrix, tuple(gamma), champ, skolemized, skolem, variables, atoms, atom_own,
+        tuple(plans),
+    )
 
 
 @dataclass(frozen=True)
 class PropertyCWitness:
     order: int
     substitutions: tuple[Subst, ...]
+
+
+@dataclass(frozen=True)
+class Grounding:
+    """The grounded clauses and atoms (`ground_clauses`) of a whole
+    order-n family, and a DPLL model of them when one was found."""
+
+    disjunction: HerbrandDisjunction
+    clauses: dict
+    atoms: dict
+    model: Optional[dict] = None
 
 
 def check_instances(
@@ -253,9 +297,7 @@ def ground_clauses(
     is None (more than `budget` members raise BudgetExceededError): the
     package's one grounding of a matrix.
 
-    Each ⊆-minimal clause of the negated matrix (`sat._clauses(matrix,
-    False, prune=True)`; a pruned clause contains a kept one, and so do
-    their groundings) is grounded over the images of its own
+    Each of `d.plans` is grounded over the images of its own
     gamma-variables only; substitutions must be total on them.  Returns
     each distinct ground clause with the ascending positions, in `sigmas`
     or in odometer order, of the substitutions yielding it (for the
@@ -263,7 +305,6 @@ def ground_clauses(
     the instances by key.
     """
     gamma = d.gamma_vars
-    where = {v: i for i, v in enumerate(gamma)}
     if sigmas is None:
         if d.count > budget:
             raise BudgetExceededError(
@@ -283,44 +324,26 @@ def ground_clauses(
         rows = [[number.setdefault(s.get(v), len(number)) for v in gamma] for s in sigmas]
         terms = list(number)
 
-    atoms = list(dict.fromkeys(g for _, g in subformulas(d.matrix) if isinstance(g, Atom)))
-    slots = {a: i for i, a in enumerate(atoms)}
-    base = [
-        [(s, slots[a]) for s, a in c]
-        for c in dict.fromkeys(frozenset(c) for c in sat._clauses(d.matrix, False, prune=True))
-    ]
-    atom_own = [
-        sorted({where[v] for t in a.args for v in term_vars(t) if v in where})
-        for a in atoms
-    ]
     # every ground atom of the instances, keyed once per tuple of images
     # of its own gamma-variables
-    keys: list[dict[tuple, str]] = [{} for _ in atoms]
+    keys: list[dict[tuple, str]] = [{} for _ in d.atoms]
     table: dict[str, Atom] = {}
-    for slot, own in enumerate(atom_own):
+    for slot, own in enumerate(d.atom_own):
         for at in (itertools.product(range(len(terms)), repeat=len(own)) if sigmas is None
                    else (tuple([row[p] for p in own]) for row in rows)):
             if at not in keys[slot]:
-                atom = apply(Subst({gamma[p]: terms[i] for p, i in zip(own, at)}), atoms[slot])
+                atom = apply(Subst({gamma[p]: terms[i] for p, i in zip(own, at)}), d.atoms[slot])
                 keys[slot][at] = k = sat.atom_key(atom)
                 table[k] = atom
-    # per base clause: its gamma-variables' positions, and per literal the
-    # sign, the atom and where the atom's gamma-variables sit among them
-    plans = []
-    for c in base:
-        own = sorted({p for _, slot in c for p in atom_own[slot]})
-        plans.append((own, [
-            (s, slot, [own.index(p) for p in atom_own[slot]]) for s, slot in c
-        ]))
 
-    def ground(literals: list, images: tuple) -> frozenset:
+    def ground(literals: tuple, images: tuple) -> frozenset:
         return frozenset([
             (keys[slot][tuple([images[j] for j in picks])], s) for s, slot, picks in literals
         ])
 
     found: dict[frozenset, list[int]] = {}
     if sigmas is None:
-        for own, literals in plans:
+        for own, literals in d.plans:
             # the odometer-first member yielding an instance maps the
             # clause's other gamma-variables to the first term
             weights = [len(terms) ** (len(gamma) - 1 - p) for p in own]
@@ -331,7 +354,7 @@ def ground_clauses(
                     positions[0] = first
     else:
         for position, row in enumerate(rows):
-            for own, literals in plans:
+            for own, literals in d.plans:
                 clause = ground(literals, tuple([row[p] for p in own]))
                 positions = found.setdefault(clause, [])
                 if not positions or positions[-1] != position:
@@ -470,6 +493,8 @@ def falsifying_structure(
     p: int,
     budget: int = DEFAULT_BUDGET,
     always_lexicon: bool = False,
+    analysis: Optional[HerbrandDisjunction] = None,
+    grounding: Optional[Grounding] = None,
 ) -> Optional[FiniteStructure]:
     """When Property C of order p fails, build a finite structure over
     the term domain T_{p+m} (m the maximal term height of the Skolemized
@@ -479,24 +504,25 @@ def falsifying_structure(
     Functions are interpreted as term constructors, truncated at the
     height bound by a designated sink element (the enumeration-maximal
     term).  Predicate tables come from a DPLL model of the grounded
-    order-p clauses, over their ground atoms.
+    order-p clauses, over their ground atoms.  `grounding` gives those
+    clauses (and the model, if DPLL found one) when the caller has them
+    already; else `analysis`, f's Herbrand analysis, is grounded at
+    order p, or f is analysed afresh.
     """
     if p < 1:
         raise ValueError("the order p is a positive natural number")
-    d = herbrand_disjunction(f, p, always_lexicon)
-    clauses, atoms = ground_clauses(d, budget=budget)
-    verdict, assignment = sat.decide_negation(clauses)
-    if verdict:
-        return None
-    assert assignment is not None
+    if grounding is None:
+        d = (analysis.at_order(p, always_lexicon) if analysis is not None
+             else herbrand_disjunction(f, p, always_lexicon))
+        clauses, atoms = ground_clauses(d, budget=budget)
+        grounding = Grounding(d, clauses, atoms)
+    d, atoms, assignment = grounding.disjunction, grounding.atoms, grounding.model
+    if assignment is None:
+        verdict, assignment = sat.decide_negation(grounding.clauses)
+        if verdict:
+            return None
 
-    heights = [
-        height(t)
-        for _, g in subformulas(d.skolemized)
-        if isinstance(g, Atom)
-        for t in g.args
-    ]
-    m = max(heights, default=0)
+    m = max((height(t) for a in d.atoms for t in a.args), default=0)
     dom_champ = champ_fini(
         d.champ.signature, d.champ.variables, p + m, always_lexicon
     )
@@ -520,7 +546,7 @@ def falsifying_structure(
         pred_tables.setdefault((atom.pred.name, atom.pred.arity), {})[args] = (
             assignment.get(key, False)
         )
-    for sym in {s for s in formula_symbols(f) if s.kind == PREDICATE}:
+    for sym in {a.pred for a in d.atoms}:
         pred_tables.setdefault((sym.name, sym.arity), {})
 
     var_env = {v: v for v in dom_champ.variables}

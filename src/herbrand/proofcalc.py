@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import sat
-from .expansion import PropertyCWitness, ground_clauses, skolemized_disjunction
+from .expansion import (
+    HerbrandDisjunction,
+    PropertyCWitness,
+    ground_clauses,
+    herbrand_disjunction,
+)
 from .syntax import (
     And,
     App,
@@ -53,7 +58,7 @@ from .syntax import (
     subformulas,
     term_vars,
 )
-from .transform import _passage_once, is_delta, is_gamma, skolem_table
+from .transform import _passage_once, is_delta, is_gamma
 
 T_AXIOM = "SententialTautologyAxiom"
 MP = "ModusPonens"
@@ -425,7 +430,11 @@ def _box_term(t: Term) -> Term:
     return App(t.sym, tuple(_box_term(a) for a in t.args))
 
 
-def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
+def mp_eliminate(
+    f: Formula,
+    witness: PropertyCWitness,
+    analysis: Optional[HerbrandDisjunction] = None,
+) -> Derivation:
     """A derivation of f (up to bound renaming) from a sentential
     tautology, with no modus ponens step: tautology, then Generalized
     gamma/delta-Quantification, then Generalized gamma-Simplification.
@@ -433,12 +442,15 @@ def mp_eliminate(f: Formula, witness: PropertyCWitness) -> Derivation:
     The witness substitutions must make the matrix instances disjoin to
     a sentential tautology; any sufficient subset is accepted.
     Biconditionals are expanded first, so for inputs containing them the
-    derivation proves the expanded form.
+    derivation proves the expanded form.  `analysis`, when given, is f's
+    Herbrand analysis (`herbrand_disjunction`), whose Skolem table names
+    the delta nodes; else f is analysed here.
     """
     # as skolemize_outer(rectify(f)) reads it, so the witness names its gamma-variables
     f_work = rectify(expand_iff(rectify(f))) if _has_iff(f) else rectify(f)
-    skolemized, sk = skolem_table(f_work)
-    clauses, _ = ground_clauses(skolemized_disjunction(skolemized, 1), witness.substitutions)
+    analysis = analysis or herbrand_disjunction(f, 1)
+    sk = analysis.skolem
+    clauses, _ = ground_clauses(analysis, witness.substitutions)
     if not sat.decide_negation(clauses)[0]:
         raise WitnessError("the witness instances do not disjoin to a tautology")
     sigmas = []

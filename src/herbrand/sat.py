@@ -8,8 +8,7 @@ headed by Skolem functions need no special treatment under this reading:
 they are just part of the atom's spelling.
 
 Literals are (key, sign) pairs; a clause is a frozenset of literals and a
-ClauseSet is a set of clauses tagged with its polarity (cnf = conjunction
-of disjunctions, dnf = disjunction of conjunctions).  `_clauses`, the one
+ClauseSet is a cnf: a conjunction of such clauses.  `_clauses`, the one
 clausifier of the package, works on (sign, Atom) literals before keying,
 so `engine` and `arith` build their first-order clauses with it too.
 """
@@ -58,12 +57,7 @@ def atom_key(a: Atom) -> str:
 
 @dataclass(frozen=True)
 class ClauseSet:
-    polarity: str  # "cnf" | "dnf"
-    clauses: frozenset
-
-    def __post_init__(self):
-        if self.polarity not in ("cnf", "dnf"):
-            raise ValueError("polarity must be cnf or dnf")
+    clauses: frozenset  # of Clause, read as their conjunction
 
 
 def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
@@ -106,11 +100,9 @@ def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
     return product
 
 
-def _keyed(clauses: list[tuple], flip: bool = False) -> frozenset:
-    """The ⊆-minimal clauses over atom keys, each sign flipped if asked."""
-    return frozenset(_prune({
-        frozenset((atom_key(a), s != flip) for s, a in c) for c in clauses
-    }))
+def _keyed(clauses: list[tuple]) -> frozenset:
+    """The ⊆-minimal clauses over atom keys."""
+    return frozenset(_prune({frozenset((atom_key(a), s) for s, a in c) for c in clauses}))
 
 
 def _prune(clauses: set[Clause]) -> set[Clause]:
@@ -138,16 +130,11 @@ def _prune(clauses: set[Clause]) -> set[Clause]:
 
 
 def cnf(f: Formula) -> ClauseSet:
-    return ClauseSet("cnf", _keyed(_clauses(f, prune=True)))
-
-
-def dnf(f: Formula) -> ClauseSet:
-    # the dnf of f is the cnf of ~f with every literal negated
-    return ClauseSet("dnf", _keyed(_clauses(f, False, prune=True), flip=True))
+    return ClauseSet(_keyed(_clauses(f, prune=True)))
 
 
 def cnf_of_negation(f: Formula) -> ClauseSet:
-    return ClauseSet("cnf", _keyed(_clauses(f, False, prune=True)))
+    return ClauseSet(_keyed(_clauses(f, False, prune=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +198,6 @@ def dpll(cs: ClauseSet) -> tuple[bool, Optional[dict[str, bool]]]:
     inputs give identical models.  Atoms left unconstrained are fixed to
     False so the model is total over the input's atoms.
     """
-    if cs.polarity != "cnf":
-        raise ValueError("dpll expects cnf polarity")
     if frozenset() in cs.clauses:
         return False, None
     keys = sorted({key for c in cs.clauses for key, _ in c})
@@ -362,7 +347,7 @@ def decide_negation(
         raise ValueError(f"unknown engine {engine!r}")
     clauses = _prune(set(clauses))
     if engine == "dpll":
-        satisfiable, model = dpll(ClauseSet("cnf", frozenset(clauses)))
+        satisfiable, model = dpll(ClauseSet(frozenset(clauses)))
         return (False, model) if satisfiable else (True, None)
     path = _open_path([sorted((key, not sign) for key, sign in c) for c in clauses], budget)
     if path is None:

@@ -404,10 +404,6 @@ def formula_symbols(f: Formula) -> set[Symbol]:
     return out
 
 
-def function_symbols(f: Formula) -> set[Symbol]:
-    return {s for s in formula_symbols(f) if s.kind != PREDICATE}
-
-
 def apply(s: Subst, f: Formula) -> Formula:
     """Simultaneous substitution of free occurrences.  An atom in which no
     variable is bound comes back as the same object, like a term under
@@ -531,22 +527,6 @@ def expand_iff(f: Formula) -> Formula:
         b = expand_iff(f.right)
         return And(Implies(a, b), Implies(b, a))
     return with_children(f, tuple(expand_iff(k) for k in children(f)))
-
-
-def to_primitive(f: Formula) -> Formula:
-    """Rewrite ->, & and <-> in terms of ~ and |; quantifiers stay."""
-    f = expand_iff(f)
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, Implies):
-            return Or(Not(go(g.left)), go(g.right))
-        if isinstance(g, And):
-            return Not(Or(Not(go(g.left)), Not(go(g.right))))
-        return with_children(g, tuple(go(k) for k in children(g)))
-
-    return go(f)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +771,7 @@ class _Parser:
             f = self.formula(bound)
             self.expect(")")
             return f
-        if t.kind in ("ident", "zero"):
+        if t.kind in ("ident", "zero", "boxed"):
             lhs, head = self.term(bound, allow_predicate=True)
             op = self.peek().text
             if op in ("=", "!="):

@@ -213,13 +213,6 @@ def to_antiprenex(f: Formula) -> Formula:
     return _passage_loop(f, ANTIPRENEX)
 
 
-def is_prenex(f: Formula) -> bool:
-    g = f
-    while isinstance(g, QUANT):
-        g = g.body
-    return all(not isinstance(sub, QUANT) for _, sub in subformulas(g))
-
-
 # ---------------------------------------------------------------------------
 # Skolemized forms
 
@@ -274,21 +267,15 @@ def _skolemize(f: Formula, inner: bool, table: Optional[dict] = None) -> Formula
     return go(f, 1, (), Subst())
 
 
-def skolem_table(f: Formula) -> tuple[Formula, dict]:
-    """The outer Skolemized form of a rectified, biconditional free
-    formula, from one pass, with a map from each of its delta-bound
-    variables to the (Skolem symbol, gamma-argument names) that
-    skolemize_outer assigns it."""
-    table: dict = {}
-    return _skolemize(f, inner=False, table=table), table
-
-
-def skolemize_outer(f: Formula) -> Formula:
+def skolemize_outer(f: Formula, table: Optional[dict] = None) -> Formula:
     """Remove every delta-quantifier, replacing its bound variable x by
     x*(y1..ym) where y1..ym are all enclosing gamma-variables in left to
     right binding order.  Gamma-quantifiers are untouched.
+
+    A `table` given is filled in the same pass: each delta-bound
+    variable maps to its (Skolem symbol, gamma-argument names).
     """
-    return _skolemize(f, inner=False)
+    return _skolemize(f, inner=False, table=table)
 
 
 def skolemize_inner(f: Formula) -> Formula:

@@ -8,8 +8,7 @@ import time
 
 import pytest
 
-from herbrand import sat
-from herbrand.arith import decide, eval_nat, formula_size, s_term
+from herbrand.arith import decide, formula_size, s_term
 from herbrand.engine import (
     minimize_witness,
     prove_dp,
@@ -65,7 +64,7 @@ from herbrand.syntax import (
 )
 from herbrand.transform import classify, passage, skolemize_outer
 
-from util import random_structure, random_term
+from util import dnf, eval_nat, random_structure, random_term
 
 RUNNING_EXAMPLE = (
     "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
@@ -130,7 +129,7 @@ def test_criterion_1_running_example_reproduction():
     assert verdict is True
     d = herbrand_disjunction(A, 4)
     disjunction = Or(d.instance(s1), d.instance(s2))
-    assert sat.dnf(disjunction).clauses == expected_dnf_set_c()
+    assert dnf(disjunction).clauses == expected_dnf_set_c()
 
     # (c) minimal instance count at order 4 is exactly two
     assert herbrand_complexity(A, 4, 3) == 2
@@ -224,9 +223,9 @@ def test_criterion_4_membership_and_soundness():
         return with_children(g, tuple(box_formula(k) for k in children(g)))
 
     instance_dnfs = [
-        sat.dnf(box_formula(d.instance(s))).clauses for s in (s1, s2)
+        dnf(box_formula(d.instance(s))).clauses for s in (s1, s2)
     ]
-    start_dnf = sat.dnf(derivation.steps[0].formula).clauses
+    start_dnf = dnf(derivation.steps[0].formula).clauses
     for conjunct in start_dnf:
         assert any(conjunct in clauses for clauses in instance_dnfs)
 

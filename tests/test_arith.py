@@ -11,7 +11,6 @@ from herbrand.arith import (
     axiom,
     decide,
     eliminate_quantifiers,
-    eval_nat,
     formula_size,
     qf_normal_form,
     s_term,
@@ -31,7 +30,7 @@ from herbrand.syntax import (
     print_formula,
 )
 
-from util import eval_standard
+from util import eval_nat, eval_standard, induction_instance
 
 
 def test_quantifier_elimination_examples():
@@ -124,10 +123,6 @@ def test_eval_nat_fixes_flat_bound_blind_spot():
 
 
 def test_induction_instances_are_derivable():
-    from herbrand.arith import induction_instance
-    from herbrand.syntax import Var, App
-    from herbrand.arith import S
-
     p = parse("x != S(x)", frees={"x"})
     inst = induction_instance(p, "x")
     assert decide(inst) == "derivable"

@@ -298,9 +298,9 @@ def test_proof_out_minimizes_the_witness_once(tmp_path, capsys, monkeypatch, met
     calls = []
     minimize = engine.minimize_witness
 
-    def counted(f, sigmas):
+    def counted(f, sigmas, *rest):
         calls.append(len(sigmas))
-        return minimize(f, sigmas)
+        return minimize(f, sigmas, *rest)
 
     monkeypatch.setattr(engine, "minimize_witness", counted)
     path = write_problem(tmp_path, "formula: (?x. P(x)) | ~(?y. P(y))\n")
@@ -487,3 +487,100 @@ def test_complexity_search_runs_under_the_default_recursion_limit(tmp_path, caps
     path = write_problem(tmp_path, COMPLEXITY_ELEVEN)
     code, out, err = run(capsys, ["complexity", path, "-n", "2", "--max-instances", "3"])
     assert (code, out, err) == (1, "complexity: none\n", "")
+
+
+def test_proof_of_an_equation_on_a_boxed_variable_checks(tmp_path, capsys):
+    # the derivation writes the equation `[y_star] = a`, and `check`
+    # must read it back
+    path = write_problem(tmp_path, "formula: (?x. x = a) | ~(?y. y = a)\n")
+    drv = str(tmp_path / "eq.drv")
+    code, _, _ = run(capsys, ["prove", path, "--proof-out", drv])
+    assert code == 0
+    with open(drv, encoding="utf-8") as handle:
+        assert "[y_star] = a | [y_star] != a" in handle.read()
+    code, out, err = run(capsys, ["check", drv])
+    assert (code, err) == (0, "") and out.startswith("ok\n")
+
+
+# ---------------------------------------------------------------------------
+# one Herbrand analysis per prove request
+
+
+def _counted(monkeypatch, module, name):
+    """Calls of `module.name`, counted at every module attribute of the
+    package bound to it (the modules import each other's functions by
+    name)."""
+    import sys
+
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in [m for n, m in list(sys.modules.items()) if n.startswith("herbrand")]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+DRINKER = "formula: ?x. (P(x) -> (!y. P(y)))\n"
+
+
+@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution"])
+@pytest.mark.parametrize("text, flags, code", [
+    pytest.param(DRINKER, [], 0, id="proved"),
+    pytest.param(DRINKER, ["--proof-out", "proof.drv"], 0, id="proof-out"),
+    pytest.param(SCALING, ["--max-order", "2"], 1, id="gave-up"),
+    pytest.param(SCALING, ["--max-order", "3", "--budget", "100"], 1, id="budget"),
+])
+def test_one_skolemization_per_prove_request(
+    tmp_path, capsys, monkeypatch, method, text, flags, code
+):
+    from herbrand import transform
+
+    monkeypatch.chdir(tmp_path)
+    path = write_problem(tmp_path, text)
+    calls = _counted(monkeypatch, transform, "_skolemize")
+    got, out, _ = run(capsys, ["prove", path, "--method", method, *flags])
+    assert got == code
+    if "--budget" in flags and method != "resolution":
+        assert "budget is 100" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("?x. P(x)", id="lexicon-only"),
+    pytest.param("?x,y,z. (P(f(x),g(y)) & ~P(z,z))", id="scaling"),
+])
+@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution"])
+@pytest.mark.parametrize("lexicon", [False, True])
+def test_gave_up_structure_is_the_one_computed_afresh(
+    tmp_path, capsys, text, method, lexicon
+):
+    from herbrand.expansion import dump_structure, falsifying_structure
+    from herbrand.syntax import parse
+
+    path = write_problem(tmp_path, f"formula: {text}\n")
+    flags = ["--always-lexicon"] if lexicon else []
+    code, out, _ = run(capsys, ["prove", path, "--method", method, "--max-order", "2", *flags])
+    fresh = falsifying_structure(parse(text), 2, always_lexicon=lexicon)
+    assert code == 1 and out.endswith("falsifying-structure: \n" + dump_structure(fresh))
+
+
+@pytest.mark.parametrize("method, decisions", [("dp", 3), ("gilmore", 1)])
+def test_gave_up_reads_the_structure_off_the_last_order(
+    tmp_path, capsys, monkeypatch, method, decisions
+):
+    # each order is grounded once; dp's structure comes from the model
+    # its last order's DPLL call found, gilmore's from one DPLL call on
+    # the clauses its last order grounded
+    from herbrand import expansion, sat
+
+    path = write_problem(tmp_path, SCALING)
+    groundings = _counted(monkeypatch, expansion, "ground_clauses")
+    dpll_calls = _counted(monkeypatch, sat, "dpll")
+    code, out, _ = run(capsys, ["prove", path, "--method", method, "--max-order", "3"])
+    assert code == 1 and "falsifying-structure: \ndomain: " in out
+    assert (len(groundings), len(dpll_calls)) == (3, decisions)

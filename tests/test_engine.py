@@ -669,9 +669,9 @@ def test_minimize_witness_skolemizes_once(monkeypatch):
     calls = []
     skolemize = expansion.skolemize_outer
 
-    def counted(g):
+    def counted(g, *rest):
         calls.append(g)
-        return skolemize(g)
+        return skolemize(g, *rest)
 
     monkeypatch.setattr(expansion, "skolemize_outer", counted)
     assert minimize_witness(f, witness) == tuple(kept)
@@ -706,6 +706,91 @@ def test_first_producer_cover_minimizes_like_the_family():
         orders.add(r.order)
         shrunk += len(cover) < len(family)
     assert orders == {1, 2, 3}
+
+
+# the greedy pruning that minimize_witness made before deletion by
+# bisection, kept as the reference: drop entries one at a time, last
+# first, and sweep again until none goes
+
+
+def _reference_minimize(f, sigmas):
+    clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
+    verdict, _ = sat.decide_negation(clauses)
+    if not verdict:
+        return ()
+    kept = list(range(len(sigmas)))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept) - 1, -1, -1):
+            if len(kept) == 1:
+                break
+            trial = kept[:i] + kept[i + 1:]
+            members = set(trial)
+            verdict, _ = sat.decide_negation(
+                c for c, positions in clauses.items() if not members.isdisjoint(positions)
+            )
+            if verdict:
+                kept = trial
+                changed = True
+    return tuple(sigmas[p] for p in kept)
+
+
+def test_minimization_matches_the_greedy_reference():
+    from util import CONST_A, FUN_F, random_formula
+    from herbrand.syntax import rectify
+
+    # a prover's witness among random members of the order-3 family,
+    # shuffled; a quarter of the families are cut short, so that some
+    # do not verify
+    rng = random.Random(4242)
+    families = pruned = 0
+    while families < 200:
+        f = rectify(random_formula(rng, rng.randrange(2, 6), [], funcs=(CONST_A, FUN_F)))
+        d = herbrand_disjunction(f, 3)
+        if not d.gamma_vars:
+            continue
+        r = prove_dp(f, 3, budget=200)
+        if not r.found:
+            continue
+        family = list(r.witness) + [d.member(rng.randrange(d.count)) for _ in range(rng.randrange(12))]
+        rng.shuffle(family)
+        if rng.random() < 0.25:
+            family = family[:rng.randrange(1, len(family) + 1)]
+        got = minimize_witness(f, family)
+        assert got == _reference_minimize(f, family), print_formula(f)
+        families += 1
+        pruned += 0 < len(got) < len(family)
+    assert pruned >= 150
+
+
+def _count_decisions(monkeypatch):
+    calls = []
+    dpll = sat.dpll
+
+    def counted(cs):
+        calls.append(len(cs.clauses))
+        return dpll(cs)
+
+    monkeypatch.setattr(sat, "dpll", counted)
+    return calls
+
+
+def test_minimization_decides_few_families(monkeypatch):
+    # the two-goal variant's order-3 cover has 256 entries, of which two
+    # are kept; dropping one entry at a time took 259 decisions
+    f = parse(
+        "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+        " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+        " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))"
+    )
+    cover = prove_dp(f, 3).witness
+    calls = _count_decisions(monkeypatch)
+    want = _reference_minimize(f, cover)
+    assert len(cover) == 256 and len(want) == 2 and len(calls) == 259
+    calls.clear()
+    assert minimize_witness(f, cover) == want
+    assert len(calls) <= 20
 
 
 def test_find_tautological_instances_respects_order():
@@ -830,9 +915,9 @@ def test_prove_dp_skolemizes_once(monkeypatch):
     calls = []
     skolemize = expansion.skolemize_outer
 
-    def counted(g):
+    def counted(g, *rest):
         calls.append(g)
-        return skolemize(g)
+        return skolemize(g, *rest)
 
     monkeypatch.setattr(expansion, "skolemize_outer", counted)
     proved = prove_dp(parse("?x. (P(x) -> (!y. P(y)))"), 3)

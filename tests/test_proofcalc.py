@@ -42,7 +42,7 @@ from herbrand.syntax import (
     rectify,
 )
 
-from util import random_formula, random_structure
+from util import dnf, random_formula, random_structure
 
 HERE = os.path.dirname(__file__)
 
@@ -360,7 +360,6 @@ def test_mp_eliminate_starting_tautology_is_instance_dnf_reordering():
     # every conjunct of the starting formula's DNF matches a conjunct of
     # some recorded instance's DNF, after reading Skolem-headed terms as
     # atoms; the full disjunction is never materialized
-    from herbrand import sat
     from herbrand.proofcalc import _box_term
     from herbrand.syntax import Atom, children, with_children
 
@@ -373,10 +372,10 @@ def test_mp_eliminate_starting_tautology_is_instance_dnf_reordering():
     d = mp_eliminate(A, w)
     t0 = d.steps[0].formula
     instance_dnfs = [
-        sat.dnf(box_formula(herbrand_disjunction(A, 4).instance(s))).clauses
+        dnf(box_formula(herbrand_disjunction(A, 4).instance(s))).clauses
         for s in w.substitutions
     ]
-    for conjunct in sat.dnf(t0).clauses:
+    for conjunct in dnf(t0).clauses:
         assert any(conjunct in clauses for clauses in instance_dnfs)
 
 

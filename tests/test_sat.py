@@ -17,13 +17,12 @@ from herbrand.sat import (
     atom_key,
     cnf,
     cnf_of_negation,
-    dnf,
     dpll,
     is_tautology,
 )
 from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
 
-from util import random_qf, reference_nnf, truth_table_tautology
+from util import dnf, random_qf, reference_nnf, truth_table_tautology
 
 
 def qf(rng):
@@ -173,11 +172,9 @@ def test_open_path_is_bounded_by_the_budget_not_the_stack():
 
 
 def test_dpll_examples():
-    unsat = ClauseSet(
-        "cnf", frozenset([frozenset([("p", True)]), frozenset([("p", False)])])
-    )
+    unsat = ClauseSet(frozenset([frozenset([("p", True)]), frozenset([("p", False)])]))
     assert dpll(unsat) == (False, None)
-    assert dpll(ClauseSet("cnf", frozenset())) == (True, {})
+    assert dpll(ClauseSet(frozenset())) == (True, {})
 
 
 def test_dpll_model_satisfies_clauses():
@@ -249,9 +246,9 @@ def test_clause_sets_prune_every_product(monkeypatch):
     keyed = sat._keyed
     sizes = []
 
-    def recorded(clauses, flip=False):
+    def recorded(clauses):
         sizes.append(len(clauses))
-        return keyed(clauses, flip)
+        return keyed(clauses)
 
     monkeypatch.setattr(sat, "_keyed", recorded)
     for run in (cnf, dnf, cnf_of_negation):
@@ -401,7 +398,7 @@ _key_literals = st.tuples(st.sampled_from(_KEYS), st.booleans())
 def test_dpll_matches_the_copying_reference(clauses):
     # the empty clause, tautological clauses {p, ~p}, conflicting and
     # shared units and pure literals all occur among the drawn sets
-    cs = ClauseSet("cnf", frozenset(clauses))
+    cs = ClauseSet(frozenset(clauses))
     assert dpll(cs) == _reference_dpll(cs)
 
 
@@ -415,7 +412,7 @@ def test_dpll_matches_the_copying_reference_on_larger_sets():
             frozenset((rng.choice(keys), rng.random() < 0.5) for _ in range(rng.choice((2, 3, 3, 4))))
             for _ in range(rng.randrange(60, 200))
         )
-        cs = ClauseSet("cnf", clauses)
+        cs = ClauseSet(clauses)
         got = dpll(cs)
         assert got == _reference_dpll(cs)
         outcomes.add(got[0])
@@ -439,5 +436,5 @@ def test_dpll_matches_the_copying_reference_on_larger_sets():
     ],
 )
 def test_dpll_models(clauses, expected):
-    cs = ClauseSet("cnf", frozenset(frozenset(c) for c in clauses))
+    cs = ClauseSet(frozenset(frozenset(c) for c in clauses))
     assert dpll(cs) == _reference_dpll(cs) == expected

@@ -93,7 +93,7 @@ class _TwoPassParser(_Parser):
             f = self.formula(bound)
             self.expect(")")
             return f
-        if t.kind in ("ident", "zero"):
+        if t.kind in ("ident", "zero", "boxed"):
             term, head = self.term(bound, allow_predicate=True)
             nxt = self.peek().text
             if nxt == "=":
@@ -212,9 +212,7 @@ def _random_parse_input(rng: random.Random):
     def term(depth=0):
         r = rng.random()
         if depth > 3 or r < 0.35:
-            # a boxed name cannot begin a formula, so only an argument is one
-            boxed = ["[m_star(a, b)]"] if depth else []
-            return rng.choice(bound + boxed + ["z", LEXICON, "0", "a"])
+            return rng.choice(bound + ["[m_star(a, b)]", "z", LEXICON, "0", "a"])
         if r < 0.37:
             return application(_PREDICATES, depth)  # a predicate where a term goes
         return application(_FUNCTIONS, depth)
@@ -434,6 +432,12 @@ def test_boxed_variable_round_trip():
               frees={"x"})
     assert isinstance(f, Exists) and f.var == "m_star(v_star, w_star)"
     assert parse(print_formula(f), frees={"x"}) == f
+    # a boxed variable may begin an equation, as derivations print them
+    g = parse("[y_star] = a | [y_star] != a")
+    assert print_formula(g) == "[y_star] = a | [y_star] != a"
+    assert parse(print_formula(g)) == g
+    with pytest.raises(SyntaxError_, match="a variable is not a formula"):
+        parse("[y_star] | P(a)")
 
 
 def test_reimported_package_is_released():

@@ -18,7 +18,6 @@ from herbrand.transform import (
     GuardError,
     PassageError,
     classify,
-    is_prenex,
     passage,
     relativize,
     skolemize_inner,
@@ -27,7 +26,7 @@ from herbrand.transform import (
     to_prenex,
 )
 
-from util import all_structures, random_formula
+from util import all_structures, is_prenex, random_formula, to_primitive
 
 
 def test_classify_table():
@@ -132,8 +131,6 @@ def test_prenex_examples():
 
 def test_prenex_shape_on_corpus():
     rng = random.Random(55)
-    from herbrand.syntax import to_primitive
-
     for _ in range(150):
         f = rectify(to_primitive(random_formula(rng, rng.randrange(1, 4), [])))
         assert is_prenex(to_prenex(f))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from herbrand.arith import peel
+from herbrand import sat
+from herbrand.arith import S, ZERO, peel, validate
 from herbrand.expansion import FiniteStructure
 from herbrand.sat import atom_key
 from herbrand.syntax import (
@@ -20,13 +21,19 @@ from herbrand.syntax import (
     Not,
     Or,
     PREDICATE,
+    QUANT,
+    Subst,
     Symbol,
     Term,
     Var,
+    apply,
     children,
+    expand_iff,
     formula_symbols,
     free_vars,
     parse,
+    subformulas,
+    with_children,
 )
 
 P1 = Symbol("P", 1, PREDICATE)
@@ -175,7 +182,7 @@ def truth_table_tautology(f: Formula) -> bool:
 def eval_standard(f: Formula, bound: int, env: dict | None = None) -> bool:
     """Truth of a 0/S/= formula over the naturals with every quantifier
     bounded by 0..bound: a flat-bound oracle, blind to witnesses above
-    the bound (see `arith.eval_nat` for the exact evaluator)."""
+    the bound (see `eval_nat` for the exact evaluator)."""
 
     def term_value(t: Term, e: dict) -> int:
         k, base = peel(t)
@@ -286,3 +293,100 @@ def all_structures(f: Formula, size: int):
                     },
                     dict(env),
                 )
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests use
+
+
+def dnf(f: Formula) -> sat.ClauseSet:
+    """The dnf of a quantifier-free formula, its clauses read as
+    conjunctions: the cnf of ~f with every literal negated."""
+    return sat.ClauseSet(frozenset(
+        frozenset((key, not sign) for key, sign in c) for c in sat.cnf_of_negation(f).clauses
+    ))
+
+
+def is_prenex(f: Formula) -> bool:
+    g = f
+    while isinstance(g, QUANT):
+        g = g.body
+    return all(not isinstance(sub, QUANT) for _, sub in subformulas(g))
+
+
+def to_primitive(f: Formula) -> Formula:
+    """Rewrite ->, & and <-> in terms of ~ and |; quantifiers stay."""
+    f = expand_iff(f)
+
+    def go(g: Formula) -> Formula:
+        if isinstance(g, Atom):
+            return g
+        if isinstance(g, Implies):
+            return Or(Not(go(g.left)), go(g.right))
+        if isinstance(g, And):
+            return Not(Or(Not(go(g.left)), Not(go(g.right))))
+        return with_children(g, tuple(go(k) for k in children(g)))
+
+    return go(f)
+
+
+def induction_instance(body: Formula, var: str) -> Formula:
+    """The structural-induction scheme instantiated with a
+    quantifier-free formula: body(0) and every step implies all of body.
+    """
+    validate(body)
+    for _, g in subformulas(body):
+        if isinstance(g, QUANT):
+            raise ValueError("the scheme takes a quantifier-free formula")
+    base = apply(Subst({var: App(ZERO)}), body)
+    fresh = "y" if var != "y" else "y0"
+    stepped = apply(Subst({var: App(S, (Var(fresh),))}), body)
+    hypothesis = apply(Subst({var: Var(fresh)}), body)
+    step = Forall(fresh, Implies(hypothesis, stepped))
+    return Implies(And(base, step), Forall(var, body))
+
+
+def eval_nat(f: Formula, slack: int = 0, env: dict | None = None) -> bool:
+    """Exact truth over the naturals by bounded evaluation with
+    value-relative quantifier ranges.
+
+    A flat bound on every quantifier cannot decide this theory (for
+    every B, `!x. ?y. y = S(x)` fails at x = B although it holds on the
+    naturals).  Instead each quantifier ranges up to max(values in the
+    environment, offsets in the formula) + delta, where delta exceeds
+    every successor offset: any larger witness is indistinguishable from
+    that one, so the evaluation is a decision procedure.  `slack` widens
+    every range, which lets tests validate stability.
+    """
+    validate(f)
+    delta = 1 + max(
+        (peel(t)[0] for _, g in subformulas(f) if isinstance(g, Atom) for t in g.args),
+        default=0,
+    )
+
+    def go(g: Formula, e: dict) -> bool:
+        if isinstance(g, Atom):
+            return _value(g.args[0], e) == _value(g.args[1], e)
+        if isinstance(g, Not):
+            return not go(g.body, e)
+        if isinstance(g, And):
+            return go(g.left, e) and go(g.right, e)
+        if isinstance(g, Or):
+            return go(g.left, e) or go(g.right, e)
+        if isinstance(g, Implies):
+            return (not go(g.left, e)) or go(g.right, e)
+        if isinstance(g, Iff):
+            return go(g.left, e) == go(g.right, e)
+        if isinstance(g, (Forall, Exists)):
+            top = max([delta] + list(e.values())) + delta + slack
+            values = range(top + 1)
+            if isinstance(g, Forall):
+                return all(go(g.body, {**e, g.var: v}) for v in values)
+            return any(go(g.body, {**e, g.var: v}) for v in values)
+        raise TypeError(f"not a formula: {g!r}")
+
+    def _value(t: Term, e: dict) -> int:
+        k, base = peel(t)
+        return k if base is None else k + e[base]
+
+    return go(f, dict(env or {}))

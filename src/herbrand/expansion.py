@@ -404,7 +404,8 @@ def herbrand_complexity(
     T_n disjoin to a sentential tautology; None when no k suffices.
 
     Candidate instance families come from a unification-guided search
-    (engine module); each candidate is verified by check_instances.
+    (engine module); each candidate is verified on the order-n analysis,
+    without Skolemizing again.
     """
     from .engine import find_tautological_instances
 
@@ -414,7 +415,8 @@ def herbrand_complexity(
     for k in range(1, k_max + 1):
         found = find_tautological_instances(d, k, budget)
         if found is not None:
-            verdict, _ = check_instances(f, found)
+            clauses, _ = ground_clauses(d, found)
+            verdict, _ = sat.decide_negation(clauses)
             if not verdict:
                 raise AssertionError("candidate witness failed verification")
             return k

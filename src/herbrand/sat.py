@@ -45,14 +45,10 @@ class BudgetExceededError(Exception):
     """The instance budget was hit; explicitly not a verdict."""
 
 
-_ATOM_KEYS: dict = {}
-
-
 def atom_key(a: Atom) -> str:
-    key = _ATOM_KEYS.get(a)
-    if key is None:
-        key = _ATOM_KEYS[a] = print_formula(a)
-    return key
+    """The propositional variable of an atom: its printed form.  Nothing
+    is kept between calls; `ground_clauses` keys each ground atom once."""
+    return print_formula(a)
 
 
 @dataclass(frozen=True)

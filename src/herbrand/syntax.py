@@ -684,6 +684,11 @@ class _Parser:
         t = self.peek()
         return SyntaxError_(msg, t.line, t.col)
 
+    def end(self) -> None:
+        t = self.peek()
+        if t.kind != "eof":
+            raise SyntaxError_(f"unexpected trailing input {t.text!r}", t.line, t.col)
+
     def lookup(self, name: str, arity: int, kind: str) -> Symbol:
         sk = _skolem_symbol_for(name, arity)
         if sk is not None and kind != PREDICATE:
@@ -827,15 +832,22 @@ def parse(text: str, frees: Optional[set[str]] = None) -> Formula:
 
     `frees` declares which bare identifiers denote free variables.  The
     lexicon `l` cannot be declared: it is always a variable.
+
+    The descent recurses once per level of nesting (per parenthesis,
+    `~`, quantifier, right-nested `->` or `<->`, and term argument), so
+    input nested deeper than the interpreter's recursion limit allows is
+    a SyntaxError_ at the token where the descent stopped, not a
+    RecursionError; `parse_term` does the same.
     """
     frees = set(frees or ())
     if LEXICON in frees:
         raise ValueError(f"the lexicon {LEXICON!r} is reserved and cannot be declared")
     p = _Parser(text, frozenset(frees))
-    f = p.formula(frozenset())
-    t = p.peek()
-    if t.kind != "eof":
-        raise SyntaxError_(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    try:
+        f = p.formula(frozenset())
+    except RecursionError:
+        raise p.error("nested too deeply") from None
+    p.end()
     return f
 
 
@@ -843,8 +855,9 @@ def parse_term(text: str, frees: Optional[set[str]] = None) -> Term:
     """Parse a single term under the same identifier conventions."""
     frees = set(frees or ())
     p = _Parser(text, frozenset(frees))
-    t, _ = p.term(frozenset())
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    try:
+        t, _ = p.term(frozenset())
+    except RecursionError:
+        raise p.error("nested too deeply") from None
+    p.end()
     return t

@@ -142,6 +142,26 @@ def test_complexity_command(tmp_path, capsys):
     assert code == 1 and "complexity: none" in out
 
 
+@pytest.mark.parametrize("argv, problem", [
+    pytest.param(["arith", "decide", "S(" * 1200 + "0" + ")" * 1200 + " = 0"], None, id="term"),
+    pytest.param(["prove"], "formula: " + "(" * 300 + "P(a)" + ")" * 300 + "\n", id="parentheses"),
+])
+def test_input_nested_too_deeply_is_an_error(tmp_path, capsys, argv, problem):
+    if problem is not None:
+        argv = argv + [write_problem(tmp_path, problem)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nested too deeply (line 1, col ")
+
+
+def test_nesting_within_the_recursion_limit_still_parses(tmp_path, capsys):
+    code, out, _ = run(capsys, ["arith", "decide", "S(" * 400 + "0" + ")" * 400 + " != 0"])
+    assert (code, out) == (0, "derivable\n")
+    path = write_problem(tmp_path, "formula: " + "(" * 100 + "P(a) | ~P(a)" + ")" * 100 + "\n")
+    code, out, _ = run(capsys, ["prove", path])
+    assert code == 0 and "verdict: proof-found" in out
+
+
 def test_unify_command(capsys):
     code, out, _ = run(
         capsys,
@@ -548,6 +568,76 @@ def test_one_skolemization_per_prove_request(
     if "--budget" in flags and method != "resolution":
         assert "budget is 100" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, complexity", [
+    pytest.param("formula: (?x. P(x)) | ~(?y. P(y))\n", "1", id="one"),
+    pytest.param(DRINKER, "2", id="drinker"),
+    pytest.param(SCALING, "none", id="none"),
+])
+def test_one_skolemization_per_complexity_request(
+    tmp_path, capsys, monkeypatch, text, complexity
+):
+    # each candidate is verified on the order-n analysis the search ran on
+    from herbrand import transform
+
+    path = write_problem(tmp_path, text)
+    calls = _counted(monkeypatch, transform, "_skolemize")
+    _, out, _ = run(capsys, ["complexity", path, "-n", "3"])
+    assert out == f"complexity: {complexity}\n"
+    assert len(calls) == 1
+
+
+RENAMED_VALID = [
+    "{P}({c}) | ~{P}({c})",
+    "(?x. {P}(x)) | ~(?y. {P}(y))",
+    "(!x. {P}(x)) -> {P}({c})",
+    "?x. ({P}(x) -> (!y. {P}(y)))",
+    "(!x. ({P}(x) -> {Q}(x))) & {P}({c}) -> {Q}({c})",
+    "{P}({c}) -> (?x. {P}(x))",
+    "(!x. {P}(x)) | ~(!y. {P}(y))",
+    "((?x. {P}(x)) & (!y. {Q}(y))) | ~(?x. {P}(x)) | ~(!y. {Q}(y))",
+    "(!x. ({P}(x) & {Q}(x))) -> (!y. {P}(y))",
+    "(?x. ({P}(x) | {Q}(x))) | ~(?y. {P}(y))",
+]
+
+
+def test_prove_requests_keep_nothing_between_them(tmp_path):
+    # every atom a request keys, with its term tree, is garbage once the
+    # request returns: the memory retained after 60 more requests on
+    # fresh names stays within a fixed slack
+    import contextlib
+    import gc
+    import io
+    import sys
+    import tracemalloc
+
+    paths = [
+        write_problem(tmp_path, "formula: " + RENAMED_VALID[i % len(RENAMED_VALID)].format(
+            P=f"P{i}", Q=f"Q{i}", c=f"c{i}") + "\n", f"p{i}.prob")
+        for i in range(90)
+    ]
+    # the interpreter's attribute cache holds recently looked-up names, a
+    # bounded table that is not the program's; its frame caches (Python
+    # 3.10 keeps about 11 KB more over these requests) are the slack
+    clear_caches = getattr(sys, "_clear_internal_caches", None) or sys._clear_type_cache
+
+    def retained() -> int:
+        clear_caches()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        for i, path in enumerate(paths):
+            if i == 30:  # every template under every method has run
+                before = retained()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["prove", path, "--method", ("dp", "gilmore", "resolution")[i % 3]]) == 0
+        growth = retained() - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 32_000
 
 
 @pytest.mark.parametrize("text", [

@@ -379,10 +379,13 @@ def test_mp_eliminate_starting_tautology_is_instance_dnf_reordering():
         assert any(conjunct in clauses for clauses in instance_dnfs)
 
 
+def read_data(name: str) -> str:
+    with open(os.path.join(HERE, "data", name), "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def test_golden_derivation_file():
-    path = os.path.join(HERE, "data", "running_example.drv")
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_data("running_example.drv")
     d, _ = load_derivation(text)
     assert check(d) is None
     assert count_rule(d, MP) == 0
@@ -451,6 +454,7 @@ def test_mp_eliminate_three_fold_multiplicity():
     assert check(d) is None
     assert count_rule(d, GEN_GAMMA_SIMP) == 2
     assert alpha_eq(d.final, rectify(f))
+    assert dump_derivation(d) == read_data("three_fold_multiplicity.drv")
 
 
 def test_mp_eliminate_merges_below_a_quantifier():
@@ -474,6 +478,7 @@ def test_mp_eliminate_merges_below_a_quantifier():
     simp = next(s for s in d.steps if s.rule == GEN_GAMMA_SIMP)
     assert simp.at != ()  # the merge happens inside the delta binder
     assert alpha_eq(d.final, rectify(f))
+    assert dump_derivation(d) == read_data("merge_below_quantifier.drv")
 
 
 def test_mp_eliminate_random_valid_corpus():

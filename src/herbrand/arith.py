@@ -375,16 +375,3 @@ def axiom(tag: str) -> Formula:
         if k >= 4:
             return Forall("x", Not(eq(s_term(k - 3, "x"), x)))
     raise ValueError(f"unknown axiom tag {tag!r}")
-
-
-def formula_size(f: Formula) -> int:
-    """Node count of the formula tree including term nodes."""
-
-    def term_nodes(t: Term) -> int:
-        if isinstance(t, Var):
-            return 1
-        return 1 + sum(term_nodes(a) for a in t.args)
-
-    if isinstance(f, Atom):
-        return 1 + sum(term_nodes(t) for t in f.args)
-    return 1 + sum(formula_size(k) for k in children(f))

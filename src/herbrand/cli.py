@@ -754,16 +754,9 @@ def main(argv=None) -> int:
         args.max_order = args.order
     try:
         return args.fn(args)
-    except (SyntaxError_, ArityMismatchError, ProblemError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (arith_mod.NotArithmeticError, arith_mod.FreeVariableError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except expansion.UninterpretedSymbolError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as e:
+    except (SyntaxError_, ArityMismatchError, ProblemError,
+            arith_mod.NotArithmeticError, arith_mod.FreeVariableError,
+            expansion.UninterpretedSymbolError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:

@@ -437,7 +437,9 @@ def prove_resolution(
     # spelling, neither renaming apart nor unification moves them; the
     # witness thaws them
     rigid = free_vars(d.matrix) - set(gamma)
-    matrix = apply(Subst({v: App(Symbol(v, 0)) for v in rigid}), d.matrix)
+    matrix = d.matrix
+    if rigid:  # apply walks the whole matrix even with nothing to bind
+        matrix = apply(Subst({v: App(Symbol(v, 0)) for v in rigid}), matrix)
     initial = [
         Clause(c, index=i)
         for i, c in enumerate(formula_clauses(Not(matrix)))

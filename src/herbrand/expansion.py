@@ -156,6 +156,8 @@ def strip_gamma_quantifiers(f: Formula) -> tuple[Formula, list[str]]:
     def go(g: Formula) -> Formula:
         if isinstance(g, Atom):
             return g
+        if isinstance(g, Not):  # one frame per level, so deep negations fit
+            return Not(go(g.body))
         if isinstance(g, QUANT):
             order.append(g.var)
             return go(g.body)

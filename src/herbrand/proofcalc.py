@@ -31,7 +31,6 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
@@ -44,7 +43,6 @@ from .syntax import (
     apply,
     bound_vars,
     children,
-    expand_iff,
     formula_symbols,
     free_vars,
     parse,
@@ -58,7 +56,7 @@ from .syntax import (
     subformulas,
     term_vars,
 )
-from .transform import _passage_once, is_delta, is_gamma
+from .transform import _passage_once, iff_expanded, is_delta, is_gamma
 
 T_AXIOM = "SententialTautologyAxiom"
 MP = "ModusPonens"
@@ -446,17 +444,13 @@ def mp_eliminate(
     Herbrand analysis (`herbrand_disjunction`), whose Skolem table names
     the delta nodes; else f is analysed here.
     """
-    # as skolemize_outer(rectify(f)) reads it, so the witness names its gamma-variables
-    f_work = rectify(expand_iff(rectify(f))) if _has_iff(f) else rectify(f)
+    f_work = iff_expanded(rectify(f))
     analysis = analysis or herbrand_disjunction(f, 1)
     sk = analysis.skolem
     clauses, _ = ground_clauses(analysis, witness.substitutions)
     if not sat.decide_negation(clauses)[0]:
         raise WitnessError("the witness instances do not disjoin to a tautology")
-    sigmas = []
-    for s in witness.substitutions:
-        if s not in sigmas:
-            sigmas.append(s)
+    sigmas = list(dict.fromkeys(witness.substitutions))
 
     used_names = set(bound_vars(f_work)) | free_vars(f_work)
     used_names |= {s.name for s in formula_symbols(f_work)}
@@ -486,22 +480,17 @@ def mp_eliminate(
                     preorder=next(preorder),
                 )
                 if g.var in free_vars(g.body):
-                    grouped: list[tuple[Term, list]] = []
+                    grouped: dict[Term, list] = {}
                     for s in subs:
                         value = s.get(g.var)
                         if value is None:
                             raise WitnessError(
                                 f"witness substitution misses gamma-variable {g.var}"
                             )
-                        for seen_value, bucket in grouped:
-                            if seen_value == value:
-                                bucket.append(s)
-                                break
-                        else:
-                            grouped.append((value, [s]))
+                        grouped.setdefault(value, []).append(s)
                 else:
-                    grouped = [(sigmas[0].get(g.var) or Var(g.var), list(subs))]
-                for j, (value, bucket) in enumerate(grouped):
+                    grouped = {sigmas[0].get(g.var) or Var(g.var): list(subs)}
+                for j, (value, bucket) in enumerate(grouped.items()):
                     group = _Group(_box_term(value), node, j)
                     group.child = build(
                         g.body,
@@ -549,23 +538,34 @@ def mp_eliminate(
             return Var(binder.owner.copy_names[binder.index])
         return binder.boxed
 
-    def render(node) -> Formula:
+    # where the last render put each delta node and gamma group, and each
+    # gamma node's join of its last two pieces, where the next merge acts
+    at: dict = {}
+
+    def render(node, here: Position) -> Formula:
         if isinstance(node, _Leaf):
             sub = Subst({v: leaf_image(e) for v, e in node.binders.items()})
             return apply(sub, node.atom)
         if isinstance(node, _Conn):
-            return node.ctor(*[render(k) for k in node.kids])
+            return node.ctor(*[render(k, here + (i,)) for i, k in enumerate(node.kids)])
         if isinstance(node, _DeltaN):
-            body = render(node.child)
-            return node.quant(node.name, body) if node.introduced else body
-        pieces = []
+            at[node] = here
+            if node.introduced:
+                return node.quant(node.name, render(node.child, here + (0,)))
+            return render(node.child, here)
+        # a gamma node: its live copies, then the merged-back one, joined
+        # right-nested, so piece j sits at 1^j, followed by 0 unless last
         live = len(node.groups) - node.merged_suffix
-        for j in range(live):
-            group = node.groups[j]
-            body = render(group.child)
-            pieces.append(
-                node.quant(node.copy_names[j], body) if group.introduced else body
-            )
+        count = live + (1 if node.merged_suffix else 0)
+        at[node] = here + (1,) * (count - 2)
+        pieces = []
+        for j, group in enumerate(node.groups[:live]):
+            piece = at[group] = here + (1,) * j + ((0,) if j < count - 1 else ())
+            if group.introduced:
+                body = render(group.child, piece + (0,))
+                pieces.append(node.quant(node.copy_names[j], body))
+            else:
+                pieces.append(render(group.child, piece))
         if node.merged_suffix:
             # the merged-back canonical copy: the original subformula
             # with enclosing binder occurrences spelled by their current
@@ -579,48 +579,6 @@ def mp_eliminate(
         for piece in reversed(pieces[:-1]):
             out = join(piece, out)
         return out
-
-    def gamma_piece_path(node: _GammaN, j: int) -> Position:
-        live = len(node.groups) - node.merged_suffix
-        total = live + (1 if node.merged_suffix else 0)
-        if total == 1:
-            return ()
-        if j < total - 1:
-            return (1,) * j + (0,)
-        return (1,) * j
-
-    def path_of(target, group_index: Optional[int] = None) -> Position:
-        found: list[Position] = []
-
-        def walk(node, here: Position):
-            if found:
-                return
-            if node is target:
-                if isinstance(node, _GammaN) and group_index is not None:
-                    found.append(here + gamma_piece_path(node, group_index))
-                else:
-                    found.append(here)
-                return
-            if isinstance(node, _Leaf):
-                return
-            if isinstance(node, _Conn):
-                for idx, kid in enumerate(node.kids):
-                    walk(kid, here + (idx,))
-                return
-            if isinstance(node, _DeltaN):
-                walk(node.child, here + ((0,) if node.introduced else ()))
-                return
-            live = len(node.groups) - node.merged_suffix
-            for j in range(live):
-                prefix = here + gamma_piece_path(node, j)
-                if node.groups[j].introduced:
-                    prefix = prefix + (0,)
-                walk(node.groups[j].child, prefix)
-
-        walk(root, ())
-        if not found:
-            raise AssertionError("skeleton node not reachable")
-        return found[0]
 
     # -- intro events, topologically ordered -------------------------------
 
@@ -657,23 +615,17 @@ def mp_eliminate(
 
     # -- emit the derivation -----------------------------------------------
 
-    t0 = render(root)
-    verdict, _ = sat.is_tautology(t0)
-    if not verdict:
-        raise AssertionError("the starting formula is not a sentential tautology")
-    steps = [Step(t0, T_AXIOM)]
+    steps = [Step(render(root, ()), T_AXIOM)]  # check tests the tautology
 
     for e in order:
         e.introduced = True
-        conclusion = render(root)
+        conclusion = render(root, ())
         if isinstance(e, _Group):
-            pos = path_of(e.owner, e.index)
             steps.append(
-                Step(conclusion, GEN_GAMMA, (len(steps) - 1,), at=pos, term=e.boxed)
+                Step(conclusion, GEN_GAMMA, (len(steps) - 1,), at=at[e], term=e.boxed)
             )
         else:
-            pos = path_of(e)
-            steps.append(Step(conclusion, GEN_DELTA, (len(steps) - 1,), at=pos))
+            steps.append(Step(conclusion, GEN_DELTA, (len(steps) - 1,), at=at[e]))
 
     # merge each gamma node's copies back, deepest first
     for node in _walk(root):
@@ -681,15 +633,12 @@ def mp_eliminate(
             continue
         d = len(node.groups)
         while node.merged_suffix < d and d > 1:
-            live = d - node.merged_suffix
-            join_index = live - (1 if node.merged_suffix else 2)
-            pos = path_of(node) + (1,) * join_index
+            pos = at[node]
             premise = steps[-1].formula
             copy1 = subformula_at(premise, pos + (0,))
             copy2 = subformula_at(premise, pos + (1,))
-            node.merged_suffix = node.merged_suffix + 2 if not node.merged_suffix \
-                else node.merged_suffix + 1
-            conclusion = render(root)
+            node.merged_suffix += 1 if node.merged_suffix else 2
+            conclusion = render(root, ())
             merged = subformula_at(conclusion, pos)
             steps.append(
                 Step(
@@ -711,10 +660,6 @@ def mp_eliminate(
     if not alpha_eq(derivation.final, f_work):
         raise AssertionError("constructed derivation does not prove the goal")
     return derivation
-
-
-def _has_iff(f: Formula) -> bool:
-    return any(isinstance(g, Iff) for _, g in subformulas(f))
 
 
 def _binder_renaming(canonical: Formula, copy: Formula) -> dict:

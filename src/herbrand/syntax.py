@@ -227,10 +227,6 @@ class Subst:
         m[var] = term
         return Subst(m)
 
-    def is_idempotent(self) -> bool:
-        bound = set(self._map)
-        return all(not (term_vars(t) & bound) for t in self._map.values())
-
 
 def compose(s1: Subst, s2: Subst) -> Subst:
     """apply(compose(s1, s2), x) == apply(s2, apply(s1, x))."""
@@ -271,13 +267,6 @@ def height(t: Term) -> int:
     if isinstance(t, Var):
         return 0
     return 1 + max([0] + [height(a) for a in t.args])
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
 
 
 def apply_term(s: Subst, t: Term) -> Term:

@@ -227,9 +227,17 @@ def _skolem_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def _skolemize(f: Formula, inner: bool, table: Optional[dict] = None) -> Formula:
+def iff_expanded(f: Formula) -> Formula:
+    """f as the Skolemizations read it: with its biconditionals expanded
+    and the result rectified, or f itself when it has none.  Called on
+    rectify(f), it names the binders as the prover's witnesses do."""
     if any(isinstance(g, Iff) for _, g in subformulas(f)):
-        f = rectify(expand_iff(f))
+        return rectify(expand_iff(f))
+    return f
+
+
+def _skolemize(f: Formula, inner: bool, table: Optional[dict] = None) -> Formula:
+    f = iff_expanded(f)
     if not is_rectified(f):
         raise ValueError("skolemization expects a rectified formula")
     taken = {s.name for s in formula_symbols(f)}

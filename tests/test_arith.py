@@ -11,7 +11,6 @@ from herbrand.arith import (
     axiom,
     decide,
     eliminate_quantifiers,
-    formula_size,
     qf_normal_form,
     s_term,
 )
@@ -30,7 +29,7 @@ from herbrand.syntax import (
     print_formula,
 )
 
-from util import eval_nat, eval_standard, induction_instance
+from util import eval_nat, eval_standard, formula_size, induction_instance
 
 
 def test_quantifier_elimination_examples():

@@ -162,6 +162,13 @@ def test_nesting_within_the_recursion_limit_still_parses(tmp_path, capsys):
     assert code == 0 and "verdict: proof-found" in out
 
 
+@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution"])
+def test_prove_reads_deep_negation(tmp_path, capsys, method):
+    path = write_problem(tmp_path, "formula: " + "~" * 600 + "(P(a) | ~P(a))\n")
+    code, out, _ = run(capsys, ["prove", path, "--method", method])
+    assert code == 0 and "verdict: proof-found" in out
+
+
 def test_unify_command(capsys):
     code, out, _ = run(
         capsys,

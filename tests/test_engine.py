@@ -50,7 +50,14 @@ from herbrand.syntax import (
     term_vars,
 )
 
-from util import all_structures, random_clause, random_qf, random_term, reference_nnf
+from util import (
+    all_structures,
+    is_idempotent,
+    random_clause,
+    random_qf,
+    random_term,
+    reference_nnf,
+)
 
 CONST_A = Symbol("a", 0)
 FUN_F = Symbol("f", 1)
@@ -134,7 +141,7 @@ def test_mgu_laws():
         # (a) unifies
         assert apply_term(sigma, s) == apply_term(sigma, t)
         # (b) idempotent
-        assert sigma.is_idempotent()
+        assert is_idempotent(sigma)
         for v, image in sigma.items():
             assert apply_term(sigma, image) == image
         # (c) most general against brute-force unifiers

@@ -33,6 +33,7 @@ from herbrand.syntax import (
     free_vars,
     parse,
     subformulas,
+    term_vars,
     with_children,
 )
 
@@ -305,6 +306,25 @@ def dnf(f: Formula) -> sat.ClauseSet:
     return sat.ClauseSet(frozenset(
         frozenset((key, not sign) for key, sign in c) for c in sat.cnf_of_negation(f).clauses
     ))
+
+
+def formula_size(f: Formula) -> int:
+    """Node count of the formula tree including term nodes."""
+
+    def term_nodes(t: Term) -> int:
+        if isinstance(t, Var):
+            return 1
+        return 1 + sum(term_nodes(a) for a in t.args)
+
+    if isinstance(f, Atom):
+        return 1 + sum(term_nodes(t) for t in f.args)
+    return 1 + sum(formula_size(k) for k in children(f))
+
+
+def is_idempotent(sigma: Subst) -> bool:
+    """No variable bound by sigma occurs in a term it binds."""
+    bound = {v for v, _ in sigma.items()}
+    return all(not (term_vars(t) & bound) for _, t in sigma.items())
 
 
 def is_prenex(f: Formula) -> bool:

@@ -561,12 +561,8 @@ def _selftest_checks():
         return False
 
     def check_dpll_core():
-        unsat = sat.ClauseSet(
-            frozenset([frozenset([("p", True)]), frozenset([("p", False)])])
-        )
-        return sat.dpll(unsat) == (False, None) and sat.dpll(
-            sat.ClauseSet(frozenset())
-        ) == (True, {})
+        unsat = sat.numbered([[("p", True)], [("p", False)]])
+        return sat.dpll(unsat) == (False, None) and sat.dpll(sat.numbered([])) == (True, {})
 
     def check_resolvent_display():
         lits1 = frozenset(

@@ -184,20 +184,14 @@ class Clause:
         return "\n".join(sorted(spelled))
 
     def pretty(self, dual: bool = False) -> str:
+        """The clause as a disjunction, or in the dual presentation as a
+        conjunction of the literal complements."""
         if not self.literals:
             return "#" if dual else "[]"
         parts = sorted(
-            ("" if sign else "~") + print_formula(atom) for sign, atom in self.literals
+            ("~" if sign == dual else "") + print_formula(atom) for sign, atom in self.literals
         )
-        if dual:
-            # the dual presentation: elements of a disjunctive set are
-            # conjunctions of the literal complements
-            parts = sorted(
-                ("~" if sign else "") + print_formula(atom)
-                for sign, atom in self.literals
-            )
-            return " & ".join(parts)
-        return " | ".join(parts)
+        return (" & " if dual else " | ").join(parts)
 
 
 def _spell(t: Atom | App | Var, number: dict[str, str]) -> str:
@@ -454,12 +448,7 @@ def prove_resolution(
     # atoms are read as spelled (a gamma-variable `y` as `#y`, never as a
     # constant `y`); then one lexicon-grounding suffices
     spelling = {y: f"#{y}" for y in gamma}
-    prop = sat.ClauseSet(
-        frozenset(
-            frozenset((_spell(a, spelling), s) for s, a in c.literals)
-            for c in initial
-        ),
-    )
+    prop = sat.numbered([(_spell(a, spelling), s) for s, a in c.literals] for c in initial)
     satisfiable, _ = sat.dpll(prop)
     if not satisfiable:
         witness = (_ground_residuals(Subst(), gamma),)
@@ -623,21 +612,26 @@ def _order_loop(
         return ProofResult(False, method, reason=reason, analysis=analysis,
                            grounding=grounding)
 
+    def decided(d: HerbrandDisjunction) -> tuple[bool, Grounding]:
+        # a function of its own, so no local of the loop keeps the clauses
+        clauses, atoms = ground_clauses(d, budget=budget)
+        verdict, model = sat.decide_negation(clauses, atoms, engine, budget)
+        return verdict, Grounding(d, clauses, atoms, model if engine == "dpll" else None)
+
     grounding = None
     for n in range(1, n_max + 1):
         if should_stop is not None and should_stop():
             return gave_up("cancelled")
         d = analysis.at_order(n, always_lexicon)
+        grounding = None  # order n - 1's: nothing reads it once order n starts
         try:
-            clauses, atoms = ground_clauses(d, budget=budget)
-            verdict, model = sat.decide_negation(clauses, engine, budget)
+            verdict, grounding = decided(d)
         except BudgetExceededError as e:
             return gave_up(str(e))
         if verdict:
-            firsts = sorted({positions[0] for positions in clauses.values()})
+            firsts = sorted({positions[0] for positions in grounding.clauses.values()})
             return ProofResult(True, method, order=n, witness=tuple(map(d.member, firsts)),
                                analysis=analysis)
-        grounding = Grounding(d, clauses, atoms, model if engine == "dpll" else None)
     return gave_up(f"no proof up to order {n_max}", grounding)
 
 
@@ -659,13 +653,13 @@ def minimize_witness(
     substitution is grounded once, from `analysis`, f's Herbrand
     analysis, when given; the check and every trial decide the clauses
     of the entries they keep."""
-    clauses, _ = ground_clauses(analysis or herbrand_disjunction(f, 1), sigmas)
-    if not sat.decide_negation(clauses)[0]:
+    clauses, atoms = ground_clauses(analysis or herbrand_disjunction(f, 1), sigmas)
+    if not sat.decide_negation(clauses, atoms)[0]:
         return ()
 
     def tautological(members: set) -> bool:
         return sat.decide_negation(
-            c for c, positions in clauses.items() if not members.isdisjoint(positions)
+            (c for c, positions in clauses.items() if not members.isdisjoint(positions)), atoms
         )[0]
 
     kept: list[int] = []  # kept entries after the run in hand, descending

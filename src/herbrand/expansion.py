@@ -267,8 +267,9 @@ class PropertyCWitness:
 
 @dataclass(frozen=True)
 class Grounding:
-    """The grounded clauses and atoms (`ground_clauses`) of a whole
-    order-n family, and a DPLL model of them when one was found."""
+    """The ground clauses of a whole order-n family, numbered over its
+    ground atoms in key order (`ground_clauses`), and a DPLL model of
+    them, keyed by atom, when one was found."""
 
     disjunction: HerbrandDisjunction
     clauses: dict
@@ -285,18 +286,17 @@ def check_instances(
     """
     if not sigmas:
         return False, None
-    clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
-    return sat.decide_negation(clauses, engine)
+    return sat.decide_negation(*ground_clauses(herbrand_disjunction(f, 1), sigmas), engine)
 
 
 def ground_clauses(
     d: HerbrandDisjunction,
     sigmas: Optional[Sequence[Subst]] = None,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[dict[frozenset, list[int]], dict[str, Atom]]:
-    """The keyed cnf clauses of the negated matrix instances under
-    `sigmas`, or under the whole family `d.substitutions()` when `sigmas`
-    is None (more than `budget` members raise BudgetExceededError): the
+) -> tuple[dict[tuple, list[int]], dict[str, Atom]]:
+    """The cnf clauses of the negated matrix instances under `sigmas`,
+    or under the whole family `d.substitutions()` when `sigmas` is None
+    (more than `budget` members raise BudgetExceededError): the
     package's one grounding of a matrix.
 
     Each of `d.plans` is grounded over the images of its own
@@ -304,7 +304,8 @@ def ground_clauses(
     each distinct ground clause with the ascending positions, in `sigmas`
     or in odometer order, of the substitutions yielding it (for the
     family, too large to list, only the first), and every ground atom of
-    the instances by key.
+    the instances by key, in key order: the clauses' atoms, numbered as
+    in `sat`.
     """
     gamma = d.gamma_vars
     if sigmas is None:
@@ -337,13 +338,17 @@ def ground_clauses(
                 atom = apply(Subst({gamma[p]: terms[i] for p, i in zip(own, at)}), d.atoms[slot])
                 keys[slot][at] = k = sat.atom_key(atom)
                 table[k] = atom
+    # atom i is the i-th lowest key; each atom's two literals are made once
+    table = dict(sorted(table.items()))
+    codes = {k: (2 * i + 1, 2 * i) for i, k in enumerate(table)}
+    lits = [{at: codes[k] for at, k in images.items()} for images in keys]
 
-    def ground(literals: tuple, images: tuple) -> frozenset:
-        return frozenset([
-            (keys[slot][tuple([images[j] for j in picks])], s) for s, slot, picks in literals
-        ])
+    def ground(literals: tuple, images: tuple) -> tuple:
+        return tuple(sorted({
+            lits[slot][tuple([images[j] for j in picks])][s] for s, slot, picks in literals
+        }))
 
-    found: dict[frozenset, list[int]] = {}
+    found: dict[tuple, list[int]] = {}
     if sigmas is None:
         for own, literals in d.plans:
             # the odometer-first member yielding an instance maps the
@@ -379,8 +384,7 @@ def property_c(
     if n < 1:
         raise ValueError("Property C orders are positive natural numbers")
     d = herbrand_disjunction(f, n, always_lexicon)
-    clauses, _ = ground_clauses(d, budget=budget)
-    verdict, _ = sat.decide_negation(clauses, engine, budget)
+    verdict, _ = sat.decide_negation(*ground_clauses(d, budget=budget), engine, budget)
     if not verdict:
         return False, None
     return True, PropertyCWitness(n, tuple(d.substitutions()))
@@ -417,9 +421,7 @@ def herbrand_complexity(
     for k in range(1, k_max + 1):
         found = find_tautological_instances(d, k, budget)
         if found is not None:
-            clauses, _ = ground_clauses(d, found)
-            verdict, _ = sat.decide_negation(clauses)
-            if not verdict:
+            if not sat.decide_negation(*ground_clauses(d, found))[0]:
                 raise AssertionError("candidate witness failed verification")
             return k
     return None
@@ -518,11 +520,10 @@ def falsifying_structure(
     if grounding is None:
         d = (analysis.at_order(p, always_lexicon) if analysis is not None
              else herbrand_disjunction(f, p, always_lexicon))
-        clauses, atoms = ground_clauses(d, budget=budget)
-        grounding = Grounding(d, clauses, atoms)
+        grounding = Grounding(d, *ground_clauses(d, budget=budget))
     d, atoms, assignment = grounding.disjunction, grounding.atoms, grounding.model
     if assignment is None:
-        verdict, assignment = sat.decide_negation(grounding.clauses)
+        verdict, assignment = sat.decide_negation(grounding.clauses, atoms)
         if verdict:
             return None
 
@@ -545,7 +546,7 @@ def falsifying_structure(
         fn_tables[(sym.name, sym.arity)] = table
 
     pred_tables: dict = {}
-    for key, atom in sorted(atoms.items()):
+    for key, atom in atoms.items():
         args = tuple(print_term(t) for t in atom.args)
         pred_tables.setdefault((atom.pred.name, atom.pred.arity), {})[args] = (
             assignment.get(key, False)

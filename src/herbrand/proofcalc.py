@@ -447,8 +447,7 @@ def mp_eliminate(
     f_work = iff_expanded(rectify(f))
     analysis = analysis or herbrand_disjunction(f, 1)
     sk = analysis.skolem
-    clauses, _ = ground_clauses(analysis, witness.substitutions)
-    if not sat.decide_negation(clauses)[0]:
+    if not sat.decide_negation(*ground_clauses(analysis, witness.substitutions))[0]:
         raise WitnessError("the witness instances do not disjoin to a tautology")
     sigmas = list(dict.fromkeys(witness.substitutions))
 

@@ -7,17 +7,19 @@ same propositional variable exactly when they print identically.  Terms
 headed by Skolem functions need no special treatment under this reading:
 they are just part of the atom's spelling.
 
-Literals are (key, sign) pairs; a clause is a frozenset of literals and a
-ClauseSet is a cnf: a conjunction of such clauses.  `_clauses`, the one
-clausifier of the package, works on (sign, Atom) literals before keying,
-so `engine` and `arith` build their first-order clauses with it too.
+Atom i of a clause set is the i-th lowest key, and a literal is an int:
+2i when atom i is true, 2i + 1 when it is false, so `lit ^ 1` is its
+complement (MiniSat's encoding); a clause is a sorted tuple of distinct
+literals.  `_clauses`, the one clausifier of the package, works on
+(sign, Atom) literals before keying, so `engine` and `arith` build their
+first-order clauses with it too.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .syntax import (
     And,
@@ -30,8 +32,7 @@ from .syntax import (
     print_formula,
 )
 
-Literal = tuple[str, bool]
-Clause = frozenset  # of Literal
+Clause = tuple  # of int literals, ascending, each once
 
 
 DEFAULT_BUDGET = 10**6
@@ -53,7 +54,21 @@ def atom_key(a: Atom) -> str:
 
 @dataclass(frozen=True)
 class ClauseSet:
-    clauses: frozenset  # of Clause, read as their conjunction
+    """A cnf: the conjunction of its clauses, over the atoms `names`."""
+
+    clauses: tuple  # of Clause
+    names: tuple  # of str
+
+
+def numbered(clauses: Iterable[Iterable[tuple[str, bool]]]) -> ClauseSet:
+    """The clause set of clauses of (key, sign) literals, its clauses
+    distinct and in ascending order."""
+    clauses = [set(c) for c in clauses]
+    names = tuple(sorted({key for c in clauses for key, _ in c}))
+    number = {key: 2 * i for i, key in enumerate(names)}
+    return ClauseSet(tuple(sorted({
+        tuple(sorted(number[key] + (not sign) for key, sign in c)) for c in clauses
+    })), names)
 
 
 def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
@@ -96,85 +111,86 @@ def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
     return product
 
 
-def _keyed(clauses: list[tuple]) -> frozenset:
-    """The ⊆-minimal clauses over atom keys."""
-    return frozenset(_prune({frozenset((atom_key(a), s) for s, a in c) for c in clauses}))
+def _keyed(clauses: list[tuple]) -> ClauseSet:
+    """The ⊆-minimal clauses over atom keys, numbered."""
+    return numbered(_prune({frozenset((atom_key(a), s) for s, a in c) for c in clauses}))
 
 
-def _prune(clauses: set[Clause]) -> set[Clause]:
-    """The ⊆-minimal clauses, a unique set whatever the order of ties.
+def _prune(clauses: Iterable) -> set:
+    """The ⊆-minimal clauses, a unique set whatever the order of ties;
+    each is a frozenset or a tuple of distinct literals, returned as is.
 
     Only a strictly shorter clause can subsume a distinct one, and it
     subsumes only clauses that contain the literal it is filed under;
     so each clause is tested only against the shorter kept clauses
     filed under one of its own literals.
     """
-    if frozenset() in clauses:
-        return {frozenset()}
     out = set()
-    index: dict[Literal, list[Clause]] = {}
-    same_length: list[Clause] = []  # kept, filed once a longer clause comes
+    index: dict = {}
+    same_length: list = []  # kept, filed once a longer clause comes
     for c in sorted(clauses, key=len):
+        if not c:
+            return {c}
         if same_length and len(same_length[0]) < len(c):
             for kept in same_length:
                 index.setdefault(next(iter(kept)), []).append(kept)
             same_length = []
-        if not any(kept <= c for lit in c for kept in index.get(lit, ())):
+        whole = frozenset(c)  # c itself when c is a frozenset
+        if not any(whole.issuperset(kept) for lit in c for kept in index.get(lit, ())):
             out.add(c)
             same_length.append(c)
     return out
 
 
 def cnf(f: Formula) -> ClauseSet:
-    return ClauseSet(_keyed(_clauses(f, prune=True)))
+    return _keyed(_clauses(f, prune=True))
 
 
 def cnf_of_negation(f: Formula) -> ClauseSet:
-    return ClauseSet(_keyed(_clauses(f, False, prune=True)))
+    return _keyed(_clauses(f, False, prune=True))
 
 
 # ---------------------------------------------------------------------------
 # the multiplication method
 
 
-def _open_path(conjuncts: list[list[Literal]], budget: int) -> Optional[dict]:
-    """A path through the conjuncts, one literal from each, without a
-    complementary pair, as a dict of its literals; None when every path
-    is closed.
+def _open_path(clauses: Iterable[Clause], budget: int) -> Optional[set]:
+    """A path through the clauses, one literal from each, without a
+    complementary pair, as the set of its literals; None when every path
+    is closed.  Made true, its literals falsify the formula whose dnf has
+    the clauses, every literal negated, as conjuncts.
 
-    Depth first, shortest conjuncts first (ties by their literals, which
-    `decide_negation` sorts), with an explicit cursor per conjunct, its
-    literals in the given order.  A literal whose complement is on the
-    path closes it and is passed over; a conjunct with a literal already
-    on the path is absorbed, x(x + y) = x, and passed without branching,
-    since any other pick only adds literals.  Each literal put on the
-    path and each absorbed conjunct count one node against `budget`,
+    Depth first, shortest clauses first (ties by their literals), with an
+    explicit cursor per clause.  A literal whose complement `lit ^ 1` is
+    on the path closes it and is passed over; a clause with a literal
+    already on the path is absorbed, x(x + y) = x, and passed without
+    branching, since any other pick only adds literals.  Each literal put
+    on the path and each absorbed clause count one node against `budget`,
     past which BudgetExceededError is raised.
     """
-    conjuncts = sorted(conjuncts, key=lambda c: (len(c), c))
-    path: dict[str, bool] = {}
-    tried = [0] * len(conjuncts)  # per conjunct: literals tried so far
-    added: list = [None] * len(conjuncts)  # per conjunct: key it put on the path
+    clauses = sorted(clauses, key=lambda c: (len(c), c))
+    path: set[int] = set()
+    tried = [0] * len(clauses)  # per clause: literals tried so far
+    added: list = [None] * len(clauses)  # per clause: literal it put on the path
     depth = nodes = 0
-    while depth < len(conjuncts):
-        literals = conjuncts[depth]
+    while depth < len(clauses):
+        literals = clauses[depth]
         i = tried[depth]
-        if not i and any(path.get(key) == sign for key, sign in literals):
+        if not i and not path.isdisjoint(literals):
             tried[depth], added[depth] = len(literals), None  # absorbed
         else:
-            while i < len(literals) and path.get(literals[i][0], literals[i][1]) != literals[i][1]:
+            while i < len(literals) and literals[i] ^ 1 in path:
                 i += 1
-            if i == len(literals):  # every pick here closes: back up one conjunct
+            if i == len(literals):  # every pick here closes: back up one clause
                 tried[depth] = 0
                 depth -= 1
                 if depth < 0:
                     return None
                 if added[depth] is not None:
-                    del path[added[depth]]
+                    path.remove(added[depth])
                 continue
-            key, sign = literals[i]
-            path[key] = sign
-            tried[depth], added[depth] = i + 1, key
+            path.add(literals[i])
+            tried[depth], added[depth] = i + 1, literals[i]
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"path search exceeded the budget of {budget} nodes")
@@ -191,24 +207,16 @@ def dpll(cs: ClauseSet) -> tuple[bool, Optional[dict[str, bool]]]:
 
     Unit propagation, pure-literal elimination, then splitting on the
     lowest atom key, positive branch first.  Deterministic: identical
-    inputs give identical models.  Atoms left unconstrained are fixed to
-    False so the model is total over the input's atoms.
+    inputs give identical models.  The model maps each atom's name, in
+    key order, to its value; atoms left unconstrained are False.
     """
-    if frozenset() in cs.clauses:
-        return False, None
-    keys = sorted({key for c in cs.clauses for key, _ in c})
-    # the i-th lowest key is atom i: literal 2i when true, 2i + 1 when false
-    number = {key: 2 * i for i, key in enumerate(keys)}
-    values = _search(
-        [[number[key] + (not sign) for key, sign in c] for c in cs.clauses],
-        len(keys),
-    )
+    values = None if () in cs.clauses else _search(cs.clauses, len(cs.names))
     if values is None:
         return False, None
-    return True, {key: value is True for key, value in zip(keys, values)}
+    return True, {name: value is True for name, value in zip(cs.names, values)}
 
 
-def _search(clauses: list[list[int]], n: int) -> Optional[list]:
+def _search(clauses: Sequence[Clause], n: int) -> Optional[list]:
     """DPLL over atoms 0..n-1 (Davis, Logemann & Loveland), with counters
     and a trail of assigned literals instead of copied clause lists.
 
@@ -322,31 +330,32 @@ def is_tautology(
     Returns (verdict, falsifying assignment when the verdict is False).
     The assignment maps atom keys, in sorted order, to truth values.
     """
-    return decide_negation(cnf_of_negation(f).clauses, engine)
+    cs = cnf_of_negation(f)
+    return decide_negation(cs.clauses, cs.names, engine)
 
 
 def decide_negation(
-    clauses, engine: str = "dpll", budget: int = DEFAULT_BUDGET
+    clauses, names, engine: str = "dpll", budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, Optional[dict[str, bool]]]:
-    """Is the formula whose negation has the keyed cnf `clauses` a
-    sentential tautology?  The one decision step of the package.
+    """Is the formula whose negation has the cnf `clauses`, over the
+    atoms `names` in key order, a sentential tautology?  The one decision
+    step of the package.
 
     The clauses are pruned to the ⊆-minimal ones here, once.  The dpll
     engine refutes them; the multiplication method searches the paths
-    through the formula's dnf, whose conjuncts are the clauses with every
-    literal negated, within `budget` nodes (`_open_path`).  Returns
-    (verdict, falsifying assignment when the verdict is False), the
-    assignment keyed as `is_tautology`'s; the multiplication method's
-    falsifies the first open path found, and sets atoms off it False.
+    through the formula's dnf within `budget` nodes (`_open_path`).
+    Returns (verdict, falsifying assignment when the verdict is False),
+    the assignment keyed as `is_tautology`'s; the multiplication
+    method's falsifies the first open path found, and sets atoms off it
+    False.
     """
     if engine not in ("dpll", "multiplication"):
         raise ValueError(f"unknown engine {engine!r}")
-    clauses = _prune(set(clauses))
+    clauses, names = _prune(clauses), tuple(names)
     if engine == "dpll":
-        satisfiable, model = dpll(ClauseSet(frozenset(clauses)))
+        satisfiable, model = dpll(ClauseSet(tuple(clauses), names))
         return (False, model) if satisfiable else (True, None)
-    path = _open_path([sorted((key, not sign) for key, sign in c) for c in clauses], budget)
+    path = _open_path(clauses, budget)
     if path is None:
         return True, None
-    atoms = sorted({key for c in clauses for key, _ in c})
-    return False, {key: not path.get(key, True) for key in atoms}
+    return False, {name: 2 * v in path for v, name in enumerate(names)}

@@ -64,7 +64,7 @@ from herbrand.syntax import (
 )
 from herbrand.transform import classify, passage, skolemize_outer
 
-from util import dnf, eval_nat, is_idempotent, random_structure, random_term
+from util import dnf, eval_nat, is_idempotent, keyed, random_structure, random_term
 
 RUNNING_EXAMPLE = (
     "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
@@ -129,7 +129,7 @@ def test_criterion_1_running_example_reproduction():
     assert verdict is True
     d = herbrand_disjunction(A, 4)
     disjunction = Or(d.instance(s1), d.instance(s2))
-    assert dnf(disjunction).clauses == expected_dnf_set_c()
+    assert set(keyed(dnf(disjunction))) == expected_dnf_set_c()
 
     # (c) minimal instance count at order 4 is exactly two
     assert herbrand_complexity(A, 4, 3) == 2
@@ -223,9 +223,9 @@ def test_criterion_4_membership_and_soundness():
         return with_children(g, tuple(box_formula(k) for k in children(g)))
 
     instance_dnfs = [
-        dnf(box_formula(d.instance(s))).clauses for s in (s1, s2)
+        set(keyed(dnf(box_formula(d.instance(s))))) for s in (s1, s2)
     ]
-    start_dnf = dnf(derivation.steps[0].formula).clauses
+    start_dnf = keyed(dnf(derivation.steps[0].formula))
     for conjunct in start_dnf:
         assert any(conjunct in clauses for clauses in instance_dnfs)
 

@@ -53,6 +53,7 @@ from herbrand.syntax import (
 from util import (
     all_structures,
     is_idempotent,
+    keyed,
     random_clause,
     random_qf,
     random_term,
@@ -707,7 +708,7 @@ def test_first_producer_cover_minimizes_like_the_family():
         family = list(d.substitutions())
         cover = r.witness
         assert [family.index(s) for s in cover] == sorted(map(family.index, cover))
-        assert set(ground_clauses(d, cover)[0]) == set(ground_clauses(d, family)[0])
+        assert set(keyed(*ground_clauses(d, cover))) == set(keyed(*ground_clauses(d, family)))
         assert minimize_witness(f, cover) == minimize_witness(f, family)
         assert prove_gilmore(f, 3, budget=100).witness == cover
         orders.add(r.order)
@@ -721,8 +722,8 @@ def test_first_producer_cover_minimizes_like_the_family():
 
 
 def _reference_minimize(f, sigmas):
-    clauses, _ = ground_clauses(herbrand_disjunction(f, 1), sigmas)
-    verdict, _ = sat.decide_negation(clauses)
+    clauses, atoms = ground_clauses(herbrand_disjunction(f, 1), sigmas)
+    verdict, _ = sat.decide_negation(clauses, atoms)
     if not verdict:
         return ()
     kept = list(range(len(sigmas)))
@@ -735,7 +736,8 @@ def _reference_minimize(f, sigmas):
             trial = kept[:i] + kept[i + 1:]
             members = set(trial)
             verdict, _ = sat.decide_negation(
-                c for c, positions in clauses.items() if not members.isdisjoint(positions)
+                (c for c, positions in clauses.items() if not members.isdisjoint(positions)),
+                atoms,
             )
             if verdict:
                 kept = trial
@@ -836,7 +838,7 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(
 
     def recorded_ground(*args, **kwargs):
         out = ground(*args, **kwargs)
-        grounded.append(out[0])
+        grounded.append(keyed(*out))
         return out
 
     def recorded_dpll(cs):
@@ -861,7 +863,33 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(
             }
             assert sat._prune(set(clauses)) == sat._prune(expected)
             if refuted:
-                assert refuted[n - 1].clauses == sat._prune(expected)
+                assert set(keyed(refuted[n - 1])) == sat._prune(expected)
+
+
+@pytest.mark.parametrize("prove", [prove_dp, prove_gilmore])
+def test_order_four_grounding_stays_small(prove):
+    # the scaling family at order 4 grounds to 3,375 clauses over 240
+    # atoms; as sorted tuples of int literals, one pair of ints made per
+    # ground atom, and decided without re-keying, its order loop and
+    # gave-up structure peak at 1.2-1.3 MB under tracemalloc.  Frozensets
+    # of (key, sign) pairs, copied into the solver's own form, took
+    # 2.9-3.0 MB; the bound sits between the two.
+    import tracemalloc
+
+    from herbrand.expansion import falsifying_structure
+
+    f = parse("?x,y,z. (P(f(x),g(y)) & ~P(z,z))")
+    tracemalloc.start()
+    try:
+        result = prove(f, 4)
+        structure = falsifying_structure(
+            f, 4, analysis=result.analysis, grounding=result.grounding
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.reason == "no proof up to order 4" and structure is not None
+    assert peak < 1_600_000
 
 
 def test_grounding_keeps_an_iff_matrix_small(monkeypatch):

@@ -42,7 +42,7 @@ from herbrand.syntax import (
 )
 from herbrand.transform import skolemize_outer
 
-from util import CONST_A, FUN_F, P1, Q1, R2, random_formula, random_structure
+from util import CONST_A, FUN_F, P1, Q1, R2, keyed, random_formula, random_structure
 
 RUNNING_EXAMPLE = (
     "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
@@ -437,6 +437,15 @@ def _reference_grounding(d, sigmas, prune=False):
     return per, atoms
 
 
+def _assert_numbered(clauses, table):
+    """The atom table is in key order, and each clause a sorted tuple of
+    distinct literals over it."""
+    assert list(table) == sorted(table)
+    for clause in clauses:
+        assert list(clause) == sorted(set(clause))
+        assert all(type(lit) is int and 0 <= lit < 2 * len(table) for lit in clause)
+
+
 def test_ground_clauses_match_per_substitution_grounding():
     # the grounder against grounding the negated matrix's ⊆-minimal
     # clauses under each substitution; the ⊆-minimal ground clauses are
@@ -457,6 +466,8 @@ def test_ground_clauses_match_per_substitution_grounding():
         per, atoms = _reference_grounding(d, family, prune=True)
         every, _ = _reference_grounding(d, family)
         clauses, table = ground_clauses(d)
+        _assert_numbered(clauses, table)
+        clauses = dict(zip(keyed(clauses, table), clauses.values()))
         assert set(clauses) == set().union(*per)
         assert _prune(set(clauses)) == _prune(set().union(*every))
         pruned += set(clauses) != set().union(*every)
@@ -476,6 +487,8 @@ def test_ground_clauses_match_per_substitution_grounding():
         per, atoms = _reference_grounding(d, sigmas, prune=True)
         every, _ = _reference_grounding(d, sigmas)
         clauses, table = ground_clauses(d, sigmas)
+        _assert_numbered(clauses, table)
+        clauses = dict(zip(keyed(clauses, table), clauses.values()))
         assert clauses == {
             clause: [p for p, cs in enumerate(per) if clause in cs]
             for clause in set().union(*per)

@@ -42,7 +42,7 @@ from herbrand.syntax import (
     rectify,
 )
 
-from util import dnf, random_formula, random_structure
+from util import dnf, keyed, random_formula, random_structure
 
 HERE = os.path.dirname(__file__)
 
@@ -372,10 +372,10 @@ def test_mp_eliminate_starting_tautology_is_instance_dnf_reordering():
     d = mp_eliminate(A, w)
     t0 = d.steps[0].formula
     instance_dnfs = [
-        dnf(box_formula(herbrand_disjunction(A, 4).instance(s))).clauses
+        set(keyed(dnf(box_formula(herbrand_disjunction(A, 4).instance(s)))))
         for s in w.substitutions
     ]
-    for conjunct in dnf(t0).clauses:
+    for conjunct in keyed(dnf(t0)):
         assert any(conjunct in clauses for clauses in instance_dnfs)
 
 

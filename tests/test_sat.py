@@ -9,20 +9,22 @@ from hypothesis import given, settings, strategies as st
 import herbrand
 from herbrand import sat
 from herbrand.sat import (
-    ClauseSet,
     QuantifierPresentError,
     _clauses,
     _open_path,
     _prune,
+    _search,
     atom_key,
     cnf,
     cnf_of_negation,
+    decide_negation,
     dpll,
     is_tautology,
+    numbered,
 )
 from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
 
-from util import dnf, random_qf, reference_nnf, truth_table_tautology
+from util import dnf, keyed, random_qf, reference_nnf, truth_table_tautology
 
 
 def qf(rng):
@@ -125,6 +127,62 @@ def _all_paths_closed(conjuncts: list):
     return _search_paths(ordered, {}, absorb=True)
 
 
+def _keyed_open_path(conjuncts: list, budget: int):
+    """The path search over (key, sign) literals that `_open_path`
+    replaced, kept as its reference: conjuncts of the dnf, a path as a
+    dict from key to sign, each literal's complement looked up by key."""
+    conjuncts = sorted(conjuncts, key=lambda c: (len(c), c))
+    path = {}
+    tried = [0] * len(conjuncts)
+    added = [None] * len(conjuncts)
+    depth = nodes = 0
+    while depth < len(conjuncts):
+        literals = conjuncts[depth]
+        i = tried[depth]
+        if not i and any(path.get(key) == sign for key, sign in literals):
+            tried[depth], added[depth] = len(literals), None
+        else:
+            while i < len(literals) and path.get(literals[i][0], literals[i][1]) != literals[i][1]:
+                i += 1
+            if i == len(literals):
+                tried[depth] = 0
+                depth -= 1
+                if depth < 0:
+                    return None
+                if added[depth] is not None:
+                    del path[added[depth]]
+                continue
+            key, sign = literals[i]
+            path[key] = sign
+            tried[depth], added[depth] = i + 1, key
+        nodes += 1
+        if nodes > budget:
+            raise sat.BudgetExceededError(f"path search exceeded the budget of {budget} nodes")
+        depth += 1
+    return path
+
+
+def _numbered_open_path(conjuncts: list, budget: int):
+    """`_open_path` on dnf conjuncts of (key, sign) literals: numbered as
+    the clauses of the negation, their literals negated, and the path
+    read back as the dnf literals it makes false, key to sign."""
+    cs = numbered([(key, not sign) for key, sign in c] for c in conjuncts)
+    path = _open_path(cs.clauses, budget)
+    return None if path is None else {cs.names[lit >> 1]: bool(lit & 1) for lit in path}
+
+
+def _keyed_decide_multiplication(clauses: set, budget: int = 10**6):
+    """The multiplication method of `decide_negation` over (key, sign)
+    literals, as it was before numbering: the reference for the verdict
+    and the falsifying assignment."""
+    clauses = _prune(clauses)
+    path = _keyed_open_path([sorted((key, not sign) for key, sign in c) for c in clauses], budget)
+    if path is None:
+        return True, None
+    atoms = sorted({key for c in clauses for key, _ in c})
+    return False, {key: not path.get(key, True) for key in atoms}
+
+
 def test_open_path_matches_the_recursive_reference():
     rng = random.Random(71)
     closed = 0
@@ -136,8 +194,8 @@ def test_open_path_matches_the_recursive_reference():
             for _ in range(rng.randrange(0, 9))
         }, key=sorted)
         want = _all_paths_closed(conjuncts)
-        got = _open_path([sorted(c) for c in conjuncts], 10**6)
-        assert got == want
+        got = _numbered_open_path(conjuncts, 10**6)
+        assert got == want == _keyed_open_path([sorted(c) for c in conjuncts], 10**6)
         # the search before ordering and absorption, as the verdict oracle
         assert (got is None) == (_search_paths(conjuncts, {}, absorb=False) is None)
         closed += want is None
@@ -152,29 +210,34 @@ def test_an_absorbed_conjunct_counts_one_node():
     pigeon = [[("x", s1), ("y", s2)] for s1 in (True, False) for s2 in (True, False)]
     for k in (0, 10):
         conjuncts = [[("q", True)]] + [[(f"a{i}", True), ("q", True)] for i in range(k)]
-        assert _open_path(conjuncts + pigeon, 7 + k) is None
+        assert _numbered_open_path(conjuncts + pigeon, 7 + k) is None
         with pytest.raises(sat.BudgetExceededError, match=f"budget of {6 + k} nodes"):
-            _open_path(conjuncts + pigeon, 6 + k)
+            _numbered_open_path(conjuncts + pigeon, 6 + k)
 
 
 def test_open_path_is_bounded_by_the_budget_not_the_stack():
-    # a path through more conjuncts than the recursion limit allows frames
-    deep = [[(f"p{i}", True), (f"p{i + 1}", False)] for i in range(5 * sys.getrecursionlimit())]
-    path = _open_path(deep, 10**6)
+    # a path through more conjuncts than the recursion limit allows frames;
+    # the keys are padded so that each conjunct lists its literals in
+    # ascending order, the order the numbered search takes them in
+    deep = [[(f"p{i:06}", True), (f"p{i + 1:06}", False)]
+            for i in range(5 * sys.getrecursionlimit())]
+    path = _numbered_open_path(deep, 10**6)
     assert path is not None and all(path.values())
+    assert path == _keyed_open_path(deep, 10**6)
     # every path closed: p or q, p or ~q, ~p or q, ~p or ~q, then chaff the
     # search multiplies out before it meets the clash
     chaff = [[(f"c{i}", True), (f"c{i}", False)] for i in range(20)]
     pigeon = [[("p", s1), ("q", s2)] for s1 in (True, False) for s2 in (True, False)]
-    assert _open_path(pigeon, 100) is None
+    assert _numbered_open_path(pigeon, 100) is None
     with pytest.raises(sat.BudgetExceededError):
-        _open_path(chaff + pigeon, 10**4)
+        _numbered_open_path(chaff + pigeon, 10**4)
 
 
 def test_dpll_examples():
-    unsat = ClauseSet(frozenset([frozenset([("p", True)]), frozenset([("p", False)])]))
+    unsat = numbered([[("p", True)], [("p", False)]])
+    assert unsat.clauses == ((0,), (1,)) and unsat.names == ("p",)
     assert dpll(unsat) == (False, None)
-    assert dpll(ClauseSet(frozenset())) == (True, {})
+    assert dpll(numbered([])) == (True, {})
 
 
 def test_dpll_model_satisfies_clauses():
@@ -184,7 +247,7 @@ def test_dpll_model_satisfies_clauses():
         cs = cnf(f)
         sat_, model = dpll(cs)
         if sat_:
-            for clause in cs.clauses:
+            for clause in keyed(cs):
                 assert any(model[key] == sign for key, sign in clause)
 
 
@@ -223,9 +286,9 @@ def test_clause_sets_match_the_distribution_reference():
     rng = random.Random(61)
     for _ in range(600):
         f = random_qf(rng, rng.randrange(1, 5))
-        assert cnf(f).clauses == _reference_distribute(reference_nnf(f, True), Or)
-        assert dnf(f).clauses == _reference_distribute(reference_nnf(f, True), And)
-        assert cnf_of_negation(f).clauses == _reference_distribute(
+        assert set(keyed(cnf(f))) == _reference_distribute(reference_nnf(f, True), Or)
+        assert set(keyed(dnf(f))) == _reference_distribute(reference_nnf(f, True), And)
+        assert set(keyed(cnf_of_negation(f))) == _reference_distribute(
             reference_nnf(f, False), Or
         )
 
@@ -243,17 +306,17 @@ def test_clause_sets_prune_every_product(monkeypatch):
 
     f = tree(3)
     assert (len(_clauses(f)), len(_clauses(f, False))) == (1152, 2704)
-    keyed = sat._keyed
+    numbering = sat._keyed
     sizes = []
 
     def recorded(clauses):
         sizes.append(len(clauses))
-        return keyed(clauses)
+        return numbering(clauses)
 
     monkeypatch.setattr(sat, "_keyed", recorded)
     for run in (cnf, dnf, cnf_of_negation):
         sizes.clear()
-        assert run(f).clauses == _reference_distribute(
+        assert set(keyed(run(f))) == _reference_distribute(
             reference_nnf(f, run is not cnf_of_negation), And if run is dnf else Or
         )
         assert sizes and max(sizes) <= 64
@@ -270,9 +333,11 @@ def test_quantifiers_are_rejected(text):
             run(f)
 
 
-def test_falsifying_assignments_do_not_depend_on_the_hash_seed():
+def test_falsifying_assignments_do_not_depend_on_the_hash_seed(tmp_path):
     # the atoms a falsifying path leaves unconstrained come in key order
-    # too, not in set order, which follows PYTHONHASHSEED
+    # too, not in set order, which follows PYTHONHASHSEED; and the
+    # scaling family's order-4 grounding, numbered and decided by either
+    # engine, gives the pinned gave-up report under every seed
     script = (
         "from herbrand.sat import is_tautology\n"
         "from herbrand.syntax import parse\n"
@@ -292,6 +357,25 @@ def test_falsifying_assignments_do_not_depend_on_the_hash_seed():
         outputs.append(done.stdout)
     keys = ["P(a)", "Q(b)", "R(c)", "S(d)", "T(e)", "U(f)", "V(g)", "W(h)"]
     assert outputs == [f"False {keys}\n" * 2] * 3
+    problem = tmp_path / "scaling.prob"
+    problem.write_text("formula: ?x,y,z. (P(f(x),g(y)) & ~P(z,z))\n", encoding="utf-8")
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    with open(os.path.join(data, "scaling_dp_n4.out"), encoding="utf-8") as handle:
+        pinned = handle.read()
+
+    def report(text):
+        return [line for line in text.splitlines(True) if not line.startswith("method:")]
+
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for method in ("dp", "gilmore"):
+            done = subprocess.run(
+                [sys.executable, "-m", "herbrand", "prove", str(problem),
+                 "--method", method, "--max-order", "4"],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 1, done.stderr
+            assert report(done.stdout) == report(pinned)
 
 
 def _quadratic_prune(clauses):
@@ -306,6 +390,11 @@ _literals = st.tuples(st.sampled_from("pqrst"), st.booleans())
 @given(st.sets(st.frozensets(_literals, max_size=4), max_size=30))
 def test_indexed_prune_matches_quadratic_prune(clauses):
     assert _prune(clauses) == _quadratic_prune(clauses)
+    # and on the same clauses numbered, each a tuple kept as given
+    cs = numbered(clauses)
+    pruned = _prune(cs.clauses)
+    assert pruned <= set(cs.clauses)
+    assert set(keyed(pruned, cs.names)) == _quadratic_prune(clauses)
 
 
 def test_prune_keeps_only_the_empty_clause():
@@ -318,9 +407,9 @@ def test_prune_keeps_only_the_empty_clause():
 # reference for the counter-and-trail solver: same verdicts, same models
 
 
-def _reference_dpll(cs):
-    atoms = sorted({key for c in cs.clauses for key, _ in c})
-    model = _reference_search([set(c) for c in cs.clauses], {})
+def _reference_dpll(clauses):
+    atoms = sorted({key for c in clauses for key, _ in c})
+    model = _reference_search([set(c) for c in clauses], {})
     if model is None:
         return False, None
     for key in atoms:
@@ -398,8 +487,7 @@ _key_literals = st.tuples(st.sampled_from(_KEYS), st.booleans())
 def test_dpll_matches_the_copying_reference(clauses):
     # the empty clause, tautological clauses {p, ~p}, conflicting and
     # shared units and pure literals all occur among the drawn sets
-    cs = ClauseSet(frozenset(clauses))
-    assert dpll(cs) == _reference_dpll(cs)
+    assert dpll(numbered(clauses)) == _reference_dpll(clauses)
 
 
 def test_dpll_matches_the_copying_reference_on_larger_sets():
@@ -412,9 +500,8 @@ def test_dpll_matches_the_copying_reference_on_larger_sets():
             frozenset((rng.choice(keys), rng.random() < 0.5) for _ in range(rng.choice((2, 3, 3, 4))))
             for _ in range(rng.randrange(60, 200))
         )
-        cs = ClauseSet(clauses)
-        got = dpll(cs)
-        assert got == _reference_dpll(cs)
+        got = dpll(numbered(clauses))
+        assert got == _reference_dpll(clauses)
         outcomes.add(got[0])
     assert outcomes == {True, False}
 
@@ -436,5 +523,65 @@ def test_dpll_matches_the_copying_reference_on_larger_sets():
     ],
 )
 def test_dpll_models(clauses, expected):
-    cs = ClauseSet(frozenset(frozenset(c) for c in clauses))
-    assert dpll(cs) == _reference_dpll(cs) == expected
+    assert dpll(numbered(clauses)) == _reference_dpll(clauses) == expected
+
+
+# ---------------------------------------------------------------------------
+# the keyed forms that numbering replaced, kept as references: a clause
+# set keyed by (key, sign) literals, numbered inside dpll, and the path
+# search over such literals (`_keyed_open_path` above)
+
+
+def _keyed_dpll(clauses):
+    """`dpll` as it was on keyed clauses: atoms numbered in key order on
+    every call, then the same search."""
+    if frozenset() in clauses:
+        return False, None
+    keys = sorted({key for c in clauses for key, _ in c})
+    number = {key: 2 * i for i, key in enumerate(keys)}
+    values = _search([[number[key] + (not sign) for key, sign in c] for c in clauses], len(keys))
+    if values is None:
+        return False, None
+    return True, {key: value is True for key, value in zip(keys, values)}
+
+
+def _random_keyed_sets(rng, count):
+    """Random keyed clause sets, some with the empty clause or with
+    tautological clauses, then the ⊆-minimal cnfs of random
+    quantifier-free formulas, built by the distribution reference."""
+    keys = ["q", "P(b)", "P(a)", "a10", "a9", "Z", "R(f(x), y)", "R(x, y)"]
+    for _ in range(count):
+        yield {
+            frozenset((rng.choice(keys), rng.random() < 0.5) for _ in range(rng.randrange(5)))
+            for _ in range(rng.randrange(25))
+        }
+    for _ in range(count):
+        f = random_qf(rng, rng.randrange(1, 5))
+        yield set(_reference_distribute(reference_nnf(f, rng.random() < 0.5), Or))
+
+
+def test_numbered_dpll_matches_the_keyed_dpll():
+    rng = random.Random(1818)
+    outcomes = set()
+    for clauses in _random_keyed_sets(rng, 400):
+        cs = numbered(clauses)
+        got = dpll(cs)
+        assert got == _keyed_dpll(clauses)
+        outcomes.add(got[0])
+        # over a grounder's atom table, which may name atoms in no clause:
+        # those are False, and the search is unchanged
+        wider = dpll(sat.ClauseSet(cs.clauses, cs.names + ("~unused",)))
+        assert wider == (got if not got[0] else (True, {**got[1], "~unused": False}))
+    assert outcomes == {True, False}
+
+
+def test_numbered_path_search_matches_the_keyed_one():
+    rng = random.Random(1819)
+    outcomes = set()
+    for clauses in _random_keyed_sets(rng, 400):
+        cs = numbered(_prune(clauses))
+        got = decide_negation(cs.clauses, cs.names, "multiplication")
+        assert got == _keyed_decide_multiplication(clauses)
+        assert got[0] == decide_negation(cs.clauses, cs.names)[0]
+        outcomes.add(got[0])
+    assert outcomes == {True, False}

@@ -303,9 +303,20 @@ def all_structures(f: Formula, size: int):
 def dnf(f: Formula) -> sat.ClauseSet:
     """The dnf of a quantifier-free formula, its clauses read as
     conjunctions: the cnf of ~f with every literal negated."""
-    return sat.ClauseSet(frozenset(
-        frozenset((key, not sign) for key, sign in c) for c in sat.cnf_of_negation(f).clauses
-    ))
+    cs = sat.cnf_of_negation(f)
+    return sat.ClauseSet(
+        tuple(sorted(tuple(sorted(lit ^ 1 for lit in c)) for c in cs.clauses)), cs.names
+    )
+
+
+def keyed(clauses, names=None) -> list:
+    """Numbered clauses read back as frozensets of (key, sign) literals,
+    in the order given: a `sat.ClauseSet`'s, or `clauses` numbered over
+    the atoms `names` (as `ground_clauses` returns them, say)."""
+    if names is None:
+        clauses, names = clauses.clauses, clauses.names
+    names = tuple(names)
+    return [frozenset((names[lit >> 1], not (lit & 1)) for lit in c) for c in clauses]
 
 
 def formula_size(f: Formula) -> int:

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 
 from . import arith as arith_mod
@@ -186,54 +185,27 @@ def cmd_prove(args) -> int:
     return code
 
 
-def _run_method(method, formula, n_max, budget, always_lexicon, trace,
-                should_stop=None):
+def _run_method(method, formula, n_max, budget, always_lexicon, trace):
     if method == "gilmore":
-        return engine.prove_gilmore(
-            formula, n_max, budget, always_lexicon, should_stop=should_stop
-        )
+        return engine.prove_gilmore(formula, n_max, budget, always_lexicon)
     if method == "dp":
-        return engine.prove_dp(
-            formula, n_max, budget, always_lexicon, should_stop=should_stop
-        )
+        return engine.prove_dp(formula, n_max, budget, always_lexicon)
     if method == "resolution":
-        return engine.prove_resolution(
-            formula, budget, trace=trace, should_stop=should_stop
-        )
+        return engine.prove_resolution(formula, budget, trace=trace)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _race(formula, n_max, budget, always_lexicon):
-    """Run the three provers concurrently; the first proof wins and the
-    rest are cancelled.  Only the verdict is reported, which keeps the
-    output deterministic."""
-    stop = threading.Event()
-    results: dict[str, engine.ProofResult] = {}
-    lock = threading.Lock()
-
-    def run(method):
-        result = _run_method(
-            method, formula, n_max, budget, always_lexicon, False,
-            should_stop=stop.is_set,
-        )
-        with lock:
-            results[method] = result
-            if result.found:
-                stop.set()
-
-    threads = [
-        threading.Thread(target=run, args=(m,))
-        for m in ("gilmore", "dp", "resolution")
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    winners = [r for r in results.values() if r.found]
-    if winners:
-        ordered = sorted(winners, key=lambda r: r.method)
-        return ordered[0]
-    return engine.ProofResult(False, "race", reason="all methods gave up")
+    """dp, then resolution with the same budget if dp gave up.  The
+    multiplication method decides the same order-n clause sets as DPLL,
+    so it could add no proof.  Returns the proof either found, else dp's
+    gave-up result, whose analysis and last grounding the falsifying
+    structure reuses.  Only the verdict is reported."""
+    result = engine.prove_dp(formula, n_max, budget, always_lexicon)
+    if result.found:
+        return result
+    proof = engine.prove_resolution(formula, budget)
+    return proof if proof.found else result
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument(
         "--method", choices=("gilmore", "dp", "resolution", "race"), default="dp"
     )
-    prove.add_argument("--max-order", type=int, default=3)
-    prove.add_argument("-n", "--order", type=int, default=None,
-                       help="alias: sets --max-order")
+    prove.add_argument("--max-order", "-n", "--order", type=int, default=3)
     prove.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     prove.add_argument("--proof-out", default=None)
     prove.add_argument("--trace", action="store_true")
@@ -746,8 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "order", None) is not None and hasattr(args, "max_order"):
-        args.max_order = args.order
     try:
         return args.fn(args)
     except (SyntaxError_, ArityMismatchError, ProblemError,

@@ -377,22 +377,19 @@ class ProofResult:
         return not self.found
 
 
+def _filled(image: Term, filler: Term) -> Term:
+    """`image` with every variable replaced by `filler`."""
+    return apply_term(Subst({v: filler for v in term_vars(image)}), image)
+
+
 def _ground_residuals(sub: Subst, gamma_vars: Sequence[str]) -> Subst:
+    """`sub` on the gamma-variables, each variable left (or unbound
+    gamma-variable) grounded with the lexicon."""
     filler = Var(LEXICON)
-    out = {}
-    for y in gamma_vars:
-        image = sub.get(y)
-        if image is None:
-            out[y] = filler
-            continue
-        residual = Subst({v: filler for v in term_vars(image)})
-        out[y] = apply_term(residual, image)
-    return Subst(out)
+    return Subst({y: _filled(sub.get(y) or Var(y), filler) for y in gamma_vars})
 
 
-def prove_resolution(
-    f: Formula, step_budget: int = 2000, trace: bool = False, should_stop=None,
-) -> ProofResult:
+def prove_resolution(f: Formula, step_budget: int = 2000, trace: bool = False) -> ProofResult:
     """Refutation-side resolution with a fair given-clause loop.
 
     Clausifies the negation of the Skolemized matrix; on reaching the
@@ -485,11 +482,6 @@ def prove_resolution(
         )
 
     while passive:
-        if should_stop is not None and should_stop():
-            return ProofResult(
-                False, "resolution", steps=steps, reason="cancelled",
-                trace=tuple(events), analysis=d,
-            )
         iteration += 1
         _, _, _, given = heapq.heappop(passive)
         given = standardize_apart(given, counter)
@@ -572,34 +564,24 @@ def _thaw(t: Term, rigid: set[str]) -> Term:
 
 
 def prove_gilmore(
-    f: Formula,
-    n_max: int,
-    budget: int = 10**6,
-    always_lexicon: bool = False,
-    should_stop=None,
+    f: Formula, n_max: int, budget: int = 10**6, always_lexicon: bool = False
 ) -> ProofResult:
     """Test Property C at orders 1..n_max with the multiplication
     method; report the first succeeding order."""
-    return _order_loop(
-        f, n_max, budget, always_lexicon, "gilmore", "multiplication", should_stop
-    )
+    return _order_loop(f, n_max, budget, always_lexicon, "gilmore", "multiplication")
 
 
 def prove_dp(
-    f: Formula,
-    n_max: int,
-    budget: int = 10**6,
-    always_lexicon: bool = False,
-    should_stop=None,
+    f: Formula, n_max: int, budget: int = 10**6, always_lexicon: bool = False
 ) -> ProofResult:
     """The same order loop with the tautology test replaced by DPLL on
-    the clause form of the negation."""
-    return _order_loop(f, n_max, budget, always_lexicon, "dp", "dpll", should_stop)
+    the clause form of the negation.  Both decide the same order-n clause
+    sets, so a multiplication-method proof is a DPLL proof at the same
+    order."""
+    return _order_loop(f, n_max, budget, always_lexicon, "dp", "dpll")
 
 
-def _order_loop(
-    f, n_max, budget, always_lexicon, method, engine, should_stop=None
-) -> ProofResult:
+def _order_loop(f, n_max, budget, always_lexicon, method, engine) -> ProofResult:
     """Property C at orders 1..n_max, from one Herbrand analysis of f.
     The witness is the family's first-producer cover: for each ground
     clause the odometer-first member yielding it, in odometer order.  It
@@ -620,8 +602,6 @@ def _order_loop(
 
     grounding = None
     for n in range(1, n_max + 1):
-        if should_stop is not None and should_stop():
-            return gave_up("cancelled")
         d = analysis.at_order(n, always_lexicon)
         grounding = None  # order n - 1's: nothing reads it once order n starts
         try:
@@ -629,7 +609,7 @@ def _order_loop(
         except BudgetExceededError as e:
             return gave_up(str(e))
         if verdict:
-            firsts = sorted({positions[0] for positions in grounding.clauses.values()})
+            firsts = sorted(set(grounding.clauses.values()))
             return ProofResult(True, method, order=n, witness=tuple(map(d.member, firsts)),
                                analysis=analysis)
     return gave_up(f"no proof up to order {n_max}", grounding)
@@ -718,11 +698,7 @@ def find_tautological_instances(
         combined_paths = [p + q for p in combined_paths for q in sat._clauses(c)]
 
     def grounded_ok(sub: Subst) -> bool:
-        for _v, image in sub.items():
-            residual = Subst({v: filler for v in term_vars(image)})
-            if height(apply_term(residual, image)) >= bound:
-                return False
-        return True
+        return all(height(_filled(image, filler)) < bound for _v, image in sub.items())
 
     def closing(path: tuple[Literal, ...], sub: Subst) -> Iterator[Subst]:
         """The extensions of `sub` to try for a path: `sub` alone when it
@@ -766,12 +742,8 @@ def find_tautological_instances(
         return None
     out = []
     for i in range(k):
-        sigma = {}
-        for y in d.gamma_vars:
-            image = solution.get(f"{y}@{i}") or Var(f"{y}@{i}")
-            residual = Subst({v: filler for v in term_vars(image)})
-            sigma[y] = apply_term(residual, image)
-        sub = Subst(sigma)
+        sub = Subst({y: _filled(solution.get(f"{y}@{i}") or Var(f"{y}@{i}"), filler)
+                     for y in d.gamma_vars})
         if sub not in out:
             out.append(sub)
     return tuple(out)

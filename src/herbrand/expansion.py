@@ -293,7 +293,7 @@ def ground_clauses(
     d: HerbrandDisjunction,
     sigmas: Optional[Sequence[Subst]] = None,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[dict[tuple, list[int]], dict[str, Atom]]:
+) -> tuple[dict[tuple, int | list[int]], dict[str, Atom]]:
     """The cnf clauses of the negated matrix instances under `sigmas`,
     or under the whole family `d.substitutions()` when `sigmas` is None
     (more than `budget` members raise BudgetExceededError): the
@@ -301,11 +301,12 @@ def ground_clauses(
 
     Each of `d.plans` is grounded over the images of its own
     gamma-variables only; substitutions must be total on them.  Returns
-    each distinct ground clause with the ascending positions, in `sigmas`
-    or in odometer order, of the substitutions yielding it (for the
-    family, too large to list, only the first), and every ground atom of
-    the instances by key, in key order: the clauses' atoms, numbered as
-    in `sat`.
+    each distinct ground clause with the substitutions yielding it, and
+    every ground atom of the instances by key, in key order: the
+    clauses' atoms, numbered as in `sat`.  For `sigmas` a clause maps to
+    the ascending list of its producers' positions in `sigmas`; for the
+    family, too large to list, to the odometer position of its first
+    producer, an int.
     """
     gamma = d.gamma_vars
     if sigmas is None:
@@ -348,7 +349,7 @@ def ground_clauses(
             lits[slot][tuple([images[j] for j in picks])][s] for s, slot, picks in literals
         }))
 
-    found: dict[tuple, list[int]] = {}
+    found: dict[tuple, int | list[int]] = {}
     if sigmas is None:
         for own, literals in d.plans:
             # the odometer-first member yielding an instance maps the
@@ -356,9 +357,9 @@ def ground_clauses(
             weights = [len(terms) ** (len(gamma) - 1 - p) for p in own]
             for images in itertools.product(range(len(terms)), repeat=len(own)):
                 first = sum(map(mul, weights, images))
-                positions = found.setdefault(ground(literals, images), [first])
-                if first < positions[0]:
-                    positions[0] = first
+                clause = ground(literals, images)
+                if first < found.setdefault(clause, first):
+                    found[clause] = first
     else:
         for position, row in enumerate(rows):
             for own, literals in d.plans:

@@ -39,6 +39,8 @@ def test_prove_invalid_prints_falsifying_structure(tmp_path, capsys):
     assert "verdict: gave-up" in out
     assert "domain:" in out
     assert "pred P:" in out
+    # -n is --max-order; the reason names the order, so the default 3 would differ
+    assert run(capsys, ["prove", path, "--method", "dp", "-n", "2"])[:2] == (1, out)
 
 
 def test_prove_malformed_file(tmp_path, capsys):
@@ -55,9 +57,10 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(engine, "prove_dp", overflow)
     path = write_problem(tmp_path, "formula: P(a) | ~P(a)\n")
-    code, out, err = run(capsys, ["prove", path, "--method", "dp"])
-    assert code == 2 and out == ""
-    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+    for method in ("dp", "race"):
+        code, out, err = run(capsys, ["prove", path, "--method", method])
+        assert code == 2 and out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_free_declaration_convention(tmp_path, capsys):
@@ -251,6 +254,51 @@ VARIANT = (
     " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
     " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))\n"
 )
+
+
+RUNNING = (
+    "formula: (!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+    " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+    " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))\n"
+)
+
+
+@pytest.mark.parametrize("text, provers", [
+    pytest.param(VARIANT, ["dp"], id="dp-proves"),
+    # the order-3 family is over the budget, so dp gives up at order 3
+    pytest.param(RUNNING, ["dp", "resolution"], id="dp-gives-up"),
+])
+def test_race_runs_dp_then_resolution(tmp_path, capsys, monkeypatch, text, provers):
+    # a multiplication-method proof is a DPLL proof at the same order, so
+    # race never runs gilmore, and it runs resolution only once dp gave
+    # up; its derivation is the one the last prover writes on its own
+    from herbrand import engine
+
+    calls = []
+
+    def recorded(name):
+        prover = getattr(engine, f"prove_{name}")
+
+        def record(*args, **kwargs):
+            result = prover(*args, **kwargs)
+            calls.append((name, result.found))
+            return result
+
+        return record
+
+    for name in ("dp", "gilmore", "resolution"):
+        monkeypatch.setattr(engine, f"prove_{name}", recorded(name))
+    path = write_problem(tmp_path, text)
+    derivations = []
+    for method in ("race", provers[-1]):
+        drv = tmp_path / f"{method}.drv"
+        argv = ["prove", path, "--method", method, "--max-order", "3", "--proof-out", str(drv)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.startswith("verdict: proof-found\n")
+        derivations.append(drv.read_text(encoding="utf-8"))
+        if method == "race":
+            assert calls == [(name, name == provers[-1]) for name in provers]
+    assert derivations[0] == derivations[1]
 
 
 def test_prove_dp_variant_at_order_3(tmp_path, capsys):
@@ -651,7 +699,7 @@ def test_prove_requests_keep_nothing_between_them(tmp_path):
     pytest.param("?x. P(x)", id="lexicon-only"),
     pytest.param("?x,y,z. (P(f(x),g(y)) & ~P(z,z))", id="scaling"),
 ])
-@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution"])
+@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution", "race"])
 @pytest.mark.parametrize("lexicon", [False, True])
 def test_gave_up_structure_is_the_one_computed_afresh(
     tmp_path, capsys, text, method, lexicon
@@ -666,13 +714,14 @@ def test_gave_up_structure_is_the_one_computed_afresh(
     assert code == 1 and out.endswith("falsifying-structure: \n" + dump_structure(fresh))
 
 
-@pytest.mark.parametrize("method, decisions", [("dp", 3), ("gilmore", 1)])
+@pytest.mark.parametrize("method, decisions", [("dp", 3), ("gilmore", 1), ("race", 4)])
 def test_gave_up_reads_the_structure_off_the_last_order(
     tmp_path, capsys, monkeypatch, method, decisions
 ):
     # each order is grounded once; dp's structure comes from the model
     # its last order's DPLL call found, gilmore's from one DPLL call on
-    # the clauses its last order grounded
+    # the clauses its last order grounded, and race's from dp's, after
+    # resolution's one propositional DPLL call
     from herbrand import expansion, sat
 
     path = write_problem(tmp_path, SCALING)

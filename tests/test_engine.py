@@ -870,10 +870,11 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(
 def test_order_four_grounding_stays_small(prove):
     # the scaling family at order 4 grounds to 3,375 clauses over 240
     # atoms; as sorted tuples of int literals, one pair of ints made per
-    # ground atom, and decided without re-keying, its order loop and
-    # gave-up structure peak at 1.2-1.3 MB under tracemalloc.  Frozensets
-    # of (key, sign) pairs, copied into the solver's own form, took
-    # 2.9-3.0 MB; the bound sits between the two.
+    # ground atom, each clause's first producer kept as an int, and
+    # decided without re-keying, its order loop and gave-up structure
+    # peak at 1.0-1.1 MB under tracemalloc.  Frozensets of (key, sign)
+    # pairs, copied into the solver's own form, took 2.9-3.0 MB; the
+    # bound sits between the two.
     import tracemalloc
 
     from herbrand.expansion import falsifying_structure

@@ -200,11 +200,12 @@ def _race(formula, n_max, budget, always_lexicon):
     multiplication method decides the same order-n clause sets as DPLL,
     so it could add no proof.  Returns the proof either found, else dp's
     gave-up result, whose analysis and last grounding the falsifying
-    structure reuses.  Only the verdict is reported."""
+    structure reuses.  Resolution starts from that analysis at order 1,
+    so the formula is Skolemized once.  Only the verdict is reported."""
     result = engine.prove_dp(formula, n_max, budget, always_lexicon)
     if result.found:
         return result
-    proof = engine.prove_resolution(formula, budget)
+    proof = engine.prove_resolution(formula, budget, analysis=result.analysis.at_order(1))
     return proof if proof.found else result
 
 
@@ -274,13 +275,13 @@ def cmd_unify(args) -> int:
     t1 = parse_term(args.term1, frees)
     t2 = parse_term(args.term2, frees)
     u = engine.unify(t1, t2)
-    print(f"status: {u.status}")
+    # every line is built before any is written: no partial report on error
     if u.ok:
-        for v, t in sorted(u.substitution.items()):
-            print(f"{v} -> {print_term(t)}")
-        return EXIT_FOUND
-    print(f"offending: {u.offending[0]} vs {u.offending[1]}")
-    return EXIT_GAVE_UP
+        lines = [f"{v} -> {print_term(t)}" for v, t in sorted(u.substitution.items())]
+    else:
+        lines = [f"offending: {u.offending[0]} vs {u.offending[1]}"]
+    print("\n".join([f"status: {u.status}", *lines]))
+    return EXIT_FOUND if u.ok else EXIT_GAVE_UP
 
 
 def cmd_check(args) -> int:
@@ -288,9 +289,8 @@ def cmd_check(args) -> int:
         derivation, _frees = proofcalc.load_derivation(handle.read())
     violation = proofcalc.check(derivation)
     if violation is None:
-        print("ok")
-        print(f"steps: {len(derivation)}")
-        print(f"proves: {print_formula(derivation.final)}")
+        proves = print_formula(derivation.final)  # before any line is written
+        print(f"ok\nsteps: {len(derivation)}\nproves: {proves}")
         return EXIT_FOUND
     print(f"violation: {violation}")
     return EXIT_GAVE_UP
@@ -637,15 +637,7 @@ def cmd_selftest(_args) -> int:
 # argument wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="herbrand",
-        description="first-order proof workbench: expansion, Property C, "
-        "semi-decision procedures, and a successor-arithmetic decider",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    prove = sub.add_parser("prove", help="run a semi-decision procedure")
+def _prove_arguments(prove):
     prove.add_argument("file")
     prove.add_argument(
         "--method", choices=("gilmore", "dp", "resolution", "race"), default="dp"
@@ -660,62 +652,97 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--json", action="store_true")
     prove.set_defaults(fn=cmd_prove)
 
-    tr = sub.add_parser("transform", help="apply a formula transformation")
+
+def _transform_arguments(tr):
     tr.add_argument("file")
-    tr.add_argument(
-        "--pass",
-        dest="passname",
-        required=True,
-        choices=(
-            "prenex", "antiprenex", "skolem-outer", "skolem-inner",
-            "relativize", "rectify",
-        ),
-    )
+    tr.add_argument("--pass", dest="passname", required=True, choices=(
+        "prenex", "antiprenex", "skolem-outer", "skolem-inner", "relativize", "rectify",
+    ))
     tr.add_argument("--guard", default=None)
     tr.set_defaults(fn=cmd_transform)
 
-    ex = sub.add_parser("expand", help="dump the order-n expansion")
+
+def _expand_arguments(ex):
     ex.add_argument("file")
     ex.add_argument("-n", "--order", type=int, required=True)
     ex.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ex.add_argument("--always-lexicon", action="store_true")
     ex.set_defaults(fn=cmd_expand)
 
-    cx = sub.add_parser("complexity", help="minimal tautological instance count")
+
+def _complexity_arguments(cx):
     cx.add_argument("file")
     cx.add_argument("-n", "--order", type=int, required=True)
     cx.add_argument("--max-instances", type=int, default=4)
     cx.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     cx.set_defaults(fn=cmd_complexity)
 
-    un = sub.add_parser("unify", help="most general unifier of two terms")
+
+def _unify_arguments(un):
     un.add_argument("term1")
     un.add_argument("term2")
     un.add_argument("--frees", default="")
     un.set_defaults(fn=cmd_unify)
 
-    ck = sub.add_parser("check", help="check a derivation file")
+
+def _check_arguments(ck):
     ck.add_argument("file")
     ck.set_defaults(fn=cmd_check)
 
-    ar = sub.add_parser("arith", help="decide successor arithmetic")
+
+def _arith_arguments(ar):
     ar_sub = ar.add_subparsers(dest="arith_command", required=True)
     ar_decide = ar_sub.add_parser("decide")
     ar_decide.add_argument("sentence")
     ar_decide.set_defaults(fn=cmd_arith)
 
-    ev = sub.add_parser("eval", help="evaluate a formula in a structure file")
+
+def _eval_arguments(ev):
     ev.add_argument("structure")
     ev.add_argument("problem")
     ev.set_defaults(fn=cmd_eval)
 
-    st = sub.add_parser("selftest", help="run the worked-example smoke suite")
-    st.set_defaults(fn=cmd_selftest)
+
+# (name, help, add-arguments) per subcommand, in `herbrand -h` order
+COMMANDS = (
+    ("prove", "run a semi-decision procedure", _prove_arguments),
+    ("transform", "apply a formula transformation", _transform_arguments),
+    ("expand", "dump the order-n expansion", _expand_arguments),
+    ("complexity", "minimal tautological instance count", _complexity_arguments),
+    ("unify", "most general unifier of two terms", _unify_arguments),
+    ("check", "check a derivation file", _check_arguments),
+    ("arith", "decide successor arithmetic", _arith_arguments),
+    ("eval", "evaluate a formula in a structure file", _eval_arguments),
+    ("selftest", "run the worked-example smoke suite",
+     lambda st: st.set_defaults(fn=cmd_selftest)),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with arguments (`-h` included) for `command`
+    only when it is given.  Every subcommand keeps its name and help, so
+    usage, `herbrand -h` and invalid-choice errors read the same either
+    way."""
+    p = argparse.ArgumentParser(
+        prog="herbrand",
+        description="first-order proof workbench: expansion, Property C, "
+        "semi-decision procedures, and a successor-arithmetic decider",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in COMMANDS:
+        wanted = command in (None, name)
+        parser = sub.add_parser(name, help=help_text, add_help=wanted)
+        if wanted:
+            add_arguments(parser)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the subcommand being run needs its arguments
+    named = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.fn(args)
     except (SyntaxError_, ArityMismatchError, ProblemError,

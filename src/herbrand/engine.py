@@ -389,7 +389,10 @@ def _ground_residuals(sub: Subst, gamma_vars: Sequence[str]) -> Subst:
     return Subst({y: _filled(sub.get(y) or Var(y), filler) for y in gamma_vars})
 
 
-def prove_resolution(f: Formula, step_budget: int = 2000, trace: bool = False) -> ProofResult:
+def prove_resolution(
+    f: Formula, step_budget: int = 2000, trace: bool = False,
+    analysis: Optional[HerbrandDisjunction] = None,
+) -> ProofResult:
     """Refutation-side resolution with a fair given-clause loop.
 
     Clausifies the negation of the Skolemized matrix; on reaching the
@@ -419,9 +422,11 @@ def prove_resolution(f: Formula, step_budget: int = 2000, trace: bool = False) -
     saturated clause set, or a new clause with a term higher than
     `TERM_HEIGHT_LIMIT` means gave-up, never invalid.  With `trace` the
     result's trace holds `(kind, payload)` events, each payload a Clause
-    or a note.
+    or a note.  `analysis`, when given, is f's `herbrand_disjunction(f, 1)`
+    made already, such as another prover's analysis `at_order(1)`; it is
+    used instead of Skolemizing f again.
     """
-    d = herbrand_disjunction(f, 1)
+    d = analysis if analysis is not None else herbrand_disjunction(f, 1)
     gamma = d.gamma_vars
     # variables other than the gamma-variables (declared free ones) are
     # constants of the champ fini: frozen into constants of the same

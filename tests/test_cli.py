@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from herbrand.cli import main
+from herbrand.cli import COMMANDS, build_parser, main
 from herbrand.proofcalc import check, load_derivation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -182,6 +182,17 @@ def test_unify_command(capsys):
     assert "x -> a" in out and "y -> b" in out and "z -> a" in out
     code, out, _ = run(capsys, ["unify", "x", "f(x)", "--frees", "x"])
     assert code == 1 and "status: occurs" in out
+
+
+def test_unify_writes_no_partial_report(capsys):
+    # printing the depth-400 answer can exceed the recursion limit; a run
+    # that exits 2 must not have written `status: success` first
+    deep = "S(" * 400 + "0" + ")" * 400
+    code, out, _ = run(capsys, ["unify", f"f(x,{deep})", f"f({deep},y)", "--frees", "x y"])
+    if code == 2:
+        assert out == ""
+    else:
+        assert code == 0 and out.startswith("status: success\nx -> S(S(")
 
 
 def test_arith_command(capsys):
@@ -603,7 +614,7 @@ def _counted(monkeypatch, module, name):
 DRINKER = "formula: ?x. (P(x) -> (!y. P(y)))\n"
 
 
-@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution"])
+@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution", "race"])
 @pytest.mark.parametrize("text, flags, code", [
     pytest.param(DRINKER, [], 0, id="proved"),
     pytest.param(DRINKER, ["--proof-out", "proof.drv"], 0, id="proof-out"),
@@ -620,7 +631,7 @@ def test_one_skolemization_per_prove_request(
     calls = _counted(monkeypatch, transform, "_skolemize")
     got, out, _ = run(capsys, ["prove", path, "--method", method, *flags])
     assert got == code
-    if "--budget" in flags and method != "resolution":
+    if "--budget" in flags and method in ("dp", "gilmore"):
         assert "budget is 100" in out
     assert len(calls) == 1
 
@@ -730,3 +741,53 @@ def test_gave_up_reads_the_structure_off_the_last_order(
     code, out, _ = run(capsys, ["prove", path, "--method", method, "--max-order", "3"])
     assert code == 1 and "falsifying-structure: \ndomain: " in out
     assert (len(groundings), len(dpll_calls)) == (3, decisions)
+
+
+# ---------------------------------------------------------------------------
+# a parser with the arguments of the subcommand being run only
+
+TYPICAL_ARGVS = [
+    ["prove", "x.p", "--method", "race", "-n", "2", "--budget", "9", "--proof-out",
+     "o.drv", "--trace", "--always-lexicon", "--dual", "--json"],
+    ["transform", "f.p", "--pass", "relativize", "--guard", "G"],
+    ["expand", "f.p", "-n", "2", "--always-lexicon"],
+    ["complexity", "f.p", "--order", "3", "--max-instances", "2", "--budget", "50"],
+    ["unify", "f(x)", "f(a)", "--frees", "x"],
+    ["check", "p.drv"],
+    ["arith", "decide", "S(0) = 0"],
+    ["eval", "s.struct", "f.p"],
+    ["selftest"],
+]
+
+
+def test_every_subcommand_has_a_typical_argv():
+    assert [argv[0] for argv in TYPICAL_ARGVS] == [name for name, _h, _a in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", TYPICAL_ARGVS + [["prove", "x.p"]], ids=" ".join)
+def test_per_command_parser_parses_as_the_whole_one(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"],
+    ["prove"], ["prove", "x.p", "--bogus"], ["prove", "x.p", "--method", "nope"],
+    ["prove", "-h"],
+    ["arith"], ["arith", "decide", "-h"],
+    ["transform", "f.p"], ["expand", "f.p"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_errors_and_help_read_as_from_the_whole_parser(capsys, argv):
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    got_out, got_err = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        build_parser().parse_args(argv)
+    want_out, want_err = capsys.readouterr()
+    assert (got.value.code, got_out, got_err) == (want.value.code, want_out, want_err)
+    assert got_out or got_err
+
+
+def test_main_reads_the_process_arguments(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["herbrand", "unify", "f(x)", "f(a)", "--frees", "x"])
+    assert main() == 0
+    assert capsys.readouterr().out == "status: success\nx -> a\n"

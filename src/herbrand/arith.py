@@ -36,7 +36,6 @@ from .syntax import (
 )
 
 S = Symbol("S", 1, PLAIN_FUNCTION)
-ZERO_SYM = ZERO
 
 
 class NotArithmeticError(Exception):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from . import sat
@@ -34,7 +33,6 @@ from .syntax import (
     Atom,
     Formula,
     LEXICON,
-    Not,
     Subst,
     Symbol,
     Term,
@@ -42,7 +40,6 @@ from .syntax import (
     apply_term,
     apply,
     compose,
-    free_vars,
     height,
     print_formula,
     print_term,
@@ -152,36 +149,11 @@ class Clause:
         lits = frozenset((sign, apply(sub, atom)) for sign, atom in self.literals)
         return Clause(lits, parents=(self,), sub=sub)
 
-    def key(self) -> Optional[str]:
-        """None for a tautologous clause, else its duplicate key: two
-        clauses get the same key exactly when their literals are equal
-        under the variable renaming canonical in print order.
-
-        Each literal is printed once.  A clause is tautologous when two
-        of its literals print as an atom and its complement, the test of
-        `sat.atom_key`.  Variables are numbered as the sorted prints meet
-        them, argument by argument and by name within an argument; the
-        key spells each literal with its variables written `#k`, outside
-        the identifier grammar, so a renamed variable never reads as a
-        constant, and joins the spellings sorted, so that equal literal
-        sets give equal keys whatever order the numbering met them in.
-        """
-        printed = sorted(
-            [(("" if sign else "~") + print_formula(atom), sign, atom)
-             for sign, atom in self.literals],
-            key=itemgetter(0),
-        )
-        texts = {p for p, _, _ in printed}
-        if any("~" + p in texts for p in texts):
-            return None
-        number: dict[str, str] = {}
-        spelled = []
-        for _, sign, atom in printed:
-            for t in atom.args:
-                for v in sorted(term_vars(t)):
-                    number.setdefault(v, f"#{len(number)}")
-            spelled.append(("" if sign else "~") + _spell(atom, number))
-        return "\n".join(sorted(spelled))
+    def is_tautology(self) -> bool:
+        """Whether two of its literals print as an atom and its
+        complement, the test of `sat.atom_key`."""
+        printed = {(sign, print_formula(atom)) for sign, atom in self.literals}
+        return any((not sign, p) in printed for sign, p in printed)
 
     def pretty(self, dual: bool = False) -> str:
         """The clause as a disjunction, or in the dual presentation as a
@@ -205,13 +177,6 @@ def _spell(t: Atom | App | Var, number: dict[str, str]) -> str:
     if not t.args:
         return name
     return f"{name}({','.join([_spell(a, number) for a in t.args])})"
-
-
-def formula_clauses(f: Formula) -> list[frozenset]:
-    """First-order cnf clauses of a quantifier-free formula by naive
-    distribution, literals as (sign, Atom), each distinct clause once in
-    the order first met."""
-    return list(dict.fromkeys(frozenset(c) for c in sat._clauses(f)))
 
 
 def standardize_apart(c: Clause, counter: Iterator[int]) -> Clause:
@@ -395,8 +360,9 @@ def prove_resolution(
 ) -> ProofResult:
     """Refutation-side resolution with a fair given-clause loop.
 
-    Clausifies the negation of the Skolemized matrix; on reaching the
-    empty clause, extracts one substitution of the gamma-variables per
+    Starts from the analysis' clauses of the negated Skolemized matrix,
+    its ⊆-minimal ones in the order first met; on reaching the empty
+    clause, extracts one substitution of the gamma-variables per
     initial-clause copy from the provenance, grounds residual variables
     with the lexicon, and returns them as a Property C style witness.
 
@@ -407,9 +373,10 @@ def prove_resolution(
     clause is factored.  A clause's eligible literals are chosen once,
     when it is given, so each clause has one fixed selection, and every
     resolvent has an all-positive premise.  A new clause is dropped when
-    it is a tautology, a renamed copy of a kept clause, or θ-subsumed by
-    a kept clause (an initial or pushed one) with no more literals of
-    any sign and predicate; nothing kept is ever deleted.
+    it is a tautology or θ-subsumed by a kept clause (an initial or
+    pushed one) with no more literals of any sign and predicate, which
+    drops every renamed copy of a kept or dropped clause; nothing kept
+    is ever deleted.
     Selection with positive factoring, tautology deletion and
     subsumption is refutationally complete, and the FIFO queue makes the
     loop fair, so every unsatisfiable clause set is refuted within some
@@ -432,13 +399,12 @@ def prove_resolution(
     # constants of the champ fini: frozen into constants of the same
     # spelling, neither renaming apart nor unification moves them; the
     # witness thaws them
-    rigid = free_vars(d.matrix) - set(gamma)
-    matrix = d.matrix
-    if rigid:  # apply walks the whole matrix even with nothing to bind
-        matrix = apply(Subst({v: App(Symbol(v, 0)) for v in rigid}), matrix)
+    rigid = d.variables
+    freeze = Subst({v: App(Symbol(v, 0)) for v in rigid})
+    atoms = [apply(freeze, a) for a in d.atoms]
     initial = [
-        Clause(c, index=i)
-        for i, c in enumerate(formula_clauses(Not(matrix)))
+        Clause(frozenset((s, atoms[slot]) for s, slot, _ in literals), index=i)
+        for i, (_, literals) in enumerate(d.plans)
     ]
     events = []
 
@@ -462,7 +428,6 @@ def prove_resolution(
     import heapq
 
     counter = itertools.count()
-    seen = {c.key() for c in initial} - {None}
     seq = itertools.count()
     # FIFO over the iteration a clause was produced in, clause size as
     # the tiebreak within one iteration: fair and deterministic
@@ -528,19 +493,15 @@ def prove_resolution(
                         return gave_up("step budget exhausted", "budget")
                     steps += 1
                     fc = factor(given, l1, l2)
-                    if fc is None or fc.literals == given.literals:
+                    if fc is None:
                         continue
                     if _too_high(fc):
                         return gave_up("term height limit", "term height")
                     log("factor", fc)
                     new.append(fc)
         for c in new:
-            key = c.key()
-            if key is None:
+            if c.is_tautology():
                 continue  # sound to drop: a tautologous clause never helps
-            if key in seen:
-                continue
-            seen.add(key)
             profile = _profile(c)
             if any(_subsumes(k, kp, c, profile) for k, kp in kept):
                 continue
@@ -549,7 +510,7 @@ def prove_resolution(
     return gave_up("saturated without refutation", "saturated")
 
 
-def _extract_witness(empty: Clause, gamma: Sequence[str], rigid: set[str]) -> tuple:
+def _extract_witness(empty: Clause, gamma: Sequence[str], rigid: frozenset) -> tuple:
     subs = []
     for _idx, theta in rebuild_provenance(empty):
         grounded = _ground_residuals(theta, gamma)
@@ -558,7 +519,7 @@ def _extract_witness(empty: Clause, gamma: Sequence[str], rigid: set[str]) -> tu
     return tuple(Subst({y: _thaw(t, rigid) for y, t in s.items()}) for s in subs)
 
 
-def _thaw(t: Term, rigid: set[str]) -> Term:
+def _thaw(t: Term, rigid: frozenset) -> Term:
     """`t` with each constant named after a rigid variable made that
     variable again."""
     if isinstance(t, Var):
@@ -694,13 +655,12 @@ def find_tautological_instances(
         raise BudgetExceededError(
             f"{len(per_copy)}^{k} paths exceed the search budget {budget}"
         )
-    copies = []
+    combined_paths: list[tuple[Literal, ...]] = [()]
     for i in range(k):
         ren = Subst({y: Var(f"{y}@{i}") for y in d.gamma_vars})
-        copies.append(apply(ren, d.matrix))
-    combined_paths: list[tuple[Literal, ...]] = [()]
-    for c in copies:
-        combined_paths = [p + q for p in combined_paths for q in sat._clauses(c)]
+        renamed = {a: apply(ren, a) for a in d.atoms}
+        copy = [tuple([(s, renamed[a]) for s, a in path]) for path in per_copy]
+        combined_paths = [p + q for p in combined_paths for q in copy]
 
     def grounded_ok(sub: Subst) -> bool:
         return all(height(_filled(image, filler)) < bound for _v, image in sub.items())

@@ -12,7 +12,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import sat
-from .arith import S, ZERO_SYM
+from .arith import S
 from .sat import DEFAULT_BUDGET, BudgetExceededError
 from .syntax import (
     And,
@@ -32,6 +32,7 @@ from .syntax import (
     Symbol,
     Term,
     Var,
+    ZERO,
     apply,
     children,
     height,
@@ -242,7 +243,7 @@ def herbrand_disjunction(
     atom_vars = [set().union(*map(term_vars, a.args)) for a in atoms]
     atom_own = tuple(tuple(sorted(where[v] for v in vs if v in where)) for vs in atom_vars)
     plans = []
-    for c in dict.fromkeys(frozenset(c) for c in sat._clauses(matrix, False, prune=True)):
+    for c in sat._clauses(matrix, False, prune=True):
         literals = [(s, slots[a]) for s, a in c]
         own = sorted({p for _, slot in literals for p in atom_own[slot]})
         plans.append((tuple(own), tuple(
@@ -574,7 +575,7 @@ def arith_substructure_witness(axioms: Sequence[Formula], n: int) -> FiniteStruc
     """
     if n < 1:
         raise ValueError("n is a positive natural number")
-    champ = champ_fini([ZERO_SYM, S], (), n)
+    champ = champ_fini([ZERO, S], (), n)
     H = max(height(t) for t in champ.terms)
     top = H + 1
     domain = tuple(str(i) for i in range(top + 1))

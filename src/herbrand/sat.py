@@ -80,24 +80,31 @@ def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
     the product, left side major.  Iff is read as a conjunction of two
     implications, and A -> B as ~A | B.
 
-    With `prune`, each product keeps only its ⊆-minimal clauses, each
-    once: that keeps nested disjunctions over repeated atoms from
-    multiplying out in full, and leaves the ⊆-minimal set at the root
-    the same.  Conjunctions only concatenate, so pruning them would
-    repeat work that one pruning at the root does.
+    With `prune`, only the ⊆-minimal clauses, each once with its
+    literals once, clauses and literals in the order first met, so that
+    the result does not follow the hash seed.  Every product is pruned
+    as it is formed, which keeps nested disjunctions over repeated atoms
+    from multiplying out in full; conjunctions only concatenate, and one
+    pruning at the root covers them.
     """
+    clauses = _distributed(f, sign, prune)
+    return _first_minimal(clauses) if prune else clauses
+
+
+def _distributed(f: Formula, sign: bool, prune: bool) -> list[tuple]:
+    """`_clauses` before the root is pruned."""
     if isinstance(f, Atom):
         return [((sign, f),)]
     if isinstance(f, Not):
-        return _clauses(f.body, not sign, prune)
+        return _distributed(f.body, not sign, prune)
     if isinstance(f, Iff):
         both = And(Implies(f.left, f.right), Implies(f.right, f.left))
-        return _clauses(both, sign, prune)
+        return _distributed(both, sign, prune)
     if isinstance(f, Implies):
-        left, right = _clauses(f.left, not sign, prune), _clauses(f.right, sign, prune)
+        left, right = _distributed(f.left, not sign, prune), _distributed(f.right, sign, prune)
         conjunctive = not sign
     elif isinstance(f, (And, Or)):
-        left, right = _clauses(f.left, sign, prune), _clauses(f.right, sign, prune)
+        left, right = _distributed(f.left, sign, prune), _distributed(f.right, sign, prune)
         conjunctive = isinstance(f, And) == sign
     else:
         raise QuantifierPresentError(
@@ -107,8 +114,19 @@ def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
         return left + right
     product = [a + b for a in left for b in right]
     if prune and len(product) > 1:
-        return [tuple(c) for c in _prune({frozenset(c) for c in product})]
+        return _first_minimal(product)
     return product
+
+
+def _first_minimal(clauses: list[tuple]) -> list[tuple]:
+    """The ⊆-minimal clauses, each once with its literals once, clauses
+    and literals in the order first met."""
+    firsts: dict = {}  # each distinct literal set, to its first clause
+    for c in clauses:
+        firsts.setdefault(frozenset(c), c)
+    minimal = _prune(firsts)
+    return [c if len(c) == len(whole) else tuple(dict.fromkeys(c))
+            for whole, c in firsts.items() if whole in minimal]
 
 
 def _keyed(clauses: list[tuple]) -> ClauseSet:

@@ -440,20 +440,23 @@ def fresh_name(base: str, used: set[str]) -> str:
 def rectify(f: Formula) -> Formula:
     """Rename clashing binders so each one is unique and never free.
 
+    A binder spelled like a constant of f clashes too: a witness binding
+    it to that constant would read {x -> x}.
     Deterministic: binders are visited left to right and a clashing
     binder named b becomes b<k> for the smallest unused k.  Formulas that
     already satisfy the invariant come back unchanged.
     """
     frees = free_vars(f)
     binders = bound_vars(f)
+    constants = {s.name for s in formula_symbols(f) if not s.arity and s.kind != PREDICATE}
     counts: dict[str, int] = {}
     for b in binders:
         counts[b] = counts.get(b, 0) + 1
-    clashing = {b for b, c in counts.items() if c > 1} | (set(binders) & frees)
+    clashing = {b for b, c in counts.items() if c > 1} | (set(binders) & (frees | constants))
     if not clashing:
         return f
 
-    used = set(frees) | set(binders)
+    used = frees | set(binders) | constants
 
     def go(g: Formula, ren: dict[str, str]) -> Formula:
         if isinstance(g, Atom):

@@ -178,9 +178,9 @@ def _rename_binder(var: str, body: Formula, avoid: set[str]):
 
 
 def _first_applicable(f: Formula, direction: str):
-    """Leftmost-outermost node where some rule applies; lowest rule first."""
-    for pos, _ in sorted(subformulas(f), key=lambda pg: pg[0]):
-        g = subformula_at(f, pos)
+    """Leftmost-outermost node where some rule applies; lowest rule first.
+    The preorder of `subformulas` is the lexicographic order of positions."""
+    for pos, g in subformulas(f):
         for rule in range(1, 7):
             if _passage_once(g, rule, direction) is not None:
                 return pos, rule

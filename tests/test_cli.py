@@ -427,8 +427,9 @@ def test_prove_resolution_proof_out_pinned(tmp_path, capsys, monkeypatch):
         # the bound x is renamed apart from the free x; resolution must not
         # rename or bind the free x, which is a constant of the champ fini
         ("free: x\nformula: (?x. ~P(x)) | P(x)\n", "witness: {x1 -> x}"),
-        # the second x is a constant spelled like the gamma-variable x
-        ("formula: (?x. ~P(x)) | P(x)\n", "witness: {x -> x}"),
+        # the second x is a constant, and the bound x is renamed apart from
+        # it, so the witness does not read {x -> x}
+        ("formula: (?x. ~P(x)) | P(x)\n", "witness: {x1 -> x}"),
     ],
     ids=["free-variable", "constant"],
 )

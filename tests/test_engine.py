@@ -11,7 +11,6 @@ from herbrand.engine import (
     ProofResult,
     factor,
     find_tautological_instances,
-    formula_clauses,
     minimize_witness,
     prove_dp,
     prove_gilmore,
@@ -52,6 +51,7 @@ from herbrand.syntax import (
 
 from util import (
     all_structures,
+    iff_tree,
     is_idempotent,
     keyed,
     random_clause,
@@ -296,33 +296,18 @@ def test_resolve_drops_literals_equal_but_not_identical():
     assert checked > 50
 
 
-def _canonical_before_keys(c: Clause) -> frozenset:
-    """The duplicate key the given-clause loop used before `Clause.key`."""
-    printed = sorted(
-        (("" if sign else "~") + print_formula(atom), sign, atom)
-        for sign, atom in c.literals
-    )
-    mapping: dict[str, str] = {}
-    for _, _, atom in printed:
-        for t in atom.args:
-            for v in sorted(term_vars(t)):
-                mapping.setdefault(v, f"v{len(mapping)}")
-    sub = Subst({v: Var(n) for v, n in mapping.items()})
-    return frozenset((sign, apply(sub, atom)) for _, sign, atom in printed)
-
-
-def _tautologous_before_keys(c: Clause) -> bool:
+def _tautologous_by_atom_keys(c: Clause) -> bool:
     keys = {(s, atom_key(a)) for s, a in c.literals}
     return any((not s, k) in keys for s, k in keys)
 
 
-# a constant spelled like the first variable of the old canonical renaming
+# a constant spelled like a variable name
 CONST_V0 = Symbol("v0", 0)
 
 
 def _random_clauses(seed: int, count: int) -> list[Clause]:
-    """Random clauses, each next to a renamed copy.  The '@' names print
-    bracketed and sort differently by name than by print."""
+    """Random clauses, each next to a copy with its variable names
+    permuted."""
     rng = random.Random(seed)
     names = ["x", "y", "x@3.1", "x@3.10", "y@12.0"]
     out = []
@@ -334,25 +319,28 @@ def _random_clauses(seed: int, count: int) -> list[Clause]:
     return out
 
 
-def test_clause_key_partitions_like_the_canonical_renaming():
-    clauses = [c for c in _random_clauses(5, 600) if not _tautologous_before_keys(c)]
-    pairs = {(_canonical_before_keys(c), c.key()) for c in clauses}
-    olds = {old for old, _ in pairs}
-    assert len(olds) == len({key for _, key in pairs}) == len(pairs)
-    assert len(pairs) < len(clauses) // 2 + 50  # renamed copies do collide
+def test_renamed_copies_subsume_each_other():
+    # the given-clause loop drops a renamed copy of a kept clause by
+    # θ-subsumption alone
+    from herbrand.engine import _profile, _subsumes
+
+    clauses = _random_clauses(5, 600)
+    for c, copy in zip(clauses[::2], clauses[1::2]):
+        assert _subsumes(c, _profile(c), copy, _profile(copy)), (c, copy)
+        assert _subsumes(copy, _profile(copy), c, _profile(c)), (c, copy)
     # a variable renamed to v0 is not the constant v0
     R = Symbol("R", 2, PREDICATE)
     x = Var("x")
     c1 = Clause(frozenset([(True, Atom(R, (x, App(CONST_V0))))]))
     c2 = Clause(frozenset([(True, Atom(R, (x, x)))]))
-    assert _canonical_before_keys(c1) != _canonical_before_keys(c2)
-    assert c1.key() != c2.key()
+    assert not _subsumes(c1, _profile(c1), c2, _profile(c2))
+    assert not _subsumes(c2, _profile(c2), c1, _profile(c1))
 
 
-def test_clause_key_finds_tautologies_like_atom_keys():
+def test_clause_tautology_test_matches_atom_keys():
     clauses = _random_clauses(6, 600)
-    flags = [_tautologous_before_keys(c) for c in clauses]
-    assert [c.key() is None for c in clauses] == flags
+    flags = [_tautologous_by_atom_keys(c) for c in clauses]
+    assert [c.is_tautology() for c in clauses] == flags
     assert any(flags) and not all(flags)
 
 
@@ -859,7 +847,7 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(
             expected = {
                 frozenset((sat.atom_key(apply(sigma, a)), s) for s, a in c)
                 for sigma in d.substitutions()
-                for c in formula_clauses(Not(d.matrix))
+                for c in _reference_formula_clauses(Not(d.matrix))
             }
             assert sat._prune(set(clauses)) == sat._prune(expected)
             if refuted:
@@ -903,16 +891,10 @@ def test_grounding_keeps_an_iff_matrix_small(monkeypatch):
     from herbrand.expansion import eval_in_structure, expand, falsifying_structure
 
     def sentence(leaves, depth):
-        atoms = [parse(t) for t in leaves]
+        return parse(iff_tree(leaves, depth))
 
-        def tree(depth, i=0):
-            if depth == 0:
-                return atoms[i % 3]
-            return Iff(tree(depth - 1, 2 * i), tree(depth - 1, 2 * i + 1))
-
-        return parse(f"?x. ({print_formula(tree(depth))})")
-
-    clausify = sat._clauses
+    # every node of the clausifier's recursion, the root before pruning
+    clausify = sat._distributed
     sizes = []
 
     def recorded(*args, **kwargs):
@@ -920,7 +902,7 @@ def test_grounding_keeps_an_iff_matrix_small(monkeypatch):
         sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(sat, "_clauses", recorded)
+    monkeypatch.setattr(sat, "_distributed", recorded)
     ground_clauses(herbrand_disjunction(sentence(("P(x)", "P(a)", "P(b)"), 3), 1))
     assert sizes and max(sizes) <= 64
     monkeypatch.undo()
@@ -943,6 +925,26 @@ def test_grounding_keeps_an_iff_matrix_small(monkeypatch):
     structure = falsifying_structure(invalid, 2)
     d = herbrand_disjunction(invalid, 2)
     assert not eval_in_structure(structure, expand(d.skolemized, d.champ.terms))
+
+
+def test_resolution_starts_from_the_pruned_clauses_of_an_iff_matrix():
+    # resolution reads the analysis' ⊆-minimal clauses of the negated
+    # matrix, so the depth-4 tree, whose naive cnf has 14,868,736
+    # clauses, is proved within a small peak; at depth 3 the naive cnf
+    # holds clauses that contain others, and starting without them the
+    # proof takes 590 steps instead of 1,070
+    import tracemalloc
+
+    assert prove_resolution(parse(iff_tree(("P(a)", "P(x)", "P(b)"), 3))).steps == 590
+    f = parse(iff_tree(("P(a)", "P(x)", "P(b)"), 4))
+    tracemalloc.start()
+    try:
+        result = prove_resolution(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.found and check_instances(f, result.witness) == (True, None)
+    assert peak < 1_000_000
 
 
 def test_prove_dp_skolemizes_once(monkeypatch):
@@ -978,10 +980,21 @@ def test_prove_resolution_holds_free_variables_rigid():
 # references: the same lists in the same order
 
 
-def _reference_formula_clauses(f):
+def _first_minimal(clauses):
+    """The ⊆-minimal ones of dict-ordered literal sets, each once, in the
+    order first met."""
+    return [c for i, c in enumerate(clauses)
+            if c not in clauses[:i] and not any(o.keys() < c.keys() for o in clauses)]
+
+
+def _reference_formula_clauses(f, prune=False):
+    """The clauses of f by naive distribution, each distinct one once in
+    the order first met; with `prune`, the ⊆-minimal ones of every
+    product and of the root instead, as tuples of their literals in the
+    order first met."""
     def go(g, sign):
         if isinstance(g, Atom):
-            return [{(sign, g)}]
+            return [{(sign, g): None}]
         if isinstance(g, Not):
             return go(g.body, not sign)
         if isinstance(g, Iff):
@@ -992,8 +1005,11 @@ def _reference_formula_clauses(f):
         left, right = go(g.left, sign), go(g.right, sign)
         if conjunctive:
             return left + right
-        return [a | b for a in left for b in right]
+        product = [a | b for a in left for b in right]
+        return _first_minimal(product) if prune else product
 
+    if prune:
+        return [tuple(c) for c in _first_minimal(go(f, True))]
     out = []
     for c in go(f, True):
         if frozenset(c) not in out:
@@ -1020,7 +1036,18 @@ def test_clauses_and_paths_match_the_references():
     rng = random.Random(83)
     for _ in range(600):
         f = random_qf(rng, rng.randrange(1, 5))
-        assert formula_clauses(f) == _reference_formula_clauses(f)
-        assert formula_clauses(Not(f)) == _reference_formula_clauses(Not(f))
+        # the analysis' plans, resolution's initial clauses, are the
+        # ⊆-minimal clauses of the negated matrix, in the order of
+        # pruning every product and the root; that order can differ from
+        # their first-met order in the unpruned list, where a product's
+        # clause may first come from a factor that pruning drops
+        d = herbrand_disjunction(f, 1)
+        plans = [tuple((s, d.atoms[slot]) for s, slot, _ in literals)
+                 for _, literals in d.plans]
+        naive = _reference_formula_clauses(Not(d.matrix))
+        assert {frozenset(c) for c in plans} == {
+            c for c in naive if not any(o < c for o in naive)
+        }
+        assert plans == _reference_formula_clauses(Not(d.matrix), prune=True)
         paths = [list(c) for c in sat._clauses(f)]
         assert paths == _reference_paths(f)

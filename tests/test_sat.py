@@ -24,7 +24,7 @@ from herbrand.sat import (
 )
 from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
 
-from util import dnf, keyed, random_qf, reference_nnf, truth_table_tautology
+from util import dnf, iff_tree, keyed, random_qf, reference_nnf, truth_table_tautology
 
 
 def qf(rng):
@@ -376,6 +376,32 @@ def test_falsifying_assignments_do_not_depend_on_the_hash_seed(tmp_path):
             )
             assert done.returncode == 1, done.stderr
             assert report(done.stdout) == report(pinned)
+    # resolution starts from the pruned clauses, kept in the order first
+    # met, and the instance search clausifies the matrix once for all its
+    # copies: neither follows the seed.  Pruned in set order, the running
+    # example's clauses change resolution's proof between seeds 1 and 2
+    iff = tmp_path / "iff.prob"
+    iff.write_text(f"formula: {iff_tree(('P(a)', 'P(x)', 'P(b)'), 3)}\n", encoding="utf-8")
+    running = tmp_path / "running.prob"
+    running.write_text(
+        "formula: (!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+        " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+        " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))\n",
+        encoding="utf-8",
+    )
+    for argv in (["prove", str(iff), "--method", "resolution"],
+                 ["prove", str(running), "--method", "resolution"],
+                 ["complexity", str(running), "-n", "4", "--max-instances", "3"]):
+        stdouts = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "herbrand", *argv], env=env, capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            stdouts.add(done.stdout)
+        assert len(stdouts) == 1, stdouts
 
 
 def _quadratic_prune(clauses):

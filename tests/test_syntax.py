@@ -334,6 +334,10 @@ def test_rectify_examples():
     assert rectify(g) == g
     h = parse("!x. (P(x) | ?x. Q(x))")
     assert print_formula(rectify(h)) == "!x1. P(x1) | (?x2. Q(x2))"
+    # a binder spelled like a constant is renamed apart from it
+    c = parse("(?x. ~P(x)) | P(x) | Q(x1, f(x2))")
+    assert print_formula(rectify(c)) == "(?x3. ~P(x3)) | P(x) | Q(x1, f(x2))"
+    assert rectify(parse("?y. P(y, f(x))")) == parse("?y. P(y, f(x))")
 
 
 def test_rectify_invariant_random():

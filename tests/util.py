@@ -32,6 +32,7 @@ from herbrand.syntax import (
     formula_symbols,
     free_vars,
     parse,
+    print_formula,
     subformulas,
     term_vars,
     with_children,
@@ -131,6 +132,20 @@ def random_qf(rng: random.Random, depth: int) -> Formula:
         return ctor(go(d - 1), go(d - 1))
 
     return go(depth)
+
+
+def iff_tree(leaves: tuple[str, str, str], depth: int) -> str:
+    """`?x.` over a balanced Iff tree of the given depth, leaf i the atom
+    `leaves[i mod 3]`, as formula text.  At depth 4 the cnf of its
+    negated matrix multiplies out to 14,868,736 clauses."""
+    atoms = [parse(t) for t in leaves]
+
+    def tree(depth: int, i: int = 0) -> Formula:
+        if depth == 0:
+            return atoms[i % 3]
+        return Iff(tree(depth - 1, 2 * i), tree(depth - 1, 2 * i + 1))
+
+    return f"?x. ({print_formula(tree(depth))})"
 
 
 def reference_nnf(f: Formula, sign: bool) -> Formula:

@@ -128,7 +128,8 @@ def _lit_formula(lit: Lit) -> Formula:
 
 def _dnf_lits(f: Formula, sign: bool = True) -> list[list[Lit]]:
     """DNF of a quantifier-free formula (of ~f when sign is False) as
-    literal lists: the cnf clauses of its negation, each sign flipped."""
+    literal lists: the ⊆-minimal cnf clauses of its negation, each sign
+    flipped (a conjunct that contains another is absorbed by it)."""
     return [
         [(peel(a.args[0]), peel(a.args[1]), not s) for s, a in c]
         for c in sat._clauses(f, not sign)
@@ -197,51 +198,37 @@ def _eliminate_exists(var: str, conjunct: list[Lit]) -> Optional[list[Lit]]:
     return out
 
 
-def _conjunct_formula(conjunct: list[Lit]) -> Formula:
-    if not conjunct:
-        return TRUE
-    parts = [_lit_formula(l) for l in conjunct]
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
-
-
 def _dnf_formula(conjuncts: list[list[Lit]]) -> Formula:
-    if not conjuncts:
-        return FALSE
-    parts = [_conjunct_formula(c) for c in conjuncts]
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    """The disjunction of the conjunctions, each nested to the right:
+    0 != 0 when there is no conjunct, 0 = 0 for an empty one."""
+
+    def joined(ctor, parts: list, empty: Formula) -> Formula:
+        out = parts[-1] if parts else empty
+        for p in reversed(parts[:-1]):
+            out = ctor(p, out)
+        return out
+
+    return joined(Or, [joined(And, [_lit_formula(l) for l in c], TRUE) for c in conjuncts], FALSE)
 
 
 def _clean(conjuncts: list[list[Lit]]) -> list[list[Lit]]:
     """Normalize literals, drop refuted conjuncts, dedupe, sort."""
-    out = []
-    seen = set()
+    def key(lit: Lit):
+        return _side_key(lit[0]), _side_key(lit[1]), lit[2]
+
+    out = {}  # each conjunct's sorted literals, kept once
     for c in conjuncts:
         lits = []
-        dead = False
         for lit in c:
             n = _norm_lit(lit)
-            if n is True:
-                continue
             if n is False:
-                dead = True
                 break
-            if n not in lits:
+            if n is not True and n not in lits:
                 lits.append(n)
-        if dead:
-            continue
-        lits.sort(key=lambda l: (_side_key(l[0]), _side_key(l[1]), l[2]))
-        key = tuple(lits)
-        if key not in seen:
-            seen.add(key)
-            out.append(lits)
-    out.sort(key=lambda c: [(_side_key(l[0]), _side_key(l[1]), l[2]) for l in c])
-    return out
+        else:
+            lits.sort(key=key)
+            out.setdefault(tuple(lits), lits)
+    return sorted(out.values(), key=lambda c: [key(l) for l in c])
 
 
 def eliminate_quantifiers(f: Formula) -> Formula:
@@ -252,9 +239,7 @@ def eliminate_quantifiers(f: Formula) -> Formula:
     def neg(g: Formula) -> Formula:
         if g == TRUE:
             return FALSE
-        if g == FALSE:
-            return TRUE
-        if isinstance(g, Not):
+        if isinstance(g, Not):  # FALSE included
             return g.body
         return Not(g)
 
@@ -272,13 +257,8 @@ def eliminate_quantifiers(f: Formula) -> Formula:
         raise TypeError(f"not a formula: {g!r}")
 
     def _exists(var: str, body: Formula) -> Formula:
-        conjuncts = _dnf_lits(body)
-        surviving = []
-        for c in conjuncts:
-            eliminated = _eliminate_exists(var, c)
-            if eliminated is not None:
-                surviving.append(eliminated)
-        return _dnf_formula(_clean(surviving))
+        eliminated = (_eliminate_exists(var, c) for c in _dnf_lits(body))
+        return _dnf_formula(_clean([e for e in eliminated if e is not None]))
 
     return qe(f)
 
@@ -304,30 +284,25 @@ def qf_normal_form(f: Formula) -> Formula:
     for _, g in subformulas(f):
         if isinstance(g, QUANT):
             raise ValueError("qf_normal_form expects a quantifier-free formula")
-    conjuncts = _clean(
-        [c for c in _dnf_lits(f) if _conjunct_satisfiable(c)]
-    )
+    conjuncts = _clean([c for c in _dnf_lits(f) if _conjunct_satisfiable(c)])
     if not conjuncts:
         return FALSE
-    negated = _clean(
-        [c for c in _dnf_lits(f, sign=False) if _conjunct_satisfiable(c)]
-    )
-    if not negated:
+    if not any(map(_conjunct_satisfiable, _dnf_lits(f, sign=False))):
         return TRUE
     return _dnf_formula(conjuncts)
 
 
 def decide(sentence: Formula) -> str:
     """\"derivable\" or \"refutable\" for a closed sentence: derivable
-    exactly when the normal form of the eliminated negation is 0 != 0.
-    """
+    exactly when the eliminated sentence, which is ground, is true, that
+    is, when some conjunct of its dnf has only true literals."""
     validate(sentence)
     if free_vars(sentence):
         raise FreeVariableError(
             f"decide needs a closed sentence; free: {sorted(free_vars(sentence))}"
         )
-    eliminated = eliminate_quantifiers(sentence)
-    if qf_normal_form(Not(eliminated)) == FALSE:
+    conjuncts = _dnf_lits(eliminate_quantifiers(sentence))
+    if any(all(_norm_lit(lit) is True for lit in c) for c in conjuncts):
         return "derivable"
     return "refutable"
 

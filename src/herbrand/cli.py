@@ -747,7 +747,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (SyntaxError_, ArityMismatchError, ProblemError,
             arith_mod.NotArithmeticError, arith_mod.FreeVariableError,
-            expansion.UninterpretedSymbolError, OSError, ValueError) as e:
+            expansion.UninterpretedSymbolError, transform.GuardError, OSError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:

@@ -649,7 +649,9 @@ def find_tautological_instances(
     bound = d.champ.order
 
     # the paths through a matrix are its cnf clauses: one literal from
-    # every disjunct, branching over conjuncts
+    # every disjunct, branching over conjuncts.  Only the ⊆-minimal ones
+    # are kept: a substitution that closes a path closes every path
+    # containing it
     per_copy = sat._clauses(d.matrix)
     if len(per_copy) ** k > budget:
         raise BudgetExceededError(

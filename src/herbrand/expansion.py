@@ -179,8 +179,8 @@ class HerbrandDisjunction:
     give the champ fini of any order (`at_order`).  `atoms` are the
     matrix's atoms, an atom's index being its slot, and `atom_own` per
     slot the ascending positions among `gamma_vars` of the atom's
-    gamma-variables.  `plans` holds each ⊆-minimal clause of the negated
-    matrix (`sat._clauses(matrix, False, prune=True)`; a pruned clause
+    gamma-variables.  `plans` holds each clause of the negated matrix
+    (`sat._clauses(matrix, False)`, the ⊆-minimal ones: a pruned clause
     contains a kept one, and so do their groundings) as the positions of
     its own gamma-variables and, per literal, the sign, the slot and
     where the atom's gamma-variables sit among the clause's.
@@ -243,7 +243,7 @@ def herbrand_disjunction(
     atom_vars = [set().union(*map(term_vars, a.args)) for a in atoms]
     atom_own = tuple(tuple(sorted(where[v] for v in vs if v in where)) for vs in atom_vars)
     plans = []
-    for c in sat._clauses(matrix, False, prune=True):
+    for c in sat._clauses(matrix, False):
         literals = [(s, slots[a]) for s, a in c]
         own = sorted({p for _, slot in literals for p in atom_own[slot]})
         plans.append((tuple(own), tuple(
@@ -491,7 +491,12 @@ def eval_in_structure(s: FiniteStructure, f: Formula) -> bool:
         table = s.fn_tables.get((t.sym.name, t.sym.arity))
         if table is None:
             raise UninterpretedSymbolError(f"function {t.sym.name} uninterpreted")
-        return table[tuple(_eval_term(a, env) for a in t.args)]
+        args = tuple(_eval_term(a, env) for a in t.args)
+        if args not in table:
+            raise UninterpretedSymbolError(
+                f"function {t.sym.name} has no value at ({', '.join(args)})"
+            )
+        return table[args]
 
     return go(f, dict(s.var_env))
 
@@ -655,4 +660,9 @@ def load_structure(text: str) -> FiniteStructure:
                 )
         else:
             raise ValueError(f"unrecognized structure line: {raw!r}")
+    outside = [f"fn {name}: {value}" for (name, _), table in fn_tables.items()
+               for value in table.values() if value not in domain]
+    outside += [f"var {v}: {value}" for v, value in var_env.items() if value not in domain]
+    if outside:
+        raise ValueError(f"value outside the domain: {outside[0]}")
     return FiniteStructure(domain, fn_tables, pred_tables, var_env)

@@ -258,8 +258,8 @@ def check_step(d: Derivation, i: int) -> Optional[Violation]:
     if step.rule == PASSAGE:
         if len(prem) != 1:
             return bad("passage takes one premise")
-        if step.passage_rule is None or step.direction is None:
-            return bad("missing passage rule index or direction")
+        if step.passage_rule not in range(1, 7) or step.direction is None:
+            return bad("missing passage rule index (1 to 6) or direction")
         pos = step.at if step.at is not None else ()
         try:
             g = subformula_at(prem[0], pos)
@@ -737,12 +737,16 @@ def load_derivation(text: str) -> tuple[Derivation, tuple[str, ...]]:
         else:
             at = tuple(int(x) for x in at_s.split("."))
         data = json.loads(data_f[len("data="):])
-        term = (
-            parse_term(data["term"], set(frees)) if "term" in data else None
-        )
-        renamings = (
-            tuple(dict(r) for r in data["renamings"]) if "renamings" in data else None
-        )
+        # an object; term and direction strings, passage_rule an int,
+        # renamings a list of string-to-string objects, each optional
+        renamings = data.get("renamings", []) if isinstance(data, dict) else None
+        if not (isinstance(renamings, list) and type(data.get("passage_rule", 0)) is int
+                and all(isinstance(data.get(k, ""), str) for k in ("term", "direction"))
+                and all(isinstance(r, dict) and all(isinstance(x, str) for x in [*r, *r.values()])
+                        for r in renamings)):
+            raise ValueError(f"malformed data in derivation line: {raw!r}")
+        term = parse_term(data["term"], set(frees)) if "term" in data else None
+        renamings = tuple(map(dict, renamings)) if "renamings" in data else None
         steps.append(
             Step(
                 parse(formula_f, set(frees)),

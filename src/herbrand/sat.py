@@ -71,40 +71,39 @@ def numbered(clauses: Iterable[Iterable[tuple[str, bool]]]) -> ClauseSet:
     })), names)
 
 
-def _clauses(f: Formula, sign: bool = True, prune: bool = False) -> list[tuple]:
-    """Cnf clauses of f (of ~f when sign is False) by naive distribution,
-    literals as (sign, Atom), duplicates kept.
+def _clauses(f: Formula, sign: bool = True) -> list[tuple]:
+    """The ⊆-minimal cnf clauses of f (of ~f when sign is False), each
+    once with its literals once, literals as (sign, Atom), clauses and
+    literals in the order first met, so that the result does not follow
+    the hash seed.
 
-    The one clausifier of the package.  A conjunctive node lists its
-    left side's clauses, then its right side's; a disjunctive node gives
-    the product, left side major.  Iff is read as a conjunction of two
-    implications, and A -> B as ~A | B.
-
-    With `prune`, only the ⊆-minimal clauses, each once with its
-    literals once, clauses and literals in the order first met, so that
-    the result does not follow the hash seed.  Every product is pruned
-    as it is formed, which keeps nested disjunctions over repeated atoms
-    from multiplying out in full; conjunctions only concatenate, and one
-    pruning at the root covers them.
+    The one clausifier of the package, by distribution: a conjunctive
+    node lists its left side's clauses, then its right side's; a
+    disjunctive node gives the product, left side major.  Iff is read as
+    a conjunction of two implications, and A -> B as ~A | B.  Every
+    product is pruned as it is formed, which keeps nested disjunctions
+    over repeated atoms from multiplying out in full; conjunctions only
+    concatenate, and one pruning at the root covers them.
     """
-    clauses = _distributed(f, sign, prune)
-    return _first_minimal(clauses) if prune else clauses
+    clauses = _distributed(f, sign)
+    # a literal's lone unit clause is minimal as it is; not hashing its
+    # atom matters to arith, which clausifies many single atoms
+    return clauses if len(clauses) == 1 == len(clauses[0]) else _first_minimal(clauses)
 
 
-def _distributed(f: Formula, sign: bool, prune: bool) -> list[tuple]:
+def _distributed(f: Formula, sign: bool) -> list[tuple]:
     """`_clauses` before the root is pruned."""
     if isinstance(f, Atom):
         return [((sign, f),)]
     if isinstance(f, Not):
-        return _distributed(f.body, not sign, prune)
+        return _distributed(f.body, not sign)
     if isinstance(f, Iff):
-        both = And(Implies(f.left, f.right), Implies(f.right, f.left))
-        return _distributed(both, sign, prune)
+        return _distributed(And(Implies(f.left, f.right), Implies(f.right, f.left)), sign)
     if isinstance(f, Implies):
-        left, right = _distributed(f.left, not sign, prune), _distributed(f.right, sign, prune)
+        left, right = _distributed(f.left, not sign), _distributed(f.right, sign)
         conjunctive = not sign
     elif isinstance(f, (And, Or)):
-        left, right = _distributed(f.left, sign, prune), _distributed(f.right, sign, prune)
+        left, right = _distributed(f.left, sign), _distributed(f.right, sign)
         conjunctive = isinstance(f, And) == sign
     else:
         raise QuantifierPresentError(
@@ -113,9 +112,7 @@ def _distributed(f: Formula, sign: bool, prune: bool) -> list[tuple]:
     if conjunctive:
         return left + right
     product = [a + b for a in left for b in right]
-    if prune and len(product) > 1:
-        return _first_minimal(product)
-    return product
+    return _first_minimal(product) if len(product) > 1 else product
 
 
 def _first_minimal(clauses: list[tuple]) -> list[tuple]:
@@ -161,11 +158,11 @@ def _prune(clauses: Iterable) -> set:
 
 
 def cnf(f: Formula) -> ClauseSet:
-    return _keyed(_clauses(f, prune=True))
+    return _keyed(_clauses(f))
 
 
 def cnf_of_negation(f: Formula) -> ClauseSet:
-    return _keyed(_clauses(f, False, prune=True))
+    return _keyed(_clauses(f, False))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ from .syntax import (
     subformula_at,
     subformulas,
     with_children,
+    _IDENT_RE,
+    _print_symbol_name,
 )
 
 ALPHA, BETA, GAMMA, DELTA = "alpha", "beta", "gamma", "delta"
@@ -301,7 +303,10 @@ def relativize(f: Formula, guard: Symbol) -> Formula:
     """
     if guard.kind != PREDICATE or guard.arity != 1:
         raise GuardError("the guard must be a unary predicate")
-    if guard in formula_symbols(f):
+    if not _IDENT_RE.fullmatch(guard.name):
+        raise GuardError(f"guard {guard.name!r} is not an identifier")
+    # by spelling: a symbol of another arity or kind would not re-read
+    if guard.name in {_print_symbol_name(s) for s in formula_symbols(f)}:
         raise GuardError(f"guard {guard.name} already occurs in the formula")
 
     def go(g: Formula) -> Formula:

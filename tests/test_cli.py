@@ -1,11 +1,14 @@
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
 from herbrand.cli import COMMANDS, build_parser, main
 from herbrand.proofcalc import check, load_derivation
+from herbrand.syntax import parse, print_formula
+from util import iff_tree
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SCALING = "formula: ?x,y,z. (P(f(x),g(y)) & ~P(z,z))\n"
@@ -128,6 +131,19 @@ def test_transform_passes(tmp_path, capsys):
     assert code == 0 and "D(" in out
 
 
+@pytest.mark.parametrize("formula, guard, message", [
+    ("!x. P(x)", "P", "guard P already occurs in the formula"),
+    ("!x. P(x)", "1x", "guard '1x' is not an identifier"),
+    ("!x. P(x, f(x))", "f", "guard f already occurs in the formula"),
+    ("!x. P(x, c)", "c", "guard c already occurs in the formula"),
+])
+def test_relativize_rejects_a_guard_that_would_not_re_read(tmp_path, capsys, formula, guard,
+                                                           message):
+    path = write_problem(tmp_path, f"formula: {formula}\n")
+    argv = ["transform", path, "--pass", "relativize", "--guard", guard]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_expand_command(tmp_path, capsys):
     path = write_problem(tmp_path, "formula: (?x. P(x)) | ~(?y. P(y))\n")
     code, out, _ = run(capsys, ["expand", path, "-n", "2"])
@@ -143,6 +159,29 @@ def test_complexity_command(tmp_path, capsys):
     invalid = write_problem(tmp_path, "formula: ?x. P(x)\n", "inv.prob")
     code, out, _ = run(capsys, ["complexity", invalid, "-n", "2"])
     assert code == 1 and "complexity: none" in out
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_iff_trees_are_decided_from_their_minimal_clauses(tmp_path, capsys, depth):
+    # T a balanced Iff tree: multiplied out in full, the cnf of the matrix
+    # T | ~T has 3,115,008 clauses at depth 3, and the cnf of the ground
+    # tree's negation 14,868,736 at depth 4.  The instance search and the
+    # arithmetic decision read only their ⊆-minimal clauses
+    tree = print_formula(parse(iff_tree(("P(x)", "P(a)", "P(b)"), depth)).body)
+    path = write_problem(tmp_path, f"formula: ?x. ({tree}) | ~({tree})\n")
+    ground = parse(iff_tree(("S(0) = 0", "0 = 0", "S(S(0)) = S(0)"), depth)).body
+    for argv, expected in (
+        (["complexity", path, "-n", "1", "--max-instances", "2"], "complexity: 1\n"),
+        (["arith", "decide", print_formula(ground)], "refutable\n"),
+    ):
+        tracemalloc.start()
+        try:
+            outcome = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == (0, expected, "")
+        assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("argv, problem", [
@@ -222,6 +261,22 @@ def test_eval_consumes_structure_files(tmp_path, capsys):
     )
     code, out, _ = run(capsys, ["eval", str(struct2), taut])
     assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("structure, message", [
+    ("domain: e0\nfn a: ()->e9\nfn f: (e0)->e0\npred P: (e0)->T\n",
+     "value outside the domain: fn a: e9"),
+    ("domain: e0\nfn a: ()->e0\nfn f: (e0)->e0\npred P: (e0)->T\nvar z: e1\n",
+     "value outside the domain: var z: e1"),
+    ("domain: e0 e1\nfn a: ()->e1\nfn f: (e0)->e0\npred P: (e0)->T\n",
+     "function f has no value at (e1)"),
+])
+def test_eval_rejects_a_structure_that_cannot_evaluate(tmp_path, capsys, structure, message):
+    # an image or value outside the domain, or a missing table entry
+    prob = write_problem(tmp_path, "formula: P(f(a))\n")
+    struct = tmp_path / "bad.struct"
+    struct.write_text(structure, encoding="utf-8")
+    assert run(capsys, ["eval", str(struct), prob]) == (2, "", f"error: {message}\n")
 
 
 def test_expectation_annotation(tmp_path, capsys):
@@ -576,6 +631,30 @@ def test_complexity_search_runs_under_the_default_recursion_limit(tmp_path, caps
     assert (code, out, err) == (1, "complexity: none\n", "")
 
 
+_RENAMINGS = '"renamings": [{"x": "x_c1"}, {"x": "x_c2"}]'
+
+
+@pytest.mark.parametrize("line, field, tampered", [
+    (0, "data={}", "data=[]"),
+    (1, '"term": "c1"', '"term": 5'),
+    (4, _RENAMINGS, '"renamings": 3'),
+    (4, _RENAMINGS, '"renamings": [["x", "x_c1"]]'),
+    (4, _RENAMINGS, '"renamings": [{"x": 1}]'),
+    (3, "data={}", 'data={"passage_rule": "1"}'),
+    (3, "data={}", 'data={"passage_rule": true}'),
+    (3, "data={}", 'data={"direction": 1}'),
+])
+def test_check_rejects_data_of_the_wrong_type(tmp_path, capsys, line, field, tampered):
+    with open(os.path.join(DATA, "merge_below_quantifier.drv"), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    assert field in lines[line]
+    lines[line] = lines[line].replace(field, tampered, 1)
+    path = tmp_path / "tampered.drv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"error: malformed data in derivation line: {lines[line]!r}\n"
+    assert run(capsys, ["check", str(path)]) == (2, "", message)
+
+
 def test_proof_of_an_equation_on_a_boxed_variable_checks(tmp_path, capsys):
     # the derivation writes the equation `[y_star] = a`, and `check`
     # must read it back
@@ -717,7 +796,6 @@ def test_gave_up_structure_is_the_one_computed_afresh(
     tmp_path, capsys, text, method, lexicon
 ):
     from herbrand.expansion import dump_structure, falsifying_structure
-    from herbrand.syntax import parse
 
     path = write_problem(tmp_path, f"formula: {text}\n")
     flags = ["--always-lexicon"] if lexicon else []

@@ -977,7 +977,8 @@ def test_prove_resolution_holds_free_variables_rigid():
 
 # ---------------------------------------------------------------------------
 # the clausifier and path enumerator that `sat._clauses` replaced, kept as
-# references: the same lists in the same order
+# references, pruned as `sat._clauses` prunes: the same lists in the same
+# order
 
 
 def _first_minimal(clauses):
@@ -1018,18 +1019,20 @@ def _reference_formula_clauses(f, prune=False):
 
 
 def _reference_paths(f):
+    """The paths through f's NNF, the ⊆-minimal ones of every product and
+    of the root, as tuples of their literals in the order first met."""
     def go(h):
         if isinstance(h, Atom):
-            return [[(True, h)]]
+            return [{(True, h): None}]
         if isinstance(h, Not):
-            return [[(False, h.body)]]
+            return [{(False, h.body): None}]
         if isinstance(h, Or):
-            return [a + b for a in go(h.left) for b in go(h.right)]
+            return _first_minimal([a | b for a in go(h.left) for b in go(h.right)])
         if isinstance(h, And):
             return go(h.left) + go(h.right)
         raise TypeError(h)
 
-    return go(reference_nnf(f, True))
+    return [tuple(p) for p in _first_minimal(go(reference_nnf(f, True)))]
 
 
 def test_clauses_and_paths_match_the_references():
@@ -1049,5 +1052,4 @@ def test_clauses_and_paths_match_the_references():
             c for c in naive if not any(o < c for o in naive)
         }
         assert plans == _reference_formula_clauses(Not(d.matrix), prune=True)
-        paths = [list(c) for c in sat._clauses(f)]
-        assert paths == _reference_paths(f)
+        assert sat._clauses(f) == _reference_paths(f)

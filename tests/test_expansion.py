@@ -42,7 +42,9 @@ from herbrand.syntax import (
 )
 from herbrand.transform import skolemize_outer
 
-from util import CONST_A, FUN_F, P1, Q1, R2, keyed, random_formula, random_structure
+from util import (
+    CONST_A, FUN_F, P1, Q1, R2, keyed, multiplied_out, random_formula, random_structure,
+)
 
 RUNNING_EXAMPLE = (
     "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
@@ -421,12 +423,15 @@ def test_property_c_soundness_sample():
 
 
 def _reference_grounding(d, sigmas, prune=False):
-    """Per substitution: apply it to each clause of the negated matrix
-    (each ⊆-minimal one with `prune`) and key the atoms.  Returns each
-    substitution's clauses and the atoms of the instances."""
+    """Per substitution: apply it to each clause of the negated matrix,
+    multiplied out in full (only the ⊆-minimal ones with `prune`), and
+    key the atoms.  Returns each substitution's clauses and the atoms of
+    the instances."""
     from herbrand import sat
 
-    base = sat._clauses(d.matrix, False, prune)
+    base = [frozenset(c) for c in multiplied_out(d.matrix, False)]
+    if prune:
+        base = [c for c in base if not any(o < c for o in base)]
     per, atoms = [], {}
     for sigma in sigmas:
         per.append({

@@ -238,6 +238,16 @@ def test_passage_step():
         )
     )
     assert check_step(bad, 1) is not None
+    # rules are numbered 1 to 6; another index is a violation, not a crash
+    for rule in (0, 7):
+        unknown = Derivation(
+            (
+                Step(parse("~(!x. P(x))"), T_AXIOM),
+                Step(parse("?x. ~P(x)"), PASSAGE, (0,), at=(), passage_rule=rule,
+                     direction="prenex"),
+            )
+        )
+        assert "passage rule index" in check_step(unknown, 1).message
 
 
 def test_forward_reference_rejected():

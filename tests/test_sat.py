@@ -24,7 +24,9 @@ from herbrand.sat import (
 )
 from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
 
-from util import dnf, iff_tree, keyed, random_qf, reference_nnf, truth_table_tautology
+from util import (
+    dnf, iff_tree, keyed, multiplied_out, random_qf, reference_nnf, truth_table_tautology,
+)
 
 
 def qf(rng):
@@ -305,7 +307,8 @@ def test_clause_sets_prune_every_product(monkeypatch):
         return Iff(tree(depth - 1, 2 * i), tree(depth - 1, 2 * i + 1))
 
     f = tree(3)
-    assert (len(_clauses(f)), len(_clauses(f, False))) == (1152, 2704)
+    assert (len(multiplied_out(f)), len(multiplied_out(f, False))) == (1152, 2704)
+    assert (len(_clauses(f)), len(_clauses(f, False))) == (12, 14)
     numbering = sat._keyed
     sizes = []
 

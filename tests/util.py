@@ -170,6 +170,24 @@ def reference_nnf(f: Formula, sign: bool) -> Formula:
     raise TypeError(f"not quantifier-free: {f!r}")
 
 
+def multiplied_out(f: Formula, sign: bool = True) -> list[list]:
+    """The cnf clauses of f (of ~f when sign is False) by distribution
+    over `reference_nnf`, literals as (sign, Atom), nothing dropped: the
+    clauses that `sat._clauses` gave before it pruned."""
+
+    def go(g: Formula) -> list[list]:
+        if isinstance(g, Atom):
+            return [[(True, g)]]
+        if isinstance(g, Not):
+            return [[(False, g.body)]]
+        left, right = go(g.left), go(g.right)
+        if isinstance(g, Or):
+            return [a + b for a in left for b in right]
+        return left + right
+
+    return go(reference_nnf(f, sign))
+
+
 def truth_table_tautology(f: Formula) -> bool:
     """Independent truth-table oracle over the atom keys."""
     atoms = sorted({atom_key(g) for g in _atoms(f)})

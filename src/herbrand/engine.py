@@ -166,19 +166,6 @@ class Clause:
         return (" & " if dual else " | ").join(parts)
 
 
-def _spell(t: Atom | App | Var, number: dict[str, str]) -> str:
-    """An atom or term spelled by symbol names, its variables as `number`
-    names them.  Injective: symbols are told apart by name and arity (a
-    Skolem symbol's kind follows from its arity), and no name contains
-    `#`, `(`, `,` or `)`."""
-    if isinstance(t, Var):
-        return number[t.name]
-    name = t.pred.name if isinstance(t, Atom) else t.sym.name
-    if not t.args:
-        return name
-    return f"{name}({','.join([_spell(a, number) for a in t.args])})"
-
-
 def standardize_apart(c: Clause, counter: Iterator[int]) -> Clause:
     # '@' keeps the fresh names outside the identifier grammar, so they
     # can never collide with user variables
@@ -413,10 +400,11 @@ def prove_resolution(
             events.append((kind, payload))
 
     # propositional fast path: the clause set may already be unsat when
-    # atoms are read as spelled (a gamma-variable `y` as `#y`, never as a
-    # constant `y`); then one lexicon-grounding suffices
-    spelling = {y: f"#{y}" for y in gamma}
-    prop = sat.numbered([(_spell(a, spelling), s) for s, a in c.literals] for c in initial)
+    # atoms are read as printed, a gamma-variable `y` as the boxed `[#y]`
+    # that no constant spells; then one lexicon-grounding suffices
+    opaque = Subst({y: Var(f"#{y}") for y in gamma})
+    keys = [sat.atom_key(apply(opaque, a)) for a in d.atoms]
+    prop = sat.numbered([(keys[slot], s) for s, slot, _ in literals] for _, literals in d.plans)
     satisfiable, _ = sat.dpll(prop)
     if not satisfiable:
         witness = (_ground_residuals(Subst(), gamma),)

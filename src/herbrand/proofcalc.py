@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from . import sat
+from . import sat, syntax
 from .expansion import (
     HerbrandDisjunction,
     PropertyCWitness,
@@ -28,11 +28,8 @@ from .syntax import (
     And,
     App,
     Atom,
-    Exists,
-    Forall,
     Formula,
     Implies,
-    Not,
     Or,
     Position,
     QUANT,
@@ -55,6 +52,7 @@ from .syntax import (
     subformula_at,
     subformulas,
     term_vars,
+    _components,
 )
 from .transform import _passage_once, iff_expanded, is_delta, is_gamma
 
@@ -249,10 +247,8 @@ def check_step(d: Derivation, i: int) -> Optional[Violation]:
             return bad("the two merged occurrences must be equal up to bound renaming")
         if replace_at(prem[0], pos, merged) != step.formula:
             return bad("the context must be unchanged")
-        if step.rule == GEN_GAMMA_SIMP:
-            want_q = Exists if sign > 0 else Forall
-            if not isinstance(merged, want_q):
-                return bad("gamma-simplification merges a gamma-quantified formula")
+        if step.rule == GEN_GAMMA_SIMP and not is_gamma(merged, sign):
+            return bad("gamma-simplification merges a gamma-quantified formula")
         return None
 
     if step.rule == PASSAGE:
@@ -456,61 +452,48 @@ def mp_eliminate(
     preorder = itertools.count()
 
     def build(g: Formula, sign: int, subs: list, ground: dict, binders: dict):
-        if isinstance(g, Atom):
+        cls, parts = _components(g, sign)
+        if cls is None:  # an atom: the biconditionals are expanded
             return _Leaf(g, dict(binders))
-        if isinstance(g, Not):
-            return _Conn(Not, [build(g.body, -sign, subs, ground, binders)])
-        if isinstance(g, Implies):
-            return _Conn(
-                Implies,
-                [
-                    build(g.left, -sign, subs, ground, binders),
-                    build(g.right, sign, subs, ground, binders),
-                ],
+        if cls == syntax.GAMMA:
+            node = _GammaN(
+                type(g), g.var, sign, [], [], g, dict(binders),
+                preorder=next(preorder),
             )
-        if isinstance(g, (Or, And)):
-            return _Conn(
-                type(g), [build(k, sign, subs, ground, binders) for k in children(g)]
-            )
-        if isinstance(g, QUANT):
-            if is_gamma(g, sign):
-                node = _GammaN(
-                    type(g), g.var, sign, [], [], g, dict(binders),
-                    preorder=next(preorder),
+            if g.var in free_vars(g.body):
+                grouped: dict[Term, list] = {}
+                for s in subs:
+                    value = s.get(g.var)
+                    if value is None:
+                        raise WitnessError(
+                            f"witness substitution misses gamma-variable {g.var}"
+                        )
+                    grouped.setdefault(value, []).append(s)
+            else:
+                grouped = {sigmas[0].get(g.var) or Var(g.var): list(subs)}
+            for j, (value, bucket) in enumerate(grouped.items()):
+                group = _Group(_box_term(value), node, j)
+                group.child = build(
+                    g.body,
+                    sign,
+                    bucket,
+                    {**ground, g.var: value},
+                    {**binders, g.var: group},
                 )
-                if g.var in free_vars(g.body):
-                    grouped: dict[Term, list] = {}
-                    for s in subs:
-                        value = s.get(g.var)
-                        if value is None:
-                            raise WitnessError(
-                                f"witness substitution misses gamma-variable {g.var}"
-                            )
-                        grouped.setdefault(value, []).append(s)
-                else:
-                    grouped = {sigmas[0].get(g.var) or Var(g.var): list(subs)}
-                for j, (value, bucket) in enumerate(grouped.items()):
-                    group = _Group(_box_term(value), node, j)
-                    group.child = build(
-                        g.body,
-                        sign,
-                        bucket,
-                        {**ground, g.var: value},
-                        {**binders, g.var: group},
-                    )
-                    node.groups.append(group)
-                if len(node.groups) == 1:
-                    node.copy_names.append(g.var)
-                else:
-                    for j in range(len(node.groups)):
-                        name = f"{g.var}_c{j + 1}"
-                        k = 0
-                        while name in used_names:
-                            k += 1
-                            name = f"{g.var}_c{j + 1}_{k}"
-                        used_names.add(name)
-                        node.copy_names.append(name)
-                return node
+                node.groups.append(group)
+            if len(node.groups) == 1:
+                node.copy_names.append(g.var)
+            else:
+                for j in range(len(node.groups)):
+                    name = f"{g.var}_c{j + 1}"
+                    k = 0
+                    while name in used_names:
+                        k += 1
+                        name = f"{g.var}_c{j + 1}_{k}"
+                    used_names.add(name)
+                    node.copy_names.append(name)
+            return node
+        if cls == syntax.DELTA:
             sym, argvars = sk[g.var]
             ground_term = App(sym, tuple(ground[a] for a in argvars))
             node = _DeltaN(
@@ -524,7 +507,7 @@ def mp_eliminate(
                 {**binders, g.var: node},
             )
             return node
-        raise ValueError(f"cannot handle {print_formula(g)}")
+        return _Conn(type(g), [build(k, k_sign, subs, ground, binders) for k, k_sign in parts])
 
     root = build(f_work, 1, sigmas, {}, {})
 

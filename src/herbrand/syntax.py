@@ -7,11 +7,8 @@ concurrent tasks.
 
 ASCII grammar (UTF-8 text)::
 
-    formula  := iff
-    iff      := imp ('<->' imp)*          right associative
-    imp      := disj ['->' imp]           right associative
-    disj     := conj ('|' conj)*          left associative
-    conj     := unary ('&' unary)*        left associative
+    formula  := unary (binary unary)*     grouped as `_BINARY` says
+    binary   := '<->' | '->' | '|' | '&'
     unary    := '~' unary | '!' vars '.' formula | '?' vars '.' formula
               | primary
     primary  := '(' formula ')' | term '=' term | term '!=' term | atom
@@ -19,9 +16,11 @@ ASCII grammar (UTF-8 text)::
     vars     := ident (',' ident)*        sugar for nested quantifiers
     ident    := [A-Za-z][A-Za-z0-9_]*
 
-Precedence: ~  binds tighter than &, then |, then ->, then <->; a
-quantifier body extends maximally to the right.  `t != u` is sugar for
-`~(t = u)` and `0` is a nullary function symbol.
+Precedence: ~  binds tighter than &, then |, then ->, then <->; | and &
+group to the left, -> and <-> to the right; a quantifier body extends
+maximally to the right.  `t != u` is sugar for `~(t = u)` and `0` is a
+nullary function symbol.  The parser and the printer read precedence and
+grouping from the one table `_BINARY`.
 
 Identifier conventions (beyond the grammar):
 
@@ -174,6 +173,15 @@ Formula = Atom | Not | Or | And | Implies | Iff | Forall | Exists
 
 BINARY = (Or, And, Implies, Iff)
 QUANT = (Forall, Exists)
+
+# each binary connective's spelling -> (connective, precedence, groups to
+# the right); `~` binds tighter than all of them
+_BINARY = {"<->": (Iff, 1, True), "->": (Implies, 2, True), "|": (Or, 3, False), "&": (And, 4, False)}
+_SPELLING = {ctor: (op, prec, right) for op, (ctor, prec, right) in _BINARY.items()}
+_UNARY = 5  # the precedence of `~`
+
+# the classes of Smullyan's uniform notation (First-Order Logic, 1968)
+ALPHA, BETA, GAMMA, DELTA = "alpha", "beta", "gamma", "delta"
 
 Position = tuple[int, ...]
 
@@ -337,11 +345,30 @@ def replace_at(f: Formula, pos: Position, new: Formula) -> Formula:
     return with_children(f, tuple(kids))
 
 
+def _components(g: Formula, sign: int) -> tuple:
+    """g's uniform-notation class at polarity `sign` (+1 or -1), and its
+    immediate subformulas, each with its own polarity.  A positive Or or
+    Implies and any Not are alpha, a positive And is beta, a positive
+    Exists is gamma and a positive Forall delta; at negative polarity
+    the classes swap.  Not and the left side of Implies flip the sign.
+    An atom or an Iff has no class and no components: below a
+    biconditional no position has a polarity."""
+    t = type(g)
+    if t is Or or t is And:
+        return (ALPHA if (t is Or) == (sign > 0) else BETA), ((g.left, sign), (g.right, sign))
+    if t is Implies:
+        return (ALPHA if sign > 0 else BETA), ((g.left, -sign), (g.right, sign))
+    if t is Not:
+        return ALPHA, ((g.body, -sign),)
+    if t is Exists or t is Forall:
+        return (GAMMA if (t is Exists) == (sign > 0) else DELTA), ((g.body, sign),)
+    return None, ()
+
+
 def polarity_at(f: Formula, pos: Position) -> int:
     """+1 if the position is positive, -1 if negative.
 
-    A step through Not, or into the left operand of Implies, flips the
-    sign; Iff has no polarity and makes every strictly deeper position
+    Iff has no polarity and makes every strictly deeper position
     ambiguous, which is reported as an error.
     """
     sign = 1
@@ -349,11 +376,7 @@ def polarity_at(f: Formula, pos: Position) -> int:
     for i in pos:
         if isinstance(g, Iff):
             raise ValueError("no polarity below a biconditional; expand it first")
-        if isinstance(g, Not):
-            sign = -sign
-        elif isinstance(g, Implies) and i == 0:
-            sign = -sign
-        g = children(g)[i]
+        g, sign = _components(g, sign)[1][i]
     return sign
 
 
@@ -541,15 +564,27 @@ def _print_var_name(name: str) -> str:
 
 
 def print_term(t: Term) -> str:
+    """t as the parser reads it back, by an explicit stack, so a term of
+    any height prints."""
     if isinstance(t, Var):
         return _print_var_name(t.name)
-    name = _print_symbol_name(t.sym)
     if not t.args:
-        return name
-    return f"{name}({', '.join(print_term(a) for a in t.args)})"
-
-
-_PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "unary": 5}
+        return _print_symbol_name(t.sym)
+    parts: list[str] = []
+    todo: list = [t]  # terms and separators still to print, last first
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, Var):
+            parts.append(_print_var_name(t.name))
+        else:
+            parts.append(_print_symbol_name(t.sym))
+            if t.args:
+                todo.append(")")
+                for i in range(len(t.args) - 1, -1, -1):
+                    todo += (t.args[i], ", " if i else "(")
+    return "".join(parts)
 
 
 def print_formula(f: Formula) -> str:
@@ -570,23 +605,16 @@ def print_formula(f: Formula) -> str:
             ):
                 return par(
                     f"{print_term(inner.args[0])} != {print_term(inner.args[1])}",
-                    _PREC["unary"],
+                    _UNARY,
                     level,
                 )
-            return f"~{go(inner, _PREC['unary'])}"
+            return f"~{go(inner, _UNARY)}"
         if isinstance(g, Forall):
             return par(f"!{_print_var_name(g.var)}. {go(g.body, 0)}", 0, level)
         if isinstance(g, Exists):
             return par(f"?{_print_var_name(g.var)}. {go(g.body, 0)}", 0, level)
-        op, prec, assoc = {
-            Or: ("|", _PREC["or"], "l"),
-            And: ("&", _PREC["and"], "l"),
-            Implies: ("->", _PREC["imp"], "r"),
-            Iff: ("<->", _PREC["iff"], "r"),
-        }[type(g)]
-        lp = prec if assoc == "l" else prec + 1
-        rp = prec + 1 if assoc == "l" else prec
-        return par(f"{go(g.left, lp)} {op} {go(g.right, rp)}", prec, level)
+        op, prec, right = _SPELLING[type(g)]
+        return par(f"{go(g.left, prec + right)} {op} {go(g.right, prec + (not right))}", prec, level)
 
     def par(s: str, prec: int, level: int) -> str:
         return f"({s})" if prec < level else s
@@ -621,16 +649,22 @@ def _skolem_symbol_for(printed: str, arity: int) -> Optional[Symbol]:
     return Symbol(name, arity, kind)
 
 
+def _located(message: str, text: str, offset: int) -> SyntaxError_:
+    """The error at `offset` of `text`, its line and column worked out."""
+    line = text.count("\n", 0, offset) + 1
+    return SyntaxError_(message, line, offset - text.rfind("\n", 0, offset))
+
+
 @dataclass
 class _Token:
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 class _Parser:
     def __init__(self, text: str, frees: frozenset[str]):
+        self.text = text
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.frees = frees
@@ -639,23 +673,15 @@ class _Parser:
     @staticmethod
     def _tokenize(text: str) -> list[_Token]:
         out = []
-        line, col, i = 1, 1, 0
+        i = 0
         while i < len(text):
             m = _TOKEN_RE.match(text, i)
             if not m:
-                raise SyntaxError_(f"unexpected character {text[i]!r}", line, col)
-            kind = m.lastgroup or ""
-            tok = m.group()
-            if kind != "ws":
-                out.append(_Token(kind, tok, line, col))
-            newlines = tok.count("\n")
-            if newlines:
-                line += newlines
-                col = len(tok) - tok.rfind("\n")
-            else:
-                col += len(tok)
+                raise _located(f"unexpected character {text[i]!r}", text, i)
+            if m.lastgroup != "ws":
+                out.append(_Token(m.lastgroup or "", m.group(), i))
             i = m.end()
-        out.append(_Token("eof", "", line, col))
+        out.append(_Token("eof", "", len(text)))
         return out
 
     def peek(self) -> _Token:
@@ -669,17 +695,16 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         t = self.peek()
         if t.text != text or t.kind == "eof":
-            raise SyntaxError_(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
+            raise self.error(f"expected {text!r}, found {t.text or 'end of input'!r}")
         return self.next()
 
     def error(self, msg: str) -> SyntaxError_:
-        t = self.peek()
-        return SyntaxError_(msg, t.line, t.col)
+        return _located(msg, self.text, self.peek().offset)
 
     def end(self) -> None:
         t = self.peek()
         if t.kind != "eof":
-            raise SyntaxError_(f"unexpected trailing input {t.text!r}", t.line, t.col)
+            raise self.error(f"unexpected trailing input {t.text!r}")
 
     def lookup(self, name: str, arity: int, kind: str) -> Symbol:
         sk = _skolem_symbol_for(name, arity)
@@ -701,38 +726,17 @@ class _Parser:
             raise ArityMismatchError(f"{name} used with inconsistent arity")
         return known
 
-    # formula levels -------------------------------------------------
-
-    def formula(self, bound: frozenset[str]) -> Formula:
-        return self.iff(bound)
-
-    def iff(self, bound) -> Formula:
-        left = self.imp(bound)
-        if self.peek().text == "<->":
+    def formula(self, bound: frozenset[str], floor: int = 1) -> Formula:
+        """A formula whose binary connectives bind at least as tightly
+        as precedence `floor`, by precedence climbing over `_BINARY`."""
+        left = self.unary(bound)
+        while True:
+            entry = _BINARY.get(self.peek().text)
+            if entry is None or entry[1] < floor:
+                return left
             self.next()
-            return Iff(left, self.iff(bound))
-        return left
-
-    def imp(self, bound) -> Formula:
-        left = self.disj(bound)
-        if self.peek().text == "->":
-            self.next()
-            return Implies(left, self.imp(bound))
-        return left
-
-    def disj(self, bound) -> Formula:
-        f = self.conj(bound)
-        while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.conj(bound))
-        return f
-
-    def conj(self, bound) -> Formula:
-        f = self.unary(bound)
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.unary(bound))
-        return f
+            ctor, prec, right = entry
+            left = ctor(left, self.formula(bound, prec if right else prec + 1))
 
     def unary(self, bound) -> Formula:
         t = self.peek()
@@ -825,11 +829,11 @@ def parse(text: str, frees: Optional[set[str]] = None) -> Formula:
     `frees` declares which bare identifiers denote free variables.  The
     lexicon `l` cannot be declared: it is always a variable.
 
-    The descent recurses once per level of nesting (per parenthesis,
-    `~`, quantifier, right-nested `->` or `<->`, and term argument), so
-    input nested deeper than the interpreter's recursion limit allows is
-    a SyntaxError_ at the token where the descent stopped, not a
-    RecursionError; `parse_term` does the same.
+    The descent recurses once per level of nesting (three frames per
+    parenthesis; one per `~`, quantifier, right-nested `->` or `<->`,
+    or term argument), so input nested deeper than the interpreter's
+    recursion limit allows is a SyntaxError_ at the token where the
+    descent stopped, not a RecursionError; `parse_term` does the same.
     """
     frees = set(frees or ())
     if LEXICON in frees:

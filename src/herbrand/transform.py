@@ -15,9 +15,11 @@ from .syntax import (
     And,
     App,
     Atom,
+    DELTA,
     Exists,
     Forall,
     Formula,
+    GAMMA,
     Iff,
     Implies,
     Not,
@@ -45,10 +47,9 @@ from .syntax import (
     subformulas,
     with_children,
     _IDENT_RE,
+    _components,
     _print_symbol_name,
 )
-
-ALPHA, BETA, GAMMA, DELTA = "alpha", "beta", "gamma", "delta"
 
 
 class PassageError(Exception):
@@ -64,26 +65,18 @@ def classify(f: Formula, at: Position) -> str:
     delta, determined by the connective and the position's polarity.
     """
     g = subformula_at(f, at)
-    sign = polarity_at(f, at)
-    if isinstance(g, Exists):
-        return GAMMA if sign > 0 else DELTA
-    if isinstance(g, Forall):
-        return DELTA if sign > 0 else GAMMA
-    if isinstance(g, Not):
-        return ALPHA
-    if isinstance(g, (Or, Implies)):
-        return ALPHA if sign > 0 else BETA
-    if isinstance(g, And):
-        return BETA if sign > 0 else ALPHA
-    raise ValueError(f"no classification for {print_formula(g)} at {at}")
+    cls = _components(g, polarity_at(f, at))[0]
+    if cls is None:
+        raise ValueError(f"no classification for {print_formula(g)} at {at}")
+    return cls
 
 
 def is_gamma(q: Formula, sign: int) -> bool:
-    return (isinstance(q, Exists) and sign > 0) or (isinstance(q, Forall) and sign < 0)
+    return _components(q, sign)[0] == GAMMA
 
 
 def is_delta(q: Formula, sign: int) -> bool:
-    return (isinstance(q, Forall) and sign > 0) or (isinstance(q, Exists) and sign < 0)
+    return _components(q, sign)[0] == DELTA
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +238,10 @@ def _skolemize(f: Formula, inner: bool, table: Optional[dict] = None) -> Formula
     taken = {s.name for s in formula_symbols(f)}
 
     def go(g: Formula, sign: int, gammas: tuple[str, ...], sub: Subst) -> Formula:
-        if isinstance(g, Atom):
+        cls, parts = _components(g, sign)
+        if cls is None:  # an atom: the biconditionals are expanded
             return apply(sub, g)
-        if isinstance(g, Not):
-            return Not(go(g.body, -sign, gammas, sub))
-        if isinstance(g, Implies):
-            return Implies(
-                go(g.left, -sign, gammas, sub), go(g.right, sign, gammas, sub)
-            )
-        if isinstance(g, (Or, And)):
-            return with_children(
-                g, tuple(go(k, sign, gammas, sub) for k in children(g))
-            )
-        if isinstance(g, QUANT):
-            if is_gamma(g, sign):
-                body = go(g.body, sign, gammas + (g.var,), sub)
-                return with_children(g, (body,))
+        if cls == DELTA:
             args = gammas
             if inner:
                 scope_frees = free_vars(apply(sub, g.body))
@@ -272,7 +253,12 @@ def _skolemize(f: Formula, inner: bool, table: Optional[dict] = None) -> Formula
             if table is not None:
                 table[g.var] = (sym, args)
             return go(g.body, sign, gammas, sub.bind(g.var, term))
-        raise ValueError(f"cannot skolemize {print_formula(g)}")
+        if cls == GAMMA:
+            gammas += (g.var,)
+        kids = []
+        for k, s in parts:  # a loop, not a comprehension: one frame a level
+            kids.append(go(k, s, gammas, sub))
+        return with_children(g, tuple(kids))
 
     return go(f, 1, (), Subst())
 

@@ -12,12 +12,15 @@ from herbrand.syntax import (
     LEXICON,
     PLAIN_FUNCTION,
     ZERO,
+    And,
     App,
     ArityMismatchError,
     Atom,
     CaptureError,
     Exists,
     Forall,
+    Iff,
+    Implies,
     Not,
     Or,
     PREDICATE,
@@ -184,9 +187,7 @@ def _intern_symbols(f, parser):
 def _two_pass_parse(text, frees):
     p = _TwoPassParser(text, frozenset(frees))
     f = p.formula(frozenset())
-    t = p.peek()
-    if t.kind != "eof":
-        raise SyntaxError_(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    p.end()
     return _intern_symbols(f, p)
 
 
@@ -415,6 +416,43 @@ def test_print_parse_round_trip(f):
     again = parse(text, frees=free_vars(f))
     assert again == f
     assert print_formula(again) == text
+
+
+_CONNECTIVES = {"<->": Iff, "->": Implies, "|": Or, "&": And}
+
+# how `A op1 B op2 C` groups, worked out by hand from the grammar in the
+# module docstring (~ binds tightest, then &, |, -> and <->; | and &
+# group to the left, -> and <-> to the right): "left" is
+# (A op1 B) op2 C and "right" is A op1 (B op2 C)
+_GROUPING = {
+    ("<->", "<->"): "right", ("<->", "->"): "right", ("<->", "|"): "right", ("<->", "&"): "right",
+    ("->", "<->"): "left", ("->", "->"): "right", ("->", "|"): "right", ("->", "&"): "right",
+    ("|", "<->"): "left", ("|", "->"): "left", ("|", "|"): "left", ("|", "&"): "right",
+    ("&", "<->"): "left", ("&", "->"): "left", ("&", "|"): "left", ("&", "&"): "left",
+}
+
+
+def _letter(name):
+    return Atom(Symbol(name, 0, PREDICATE))
+
+
+@pytest.mark.parametrize("op1, op2", sorted(_GROUPING))
+def test_two_binary_connectives_group_as_documented(op1, op2):
+    a, b, c = map(_letter, "ABC")
+    first, second = _CONNECTIVES[op1], _CONNECTIVES[op2]
+    if _GROUPING[op1, op2] == "left":
+        want = second(first(a, b), c)
+    else:
+        want = first(a, second(b, c))
+    assert parse(f"A {op1} B {op2} C") == want
+
+
+@pytest.mark.parametrize("op", sorted(_CONNECTIVES))
+def test_negation_binds_tighter_and_a_quantifier_body_extends_right(op):
+    a, b = _letter("A"), _letter("B")
+    assert parse(f"~A {op} B") == _CONNECTIVES[op](Not(a), b)
+    px, qx = Atom(P, (Var("x"),)), Atom(Symbol("Q", 1, PREDICATE), (Var("x"),))
+    assert parse(f"!x. P(x) {op} Q(x)") == Forall("x", _CONNECTIVES[op](px, qx))
 
 
 def test_subformula_positions():

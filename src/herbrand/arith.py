@@ -33,6 +33,7 @@ from .syntax import (
     free_vars,
     subformulas,
     with_children,
+    _joined,
 )
 
 S = Symbol("S", 1, PLAIN_FUNCTION)
@@ -72,7 +73,7 @@ def peel(t: Term) -> tuple[int, Optional[str]]:
 
 
 def validate(f: Formula) -> None:
-    def go(g: Formula):
+    for _, g in subformulas(f):
         if isinstance(g, Atom):
             if g.pred != EQ:
                 raise NotArithmeticError(
@@ -80,11 +81,6 @@ def validate(f: Formula) -> None:
                 )
             for t in g.args:
                 peel(t)
-            return
-        for k in children(g):
-            go(k)
-
-    go(f)
 
 
 # literals are ((a, u), (b, v), positive): S^a(u) = / != S^b(v)
@@ -201,14 +197,8 @@ def _eliminate_exists(var: str, conjunct: list[Lit]) -> Optional[list[Lit]]:
 def _dnf_formula(conjuncts: list[list[Lit]]) -> Formula:
     """The disjunction of the conjunctions, each nested to the right:
     0 != 0 when there is no conjunct, 0 = 0 for an empty one."""
-
-    def joined(ctor, parts: list, empty: Formula) -> Formula:
-        out = parts[-1] if parts else empty
-        for p in reversed(parts[:-1]):
-            out = ctor(p, out)
-        return out
-
-    return joined(Or, [joined(And, [_lit_formula(l) for l in c], TRUE) for c in conjuncts], FALSE)
+    disjuncts = [_joined(And, [_lit_formula(l) for l in c]) if c else TRUE for c in conjuncts]
+    return _joined(Or, disjuncts) if disjuncts else FALSE
 
 
 def _clean(conjuncts: list[list[Lit]]) -> list[list[Lit]]:

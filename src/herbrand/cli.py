@@ -94,10 +94,6 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _witness_lines(witness) -> list[str]:
-    return [str(s) for s in witness]
-
-
 # ---------------------------------------------------------------------------
 # prove
 
@@ -133,7 +129,7 @@ def cmd_prove(args) -> int:
             return EXIT_ERROR
         report["witness-verified"] = "true"
         if args.method != "race":
-            report["witness"] = _witness_lines(minimized)
+            report["witness"] = [str(s) for s in minimized]
     else:
         report["verdict"] = "gave-up"
         if args.method != "race":
@@ -200,12 +196,12 @@ def _race(formula, n_max, budget, always_lexicon):
     multiplication method decides the same order-n clause sets as DPLL,
     so it could add no proof.  Returns the proof either found, else dp's
     gave-up result, whose analysis and last grounding the falsifying
-    structure reuses.  Resolution starts from that analysis at order 1,
-    so the formula is Skolemized once.  Only the verdict is reported."""
+    structure reuses.  Resolution starts from that analysis, so the
+    formula is Skolemized once.  Only the verdict is reported."""
     result = engine.prove_dp(formula, n_max, budget, always_lexicon)
     if result.found:
         return result
-    proof = engine.prove_resolution(formula, budget, analysis=result.analysis.at_order(1))
+    proof = engine.prove_resolution(formula, budget, analysis=result.analysis)
     return proof if proof.found else result
 
 

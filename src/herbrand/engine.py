@@ -106,9 +106,10 @@ def unify(s, t, under: Optional[Subst] = None) -> Unifier:
 
 Literal = tuple[bool, Atom]  # (sign, atom)
 
-# Resolution gives up on a clause with a term higher than this.  The
-# printer and unifier recurse on term height, and negative selection can
-# build an f(f(...)) chain within a small step budget.
+# Resolution gives up on a clause with a term higher than this.  Negative
+# selection can build an f(f(...)) chain within a small step budget, and
+# `apply_term`, `term_vars`, `_thaw` and the dataclass equality and
+# hashing of terms recurse on term height.
 TERM_HEIGHT_LIMIT = 64
 
 
@@ -257,16 +258,8 @@ def _match(pattern: tuple, target: tuple, binding: dict) -> Optional[dict]:
 
 
 def _too_high(c: Clause) -> bool:
-    """Whether some term of `c` is higher than TERM_HEIGHT_LIMIT, found
-    without recursion."""
-    stack = [(t, 1) for _, atom in c.literals for t in atom.args]
-    while stack:
-        t, depth = stack.pop()
-        if isinstance(t, App):
-            if depth > TERM_HEIGHT_LIMIT:
-                return True
-            stack.extend((a, depth + 1) for a in t.args)
-    return False
+    """Whether some term of `c` is higher than TERM_HEIGHT_LIMIT."""
+    return any(height(t) > TERM_HEIGHT_LIMIT for _, atom in c.literals for t in atom.args)
 
 
 def rebuild_provenance(c: Clause) -> tuple:
@@ -376,9 +369,9 @@ def prove_resolution(
     saturated clause set, or a new clause with a term higher than
     `TERM_HEIGHT_LIMIT` means gave-up, never invalid.  With `trace` the
     result's trace holds `(kind, payload)` events, each payload a Clause
-    or a note.  `analysis`, when given, is f's `herbrand_disjunction(f, 1)`
-    made already, such as another prover's analysis `at_order(1)`; it is
-    used instead of Skolemizing f again.
+    or a note.  `analysis`, when given, is f's Herbrand analysis made
+    already at any order, such as another prover's; no champ fini of it
+    is read, and it is used instead of Skolemizing f again.
     """
     d = analysis if analysis is not None else herbrand_disjunction(f, 1)
     gamma = d.gamma_vars

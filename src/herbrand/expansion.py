@@ -43,6 +43,7 @@ from .syntax import (
     term_symbols,
     term_vars,
     with_children,
+    _joined,
 )
 from .transform import skolemize_outer, to_antiprenex
 
@@ -70,12 +71,6 @@ class ChampFini:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms)
-
-    def __contains__(self, t: Term) -> bool:
-        return t in set(self.terms)
 
 
 def champ_fini(
@@ -139,11 +134,7 @@ def expand(f: Formula, terms: Sequence[Term]) -> Formula:
         if isinstance(g, QUANT):
             inner = go(g.body)
             instances = [apply(Subst({g.var: t}), inner) for t in terms]
-            join = Or if isinstance(g, Exists) else And
-            out = instances[-1]
-            for inst in reversed(instances[:-1]):
-                out = join(inst, out)
-            return out
+            return _joined(Or if isinstance(g, Exists) else And, instances)
         return with_children(g, tuple(go(k) for k in children(g)))
 
     return go(f)
@@ -206,16 +197,13 @@ class HerbrandDisjunction:
         return dataclasses.replace(self, champ=champ)
 
     def substitutions(self) -> Iterator[Subst]:
-        """All maps from the gamma-variables into the champ fini, in
-        deterministic odometer order (last variable fastest)."""
-        if not self.gamma_vars:
-            yield Subst()
-            return
-        for images in itertools.product(self.champ.terms, repeat=len(self.gamma_vars)):
-            yield Subst(dict(zip(self.gamma_vars, images)))
+        """All maps from the gamma-variables into the champ fini, the
+        family's members in odometer order."""
+        return map(self.member, range(self.count))
 
     def member(self, position: int) -> Subst:
-        """The substitution at `position` in `substitutions()`."""
+        """The family's member at `position` in deterministic odometer
+        order (last variable fastest)."""
         images = []
         for _ in self.gamma_vars:
             position, i = divmod(position, len(self.champ))
@@ -516,11 +504,12 @@ def falsifying_structure(
 
     Functions are interpreted as term constructors, truncated at the
     height bound by a designated sink element (the enumeration-maximal
-    term).  Predicate tables come from a DPLL model of the grounded
-    order-p clauses, over their ground atoms.  `grounding` gives those
-    clauses (and the model, if DPLL found one) when the caller has them
-    already; else `analysis`, f's Herbrand analysis, is grounded at
-    order p, or f is analysed afresh.
+    term), and each free variable denotes its own term, spelled as
+    `print_term` spells it.  Predicate tables come from a DPLL model of
+    the grounded order-p clauses, over their ground atoms.  `grounding`
+    gives those clauses (and the model, if DPLL found one) when the
+    caller has them already; else `analysis`, f's Herbrand analysis, is
+    grounded at order p, or f is analysed afresh.
     """
     if p < 1:
         raise ValueError("the order p is a positive natural number")
@@ -561,7 +550,7 @@ def falsifying_structure(
     for sym in {a.pred for a in d.atoms}:
         pred_tables.setdefault((sym.name, sym.arity), {})
 
-    var_env = {v: v for v in dom_champ.variables}
+    var_env = {v: print_term(Var(v)) for v in dom_champ.variables}
     structure = FiniteStructure(domain, fn_tables, pred_tables, var_env)
     return structure
 

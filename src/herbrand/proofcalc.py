@@ -53,6 +53,7 @@ from .syntax import (
     subformulas,
     term_vars,
     _components,
+    _joined,
 )
 from .transform import _passage_once, iff_expanded, is_delta, is_gamma
 
@@ -128,19 +129,12 @@ def _quantifier_free_above(f: Formula, pos: Position) -> bool:
 def _occurs_outside(f: Formula, pos: Position, name: str) -> bool:
     """Does `name` occur (free, bound, or as a binder) outside the
     subformula at pos?"""
-
-    def walk(g: Formula, here: Position) -> bool:
-        if here == pos:
-            return False
-        if isinstance(g, Atom):
-            return any(name in term_vars(t) for t in g.args)
-        if isinstance(g, QUANT) and g.var == name:
-            return True
-        return any(
-            walk(k, here + (i,)) for i, k in enumerate(children(g))
-        )
-
-    return walk(f, ())
+    return any(
+        (isinstance(g, QUANT) and g.var == name)
+        or (isinstance(g, Atom) and any(name in term_vars(t) for t in g.args))
+        for here, g in subformulas(f)
+        if here[:len(pos)] != pos
+    )
 
 
 def check_step(d: Derivation, i: int) -> Optional[Violation]:
@@ -556,11 +550,7 @@ def mp_eliminate(
                 {v: leaf_image(e) for v, e in node.outer_binders.items()}
             )
             pieces.append(apply(outer, node.original))
-        join = Or if node.sign > 0 else And
-        out = pieces[-1]
-        for piece in reversed(pieces[:-1]):
-            out = join(piece, out)
-        return out
+        return _joined(Or if node.sign > 0 else And, pieces)
 
     # -- intro events, topologically ordered -------------------------------
 
@@ -645,19 +635,13 @@ def mp_eliminate(
 
 
 def _binder_renaming(canonical: Formula, copy: Formula) -> dict:
-    """Pair up binder names of two alpha-equal formulas."""
-    out: dict[str, str] = {}
-
-    def walk(a: Formula, b: Formula):
-        if isinstance(a, QUANT):
-            out[a.var] = b.var
-            walk(a.body, b.body)
-            return
-        for ka, kb in zip(children(a), children(b)):
-            walk(ka, kb)
-
-    walk(canonical, copy)
-    return out
+    """Pair up binder names of two alpha-equal formulas, whose preorders
+    line up."""
+    return {
+        a.var: b.var
+        for (_, a), (_, b) in zip(subformulas(canonical), subformulas(copy))
+        if isinstance(a, QUANT)
+    }
 
 
 def count_rule(d: Derivation, rule: str) -> int:

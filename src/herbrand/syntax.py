@@ -268,13 +268,20 @@ def term_symbols(t: Term) -> set[Symbol]:
 
 
 def height(t: Term) -> int:
-    """Height of a term: 0 for variables, 1 + max child height otherwise.
+    """Height of a term: 0 for variables, 1 + max child height otherwise,
+    found with an explicit stack, so a term of any height is measured.
 
     Nullary applications (constants, Skolem constants) have height 1.
     """
-    if isinstance(t, Var):
-        return 0
-    return 1 + max([0] + [height(a) for a in t.args])
+    out = 0
+    stack = [(t, 1)]  # subterms still to measure, each with its depth
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, App):
+            if depth > out:
+                out = depth
+            stack += [(a, depth + 1) for a in t.args]
+    return out
 
 
 def apply_term(s: Subst, t: Term) -> Term:
@@ -343,6 +350,15 @@ def replace_at(f: Formula, pos: Position, new: Formula) -> Formula:
     kids = list(children(f))
     kids[pos[0]] = replace_at(kids[pos[0]], pos[1:], new)
     return with_children(f, tuple(kids))
+
+
+def _joined(ctor: type, parts: list) -> Formula:
+    """The nonempty `parts` joined by the binary connective `ctor`,
+    nested to the right: ctor(p0, ctor(p1, ... ctor(pk-1, pk)))."""
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = ctor(p, out)
+    return out
 
 
 def _components(g: Formula, sign: int) -> tuple:

@@ -52,6 +52,18 @@ def test_prove_malformed_file(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("formula: P(a)\nformula: P(b)\n", "a problem file holds one formula"),
+    ("formula: P(a) | ~P(a)\nbogus line\n", "unrecognized line: bogus line"),
+    ("free: x\n", "missing `formula:` line"),
+    ("formula: P([y]) | ~P(a)\n", "undeclared free variables: ['y']"),
+    (None, "[Errno 2] No such file or directory: {path!r}"),
+], ids=["two-formulas", "unrecognized", "no-formula", "undeclared", "missing-file"])
+def test_problem_file_errors(tmp_path, capsys, text, message):
+    path = str(tmp_path / "absent.prob") if text is None else write_problem(tmp_path, text)
+    assert run(capsys, ["prove", path]) == (2, "", f"error: {message.format(path=path)}\n")
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     from herbrand import engine
 
@@ -267,6 +279,27 @@ def test_eval_consumes_structure_files(tmp_path, capsys):
     )
     code, out, _ = run(capsys, ["eval", str(struct2), taut])
     assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("method", ["dp", "gilmore", "resolution"])
+def test_free_variable_spelled_like_a_skolem_constant_keeps_its_own_element(
+    tmp_path, capsys, method
+):
+    # the declared free variable x_star prints boxed, [x_star]; the bare
+    # x_star is the Skolem constant of !x, a different domain element
+    prob = write_problem(tmp_path, "free: x_star\nformula: (!x. P(x)) | ~P(x_star)\n")
+    code, out, _ = run(capsys, ["prove", prob, "--method", method, "-n", "1"])
+    structure = out.split("falsifying-structure: \n", 1)[1]
+    assert code == 1 and structure == (
+        "domain: [x_star] x_star\n"
+        "var x_star: [x_star]\n"
+        "fn x*: ()->x_star\n"
+        "pred P: ([x_star])->T\n"
+        "pred P: (x_star)->F\n"
+    )
+    struct_path = tmp_path / "falsifier.struct"
+    struct_path.write_text(structure, encoding="utf-8")
+    assert run(capsys, ["eval", str(struct_path), prob]) == (0, "false\n", "")
 
 
 @pytest.mark.parametrize("structure, message", [

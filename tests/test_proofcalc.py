@@ -18,6 +18,7 @@ from herbrand.proofcalc import (
     GEN_DELTA,
     GEN_GAMMA,
     GEN_GAMMA_SIMP,
+    GEN_SIMP,
     MONO,
     MP,
     PASSAGE,
@@ -201,8 +202,6 @@ def test_non_generalized_rules_need_root():
 
 
 def test_simplification_polarity():
-    from herbrand.proofcalc import GEN_SIMP
-
     neg = Derivation(
         (
             Step(parse("~(P(a) & P(a))"), T_AXIOM),
@@ -259,6 +258,155 @@ def test_forward_reference_rejected():
     )
     v = check(d)
     assert v is not None and "backward" in v.message
+
+
+TAUT = "P(a) | ~P(a)"
+
+
+def _step(text, rule=T_AXIOM, premises=(), **data):
+    """A step whose formula is `text`, read with x and y free."""
+    return Step(parse(text, {"x", "y"}), rule, premises, **data)
+
+
+TERM_A, TERM_B, TERM_Y = parse_term("a"), parse_term("b"), parse_term("y", {"y"})
+
+
+@pytest.mark.parametrize("steps, violation", [
+    pytest.param([], "step 0 (): empty derivation", id="empty"),
+    pytest.param([_step(TAUT, MP, (1,)), _step(TAUT)],
+                 "step 0 (ModusPonens): premise indices must point strictly backward",
+                 id="forward-premise"),
+    pytest.param([_step(TAUT), _step(TAUT, T_AXIOM, (-1,))],
+                 "step 1 (SententialTautologyAxiom): premise indices must point strictly backward",
+                 id="negative-premise"),
+    pytest.param([_step(TAUT), _step(TAUT, T_AXIOM, (0,))],
+                 "step 1 (SententialTautologyAxiom): the tautology axiom takes no premises",
+                 id="axiom-premise"),
+    pytest.param([_step("(?x. P(x)) | ~(?x. P(x))")],
+                 "step 0 (SententialTautologyAxiom): the tautology axiom requires a "
+                 "quantifier-free formula", id="axiom-quantified"),
+    pytest.param([_step("P(a)")],
+                 "step 0 (SententialTautologyAxiom): not a sentential tautology",
+                 id="axiom-not-tautology"),
+    pytest.param([_step(TAUT), _step("P(a)", MP, (0,))],
+                 "step 1 (ModusPonens): modus ponens takes two premises: A and A -> B",
+                 id="mp-one-premise"),
+    pytest.param([_step(TAUT), _step(TAUT), _step("P(a)", MP, (0, 1))],
+                 "step 2 (ModusPonens): the second premise must be an implication",
+                 id="mp-no-implication"),
+    pytest.param([_step(TAUT), _step("Q(a) | ~Q(a) -> P(a) | ~P(a)"), _step(TAUT, MP, (0, 1))],
+                 "step 2 (ModusPonens): the implication's antecedent must match the first "
+                 "premise", id="mp-antecedent"),
+    pytest.param([_step(TAUT), _step("P(a) | ~P(a) -> Q(a) | ~Q(a)"), _step("P(a)", MP, (0, 1))],
+                 "step 2 (ModusPonens): the conclusion must be the implication's consequent",
+                 id="mp-consequent"),
+    pytest.param([_step("?x. P(x)", GEN_GAMMA, (), at=(), term=TERM_A)],
+                 "step 0 (GenGammaQuant): quantification rules take one premise",
+                 id="quant-no-premise"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GEN_GAMMA, (0,), term=TERM_A)],
+                 "step 1 (GenGammaQuant): missing position", id="quant-no-position"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GAMMA, (0,), at=(0,), term=TERM_A)],
+                 "step 1 (GammaQuant): the non-generalized rule requires an empty context",
+                 id="gamma-context"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GEN_GAMMA, (0,), at=(2,), term=TERM_A)],
+                 "step 1 (GenGammaQuant): position (2,) does not exist in formula",
+                 id="quant-no-such-position"),
+    pytest.param([_step("P(a) <-> P(a)"),
+                  _step("(?x. P(x)) <-> P(a)", GEN_GAMMA, (0,), at=(0,), term=TERM_A)],
+                 "step 1 (GenGammaQuant): no polarity below a biconditional; expand it first",
+                 id="quant-below-iff"),
+    pytest.param([_step(TAUT), _step(TAUT, GEN_GAMMA, (0,), at=(0,), term=TERM_A)],
+                 "step 1 (GenGammaQuant): the position must address a quantifier of the "
+                 "conclusion", id="quant-not-a-quantifier"),
+    pytest.param([_step("P(y) | ~P(y)"), _step("!y. P(y) | ~P(y)", DELTA, (0,), at=()),
+                  _step("!y. (?x. P(x)) | ~P(y)", GEN_GAMMA, (1,), at=(0, 0), term=TERM_Y)],
+                 "step 2 (GenGammaQuant): the context must not put the position in the scope "
+                 "of any quantifier", id="quant-in-scope"),
+    pytest.param([_step(TAUT), _step("(!x. P(x)) | ~P(a)", GEN_GAMMA, (0,), at=(0,), term=TERM_A)],
+                 "step 1 (GenGammaQuant): the quantifier is not a gamma occurrence at this "
+                 "polarity", id="gamma-not-gamma"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GEN_GAMMA, (0,), at=(0,))],
+                 "step 1 (GenGammaQuant): missing substituted term", id="gamma-no-term"),
+    pytest.param([_step(TAUT), _step("?x. !y. P(x, y)", GEN_GAMMA, (0,), at=(), term=TERM_Y)],
+                 "step 1 (GenGammaQuant): free variables of the substituted term must not be "
+                 "bound by quantifiers in the scope: ['y']", id="gamma-capture"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GEN_GAMMA, (0,), at=(0,), term=TERM_B)],
+                 "step 1 (GenGammaQuant): premise is not the conclusion with the quantifier "
+                 "instantiated", id="gamma-premise"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GEN_DELTA, (0,), at=(0,))],
+                 "step 1 (GenDeltaQuant): the quantifier is not a delta occurrence at this "
+                 "polarity", id="delta-not-delta"),
+    pytest.param([_step("P(x) | ~P(x)"), _step("(!x. P(x)) | ~P(x)", GEN_DELTA, (0,), at=(0,))],
+                 "step 1 (GenDeltaQuant): the quantified variable x must not occur in the "
+                 "context", id="delta-eigenvariable"),
+    pytest.param([_step(TAUT), _step("(!x. P(x)) | ~P(a)", GEN_DELTA, (0,), at=(0,))],
+                 "step 1 (GenDeltaQuant): premise is not the conclusion with the quantifier "
+                 "dropped", id="delta-premise"),
+    pytest.param([_step("P(a)", SIMP)],
+                 "step 0 (Simplification): simplification takes one premise",
+                 id="simp-no-premise"),
+    pytest.param([_step("(P(a) | P(a)) | ~P(a)"), _step(TAUT, SIMP, (0,), at=(0,))],
+                 "step 1 (Simplification): the non-generalized rule requires an empty context",
+                 id="simp-context"),
+    pytest.param([_step(TAUT), _step(TAUT, GEN_SIMP, (0,), at=(2,))],
+                 "step 1 (GenSimplification): position (2,) does not exist in formula",
+                 id="simp-no-such-position"),
+    pytest.param([_step("~(P(a) & ~P(a))"), _step("P(a)", SIMP, (0,))],
+                 "step 1 (Simplification): simplification needs a disjunction at a positive "
+                 "position or a conjunction at a negative one", id="simp-polarity"),
+    pytest.param([_step(TAUT), _step("P(a)", SIMP, (0,))],
+                 "step 1 (Simplification): the two merged occurrences must be equal up to "
+                 "bound renaming", id="simp-unequal"),
+    pytest.param([_step("(P(a) | P(a)) | ~P(a)"), _step("P(a) | ~P(b)", GEN_SIMP, (0,), at=(0,))],
+                 "step 1 (GenSimplification): the context must be unchanged",
+                 id="simp-context-changed"),
+    pytest.param([_step("(P(a) | P(a)) | ~P(a)"), _step(TAUT, GEN_GAMMA_SIMP, (0,), at=(0,))],
+                 "step 1 (GenGammaSimplification): gamma-simplification merges a "
+                 "gamma-quantified formula", id="gamma-simp-not-gamma"),
+    pytest.param([_step("?x. ~P(x)", PASSAGE, passage_rule=1, direction="prenex")],
+                 "step 0 (Passage): passage takes one premise", id="passage-no-premise"),
+    pytest.param([_step(TAUT), _step(TAUT, PASSAGE, (0,), passage_rule=1)],
+                 "step 1 (Passage): missing passage rule index (1 to 6) or direction",
+                 id="passage-no-direction"),
+    pytest.param([_step(TAUT),
+                  _step(TAUT, PASSAGE, (0,), at=(2,), passage_rule=1, direction="prenex")],
+                 "step 1 (Passage): position (2,) does not exist in formula",
+                 id="passage-no-such-position"),
+    pytest.param([_step(TAUT), _step(TAUT, PASSAGE, (0,), passage_rule=1, direction="prenex")],
+                 "step 1 (Passage): the addressed subformula does not match the equivalence",
+                 id="passage-no-match"),
+    pytest.param([_step(TAUT), _step("(?x. P(x)) | ~P(a)", GEN_GAMMA, (0,), at=(0,), term=TERM_A),
+                  _step("?x. P(x) | ~P(b)", PASSAGE, (1,), passage_rule=5, direction="prenex")],
+                 "step 2 (Passage): conclusion is not the premise rewritten by the equivalence",
+                 id="passage-wrong-rewrite"),
+    pytest.param([_step("P(a) -> P(a)", MONO)],
+                 "step 0 (MonotoneReplace): monotone replacement takes one premise",
+                 id="mono-no-premise"),
+    pytest.param([_step(TAUT), _step("P(a) -> P(a)", MONO, (0,))],
+                 "step 1 (MonotoneReplace): the premise must be an implication B -> C",
+                 id="mono-premise-not-implication"),
+    pytest.param([_step("P(a) -> P(a)"), _step(TAUT, MONO, (0,))],
+                 "step 1 (MonotoneReplace): the conclusion must be an implication",
+                 id="mono-conclusion-not-implication"),
+    pytest.param([_step("P(a) -> P(a)"), _step("(P(a) <-> Q(a)) -> P(a)", MONO, (0,), at=(0,))],
+                 "step 1 (MonotoneReplace): no polarity below a biconditional; expand it first",
+                 id="mono-below-iff"),
+    pytest.param([_step("P(a) -> P(a)"), _step("~P(a) -> ~P(a)", MONO, (0,), at=(0,))],
+                 "step 1 (MonotoneReplace): replacement is only monotone at positive positions; "
+                 "a negative position is rejected", id="mono-negative"),
+    pytest.param([_step("P(a) -> P(a)"), _step("Q(a) | R(a) -> P(a) | R(a)", MONO, (0,), at=(0,))],
+                 "step 1 (MonotoneReplace): the left side must carry B at the position",
+                 id="mono-left"),
+    pytest.param([_step("P(a) -> P(a)"), _step("P(a) | R(a) -> Q(a) | R(a)", MONO, (0,), at=(0,))],
+                 "step 1 (MonotoneReplace): the right side must be the left with C at the "
+                 "position", id="mono-right"),
+    pytest.param([_step(TAUT, "Bogus")], "step 0 (Bogus): unknown rule 'Bogus'",
+                 id="unknown-rule"),
+])
+def test_check_names_the_first_violation(steps, violation):
+    # each derivation breaks one condition of the checker, at one step
+    # after valid ones
+    assert str(check(Derivation(tuple(steps)))) == violation
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,22 @@ other bare identifier is a constant.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import sys
+import tempfile
 import time
 
 from . import arith as arith_mod
-from . import engine, expansion, proofcalc, sat, transform
+from . import engine, expansion, proofcalc, transform
 from .expansion import BudgetExceededError
 from .syntax import (
     PREDICATE,
     SyntaxError_,
     ArityMismatchError,
-    Subst,
     Symbol,
     free_vars,
     parse,
@@ -99,17 +102,13 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_prove(args) -> int:
+    if args.max_order < 1:
+        raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
     formula, frees, expect = read_problem(args.file)
     budget = args.budget
     n_max = args.max_order
     t0 = time.monotonic()
-
-    if args.method == "race":
-        result = _race(formula, n_max, budget, args.always_lexicon)
-    else:
-        result = _run_method(
-            args.method, formula, n_max, budget, args.always_lexicon, args.trace
-        )
+    result = METHODS[args.method](formula, args)
 
     report: dict = {}
     code = EXIT_GAVE_UP
@@ -181,57 +180,50 @@ def cmd_prove(args) -> int:
     return code
 
 
-def _run_method(method, formula, n_max, budget, always_lexicon, trace):
-    if method == "gilmore":
-        return engine.prove_gilmore(formula, n_max, budget, always_lexicon)
-    if method == "dp":
-        return engine.prove_dp(formula, n_max, budget, always_lexicon)
-    if method == "resolution":
-        return engine.prove_resolution(formula, budget, trace=trace)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _race(formula, n_max, budget, always_lexicon):
+def _race(formula, args):
     """dp, then resolution with the same budget if dp gave up.  The
     multiplication method decides the same order-n clause sets as DPLL,
     so it could add no proof.  Returns the proof either found, else dp's
     gave-up result, whose analysis and last grounding the falsifying
     structure reuses.  Resolution starts from that analysis, so the
     formula is Skolemized once.  Only the verdict is reported."""
-    result = engine.prove_dp(formula, n_max, budget, always_lexicon)
+    result = engine.prove_dp(formula, args.max_order, args.budget, args.always_lexicon)
     if result.found:
         return result
-    proof = engine.prove_resolution(formula, budget, analysis=result.analysis)
+    proof = engine.prove_resolution(formula, args.budget, analysis=result.analysis)
     return proof if proof.found else result
+
+
+# each `prove --method`, from the formula and the parsed arguments
+METHODS = {
+    "gilmore": lambda f, a: engine.prove_gilmore(f, a.max_order, a.budget, a.always_lexicon),
+    "dp": lambda f, a: engine.prove_dp(f, a.max_order, a.budget, a.always_lexicon),
+    "resolution": lambda f, a: engine.prove_resolution(f, a.budget, trace=a.trace),
+    "race": _race,
+}
 
 
 # ---------------------------------------------------------------------------
 # transforms and expansions
 
 
+# each `transform --pass`, from the problem's formula and the parsed arguments
+PASSES = {
+    "prenex": lambda f, _a: transform.to_prenex(rectify(f)),
+    "antiprenex": lambda f, _a: transform.to_antiprenex(rectify(f)),
+    "skolem-outer": lambda f, _a: transform.skolemize_outer(rectify(f)),
+    "skolem-inner": lambda f, _a: transform.skolemize_inner(rectify(f)),
+    "relativize": lambda f, a: transform.relativize(f, Symbol(a.guard, 1, PREDICATE)),
+    "rectify": lambda f, _a: rectify(f),
+}
+
+
 def cmd_transform(args) -> int:
     formula, _frees, _ = read_problem(args.file)
-    name = args.passname
-    if name == "rectify":
-        out = rectify(formula)
-    elif name == "prenex":
-        out = transform.to_prenex(rectify(formula))
-    elif name == "antiprenex":
-        out = transform.to_antiprenex(rectify(formula))
-    elif name == "skolem-outer":
-        out = transform.skolemize_outer(rectify(formula))
-    elif name == "skolem-inner":
-        out = transform.skolemize_inner(rectify(formula))
-    elif name == "relativize":
-        if not args.guard:
-            print("usage error: relativize needs --guard PRED", file=sys.stderr)
-            return EXIT_ERROR
-        guard = Symbol(args.guard, 1, PREDICATE)
-        out = transform.relativize(formula, guard)
-    else:
-        print(f"unknown pass {name!r}", file=sys.stderr)
+    if args.passname == "relativize" and not args.guard:
+        print("usage error: relativize needs --guard PRED", file=sys.stderr)
         return EXIT_ERROR
-    print(print_formula(out))
+    print(print_formula(PASSES[args.passname](formula, args)))
     return EXIT_FOUND
 
 
@@ -310,318 +302,154 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # selftest: the worked examples as a smoke suite
 
+_VALID = {"valid.prob": "formula: (?x. P(x)) | ~(?y. P(y))\n"}
+_RUNNING = {"running.prob": "formula: (!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
+            " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
+            " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))\n"}
+_MIXED = {"mixed.prob": "formula: ~(!x. ?y. R(x, y)) | (?z. P(z) -> !w. P(w))\n"}
+_SMALL = {"small.prob": "formula: !x. (P(x) | ~P(c))\n"}
+_VALID_CHECKED = "ok\nsteps: 3\nproves: (?x. P(x)) | ~(?[y_star]. P([y_star]))\n"
 
-def _selftest_checks():
-    from . import sat
-    from .syntax import Subst, alpha_eq, apply, height, rectify
-
-    def check_parse():
-        f = parse("?y. !x. Q(x,y)")
-        return print_formula(f) == "?y. !x. Q(x, y)"
-
-    def check_height():
-        return (
-            height(parse_term("x", {"x"})) == 0
-            and height(parse_term("y_star")) == 1
-            and height(parse_term("m_star(u_star, m_star(v_star, w_star))")) == 3
-        )
-
-    def check_apply():
-        f = parse("prec(x, m_star(x, y))", frees={"x", "y"})
-        got = apply(
-            Subst({"x": parse_term("v_star"), "y": parse_term("w_star")}), f
-        )
-        return got == parse("prec(v_star, m_star(v_star, w_star))")
-
-    def check_classify():
-        f = rectify(parse("?y. A1(y)"))
-        g = rectify(parse("~(!y. A1(y))"))
-        h = rectify(parse("!x. A1(x)"))
-        return (
-            transform.classify(f, ()) == "gamma"
-            and transform.classify(g, (0,)) == "gamma"
-            and transform.classify(h, ()) == "delta"
-        )
-
-    def check_passage():
-        one = transform.passage(parse("~(!x. A1(x))"), (), 1, "prenex")
-        five = transform.passage(parse("(?x. A1(x)) | B1"), (), 5, "prenex")
-        return one == parse("?x. ~A1(x)") and five == parse("?x. (A1(x) | B1)")
-
-    def check_skolem_outer():
-        f = parse("(?x. P(x)) | ~(?y. P(y))")
-        return transform.skolemize_outer(f) == parse("(?x. P(x)) | ~P(y_star)")
-
-    def check_skolem_inner():
-        f = parse("(?y1. !z1. Q(y1, z1)) | (?y2. !z2. Q(y2, z2))")
-        want = parse("(?y1. Q(y1, z1_star(y1))) | (?y2. Q(y2, z2_star(y2)))")
-        return transform.skolemize_inner(f) == want
-
-    def check_relativize():
-        guard = Symbol("G", 1, PREDICATE)
-        return transform.relativize(parse("!x. Q(x)"), guard) == parse(
-            "!x. (G(x) -> Q(x))"
-        ) and transform.relativize(parse("?x. Q(x)"), guard) == parse(
-            "?x. (G(x) & Q(x))"
-        )
-
-    def check_expansion_example():
-        A = parse("!x. (x = 0 | ?y. x = S(y))")
-        T = [parse_term("S(S(S(0)))"), parse_term("S(S(z))", {"z"})]
-        got = expansion.expand(A, T)
-        want = parse(
-            "(S(S(S(0))) = 0 | S(S(S(0))) = S(S(S(S(0)))) | S(S(S(0))) = S(S(S(z))))"
-            " & (S(S(z)) = 0 | S(S(z)) = S(S(S(S(0)))) | S(S(z)) = S(S(S(z))))",
-            {"z"},
-        )
-        return sat.cnf(got) == sat.cnf(want)
-
-    def check_champ_147():
-        sig = [
-            Symbol("u*", 0, "skolem-constant"),
-            Symbol("v*", 0, "skolem-constant"),
-            Symbol("w*", 0, "skolem-constant"),
-            Symbol("m*", 2, "skolem-function"),
-        ]
-        return len(expansion.champ_fini(sig, (), 4)) == 147
-
-    def check_property_c():
-        f = parse("(?x. P(x)) | ~(?y. P(y))")
-        ok1, _ = expansion.property_c(f, 2)
-        ok2, _ = expansion.property_c(parse("P(a) | ~P(a)"), 1)
-        ok3, _ = expansion.property_c(parse("P(a)"), 3)
-        return ok1 and ok2 and not ok3
-
-    def check_godel_dreben():
-        return (
-            expansion.godel_dreben_order(1, 0, 5) == 2
-            and expansion.godel_dreben_order(2, 1, 3) == 32
-            and expansion.godel_dreben_order(2, 2, 4) == 578
-        )
-
-    def check_unify():
-        u = engine.unify(
-            parse_term("Pf(x, f(a, y))", {"x", "y"}),
-            parse_term("Pf(a, f(z, b))", {"z"}),
-        )
-        want = Subst(
-            {
-                "x": parse_term("a"),
-                "z": parse_term("a"),
-                "y": parse_term("b"),
-            }
-        )
-        return u.ok and u.substitution == want
-
-    def check_provers():
-        f = parse("(?x. P(x)) | ~(?y. P(y))")
-        g = engine.prove_gilmore(f, 3)
-        d = engine.prove_dp(f, 3)
-        r = engine.prove_resolution(f)
-        verified, _ = expansion.check_instances(f, list(r.witness))
-        return (
-            g.found and d.found and g.order == d.order == 2 and r.found and verified
-        )
-
-    def check_gamma_step():
-        t = parse_term("t0")
-        base = parse("(prec(t0, t0)) | ~(prec(t0, t0))")
-        conclusion = parse("(prec(t0, t0)) | (?x. ~(prec(x, t0)))")
-        d = proofcalc.Derivation(
-            (
-                proofcalc.Step(base, proofcalc.T_AXIOM),
-                proofcalc.Step(
-                    conclusion, proofcalc.GEN_GAMMA, (0,), at=(1,), term=t
-                ),
-            )
-        )
-        return proofcalc.check(d) is None
-
-    def check_delta_violation():
-        # the quantified variable occurs in the context: must be rejected
-        premise = parse("Q(x, x)", frees={"x"})
-        conclusion = parse("!x. Q(x, x)")
-        bad = proofcalc.Derivation(
-            (
-                proofcalc.Step(parse("Q(x, x) | ~Q(x, x)", frees={"x"}),
-                               proofcalc.T_AXIOM),
-                proofcalc.Step(
-                    parse("(!x. Q(x, x)) | ~Q(x, x)", frees={"x"}),
-                    proofcalc.GEN_DELTA,
-                    (0,),
-                    at=(0,),
-                ),
-            )
-        )
-        v = proofcalc.check(bad)
-        return v is not None and "must not occur in the context" in v.message
-
-    def check_arith():
-        return (
-            arith_mod.decide(parse("!x. S(x) != 0")) == "derivable"
-            and arith_mod.decide(parse("?x. S(x) = x")) == "refutable"
-            and arith_mod.decide(parse("!x. (x = 0 | ?y. x = S(y))")) == "derivable"
-        )
-
-    running = (
-        "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
-        " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
-        " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))"
-    )
-
-    def running_witness():
-        t1 = parse_term("m_star(v_star, w_star)")
-        t2 = parse_term("m_star(u_star, m_star(v_star, w_star))")
-        vs, ws, us = (
-            parse_term("v_star"),
-            parse_term("w_star"),
-            parse_term("u_star"),
-        )
-        s1 = Subst({"a": vs, "b": t1, "c": t2, "x": vs, "y": ws, "n": t2})
-        s2 = Subst({"a": ws, "b": t1, "c": t2, "x": us, "y": t1, "n": t2})
-        return s1, s2
-
-    def check_running_skolemized():
-        f = parse(running)
-        want = parse(
-            "(!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,c)))"
-            " & (!x,y. (prec(x,m_star(x,y)) & prec(y,m_star(x,y))))"
-            " -> (?n. (prec(u_star,n) & prec(v_star,n) & prec(w_star,n)))"
-        )
-        return alpha_eq(transform.skolemize_outer(rectify(f)), want)
-
-    def check_running_disjunction():
-        d = expansion.herbrand_disjunction(parse(running), 4)
-        return len(d.gamma_vars) == 6 and len(d.champ) == 147 and d.count > 10**13
-
-    def check_running_witness():
-        s1, s2 = running_witness()
-        both, _ = expansion.check_instances(parse(running), [s1, s2])
-        one, _ = expansion.check_instances(parse(running), [s1])
-        return both and not one
-
-    def check_running_complexity():
-        return expansion.herbrand_complexity(parse(running), 4, 3) == 2
-
-    def check_running_derivation():
-        f = parse(running)
-        s1, s2 = running_witness()
-        d = proofcalc.mp_eliminate(f, expansion.PropertyCWitness(4, (s1, s2)))
-        return (
-            proofcalc.check(d) is None
-            and proofcalc.count_rule(d, proofcalc.MP) == 0
-        )
-
-    def check_counterexample_substitutions():
-        f = parse("(?x. P(x)) | ~(?y. P(y))")
-        d = expansion.herbrand_disjunction(f, 2, always_lexicon=True)
-        subs = list(d.substitutions())
-        return (
-            Subst({"x": parse_term("y_star")}) in subs
-            and Subst({"x": parse_term("l", {"l"})}) in subs
-        )
-
-    def check_sentential_abstraction_is_strict():
-        try:
-            sat.is_tautology(parse("(?x. P(x)) | ~(?x. P(x))"))
-        except sat.QuantifierPresentError:
-            return True
-        return False
-
-    def check_dpll_core():
-        unsat = sat.numbered([[("p", True)], [("p", False)]])
-        return sat.dpll(unsat) == (False, None) and sat.dpll(sat.numbered([])) == (True, {})
-
-    def check_resolvent_display():
-        lits1 = frozenset(
-            [(True, parse("K1(c)")), (True, parse("K2(c)")), (True, parse("L0(c)"))]
-        )
-        lits2 = frozenset([(False, parse("L0(c)")), (True, parse("M1(c)"))])
-        r = engine.resolve(
-            engine.Clause(lits1),
-            engine.Clause(lits2),
-            (True, parse("L0(c)")),
-            (False, parse("L0(c)")),
-        )
-        want = frozenset(
-            [(True, parse("K1(c)")), (True, parse("K2(c)")), (True, parse("M1(c)"))]
-        )
-        if r is None or r.literals != want:
-            return False
-        a1 = parse("Ps(x, f(a, y))", frees={"x", "y"})
-        a2 = parse("Ps(a, f(z, b))", frees={"z"})
-        c1 = engine.Clause(frozenset([(True, a1)]))
-        c2 = engine.Clause(
-            frozenset([(False, a2), (True, parse("S1(z)", frees={"z"}))])
-        )
-        r = engine.resolve(c1, c2, (True, a1), (False, a2))
-        return r is not None and r.literals == frozenset([(True, parse("S1(a)"))])
-
-    def check_arith_witness():
-        from .arith import axiom
-
-        s = expansion.arith_substructure_witness([axiom("nat_2")], 1)
-        return s.domain == ("0", "1") and s.fn_tables[("S", 1)][("1",)] == "1"
-
-    def check_monotone_counterexample():
-        instance = parse(
-            "(T0 -> P(x)) -> ((!x. T0) -> (!x. P(x)))", frees={"x"}
-        )
-        s = expansion.FiniteStructure(
-            ("0", "1"),
-            {},
-            {("T0", 0): {(): True}, ("P", 1): {("0",): False, ("1",): True}},
-            {"x": "1"},
-        )
-        return not expansion.eval_in_structure(s, instance)
-
-    return [
-        ("parse", check_parse),
-        ("term-height", check_height),
-        ("substitution-application", check_apply),
-        ("quantifier-classes", check_classify),
-        ("rules-of-passage", check_passage),
-        ("skolemize-outer", check_skolem_outer),
-        ("skolemize-inner", check_skolem_inner),
-        ("relativize", check_relativize),
-        ("finite-expansion", check_expansion_example),
-        ("champ-cardinality", check_champ_147),
-        ("property-c", check_property_c),
-        ("order-bound", check_godel_dreben),
-        ("unification", check_unify),
-        ("procedures", check_provers),
-        ("gamma-quantification-step", check_gamma_step),
-        ("delta-side-condition", check_delta_violation),
-        ("successor-arithmetic", check_arith),
-        ("upper-bound-example-skolemized", check_running_skolemized),
-        ("upper-bound-example-disjunction", check_running_disjunction),
-        ("upper-bound-example-witness", check_running_witness),
-        ("upper-bound-example-complexity", check_running_complexity),
-        ("upper-bound-example-derivation", check_running_derivation),
-        ("lexicon-substitutions", check_counterexample_substitutions),
-        ("strict-sentential-reading", check_sentential_abstraction_is_strict),
-        ("dpll-core", check_dpll_core),
-        ("resolvent-shape", check_resolvent_display),
-        ("arithmetic-substructure", check_arith_witness),
-        ("monotone-replacement-counterexample", check_monotone_counterexample),
-    ]
+# The worked examples, each a `herbrand` command line: (name, argv, input
+# files, exit code, whole stdout).  `selftest` runs them in this order in
+# one directory, so a row may read a derivation an earlier row wrote.
+SELFTEST = (
+    ("parse", "transform q.prob --pass rectify",
+     {"q.prob": "formula: ?y. !x. Q(x,y)\n"}, 0, "?y. !x. Q(x, y)\n"),
+    ("rules-of-passage", "transform rule1.prob --pass prenex",
+     {"rule1.prob": "formula: ~(!x. A1(x))\n"}, 0, "?x. ~A1(x)\n"),
+    ("rules-of-passage", "transform rule5.prob --pass prenex",
+     {"rule5.prob": "formula: (?x. A1(x)) | B1\n"}, 0, "?x. A1(x) | B1\n"),
+    ("skolemize-outer", "transform valid.prob --pass skolem-outer", _VALID, 0,
+     "(?x. P(x)) | ~P(y_star)\n"),
+    ("skolemize-inner", "transform inner.prob --pass skolem-inner",
+     {"inner.prob": "formula: (?y1. !z1. Q(y1, z1)) | (?y2. !z2. Q(y2, z2))\n"}, 0,
+     "(?y1. Q(y1, z1_star(y1))) | (?y2. Q(y2, z2_star(y2)))\n"),
+    ("relativize", "transform q2.prob --pass relativize --guard G",
+     {"q2.prob": "formula: (!x. Q(x)) & (?y. Q(y))\n"}, 0,
+     "(!x. G(x) -> Q(x)) & (?y. G(y) & Q(y))\n"),
+    ("relativize", "transform small.prob --pass relativize --guard G", _SMALL, 0,
+     "!x. G(x) -> P(x) | ~P(c)\n"),
+    ("passes-of-a-mixed-formula", "transform mixed.prob --pass prenex", _MIXED, 0,
+     "?z. ?x. !y. ~R(x, y) | (P(z) -> (!w. P(w)))\n"),
+    ("passes-of-a-mixed-formula", "transform mixed.prob --pass antiprenex", _MIXED, 0,
+     "~(!x. ?y. R(x, y)) | (?z. P(z) -> (!w. P(w)))\n"),
+    ("passes-of-a-mixed-formula", "transform mixed.prob --pass rectify", _MIXED, 0,
+     "~(!x. ?y. R(x, y)) | (?z. P(z) -> (!w. P(w)))\n"),
+    ("passes-of-a-mixed-formula", "transform mixed.prob --pass skolem-outer", _MIXED, 0,
+     "~(!x. R(x, y_star(x))) | (?z. P(z) -> P(w_star(z)))\n"),
+    ("passes-of-a-mixed-formula", "transform mixed.prob --pass skolem-inner", _MIXED, 0,
+     "~(!x. R(x, y_star(x))) | (?z. P(z) -> P(w_star))\n"),
+    ("passes-of-a-mixed-formula", "transform mixed.prob --pass relativize --guard G",
+     _MIXED, 0, "~(!x. G(x) -> (?y. G(y) & R(x, y)))"
+     " | (?z. G(z) & (P(z) -> (!w. G(w) -> P(w))))\n"),
+    ("property-c", "prove valid.prob -n 2", _VALID, 0, "verdict: proof-found\n"
+     "method: dp\norder: 2\nwitness-verified: true\nwitness: {x -> y_star}\n"),
+    ("property-c", "prove taut.prob -n 1", {"taut.prob": "formula: P(a) | ~P(a)\n"}, 0,
+     "verdict: proof-found\nmethod: dp\norder: 1\nwitness-verified: true\nwitness: {}\n"),
+    ("property-c", "prove atom.prob -n 3", {"atom.prob": "formula: P(a)\n"}, 1,
+     "verdict: gave-up\nreason: no proof up to order 3\nfalsifying-structure: \n"
+     "domain: a\nfn a: ()->a\npred P: (a)->F\n"),
+    ("unification", "unify 'Pf(x, f(a, y))' 'Pf(a, f(z, b))' --frees 'x y z'", {}, 0,
+     "status: success\nx -> a\ny -> b\nz -> a\n"),
+    ("unification", "unify 'f(x, g(y))' 'f(a, g(b))' --frees 'x y'", {}, 0,
+     "status: success\nx -> a\ny -> b\n"),
+    ("unification", "unify 'f(x, x)' 'f(a, b)' --frees x", {}, 1,
+     "status: clash\noffending: a vs b\n"),
+    ("procedures", "prove valid.prob --method dp --proof-out dp.drv", _VALID, 0,
+     "verdict: proof-found\nmethod: dp\norder: 2\nwitness-verified: true\n"
+     "witness: {x -> y_star}\nproof-out: dp.drv\n"),
+    ("procedure-derivations", "check dp.drv", {}, 0, _VALID_CHECKED),
+    ("procedures", "prove valid.prob --method gilmore --proof-out gilmore.drv", _VALID, 0,
+     "verdict: proof-found\nmethod: gilmore\norder: 2\nwitness-verified: true\n"
+     "witness: {x -> y_star}\nproof-out: gilmore.drv\n"),
+    ("procedure-derivations", "check gilmore.drv", {}, 0, _VALID_CHECKED),
+    ("procedures", "prove valid.prob --method resolution --proof-out resolution.drv",
+     _VALID, 0, "verdict: proof-found\nmethod: resolution\nsteps: 1\n"
+     "witness-verified: true\nwitness: {x -> y_star}\nproof-out: resolution.drv\n"),
+    ("procedure-derivations", "check resolution.drv", {}, 0, _VALID_CHECKED),
+    ("procedures", "prove valid.prob --method race --proof-out race.drv", _VALID, 0,
+     "verdict: proof-found\nwitness-verified: true\nproof-out: race.drv\n"),
+    ("procedure-derivations", "check race.drv", {}, 0, _VALID_CHECKED),
+    ("gamma-quantification-step", "check gamma.drv", {"gamma.drv": (
+        "0 | SententialTautologyAxiom | premises=- | at=- | data={}"
+        " | prec(t0, t0) | ~prec(t0, t0)\n"
+        "1 | GenGammaQuant | premises=0 | at=1 | data={\"term\": \"t0\"}"
+        " | prec(t0, t0) | (?x. ~prec(x, t0))\n")}, 0,
+     "ok\nsteps: 2\nproves: prec(t0, t0) | (?x. ~prec(x, t0))\n"),
+    # the gamma step's term spelled as the Skolem constant, not the boxed name
+    ("gamma-quantification-step", "check tampered.drv", {"tampered.drv": (
+        "0 | SententialTautologyAxiom | premises=- | at=- | data={}"
+        " | P([y_star]) | ~P([y_star])\n"
+        "1 | GenGammaQuant | premises=0 | at=0 | data={\"term\": \"y_star\"}"
+        " | (?x. P(x)) | ~P([y_star])\n"
+        "2 | GenDeltaQuant | premises=1 | at=1.0 | data={}"
+        " | (?x. P(x)) | ~(?[y_star]. P([y_star]))\n")}, 1,
+     "violation: step 1 (GenGammaQuant): premise is not the conclusion with the"
+     " quantifier instantiated\n"),
+    # the quantified variable occurs in the context
+    ("delta-side-condition", "check delta.drv", {"delta.drv": (
+        "frees: x\n"
+        "0 | SententialTautologyAxiom | premises=- | at=- | data={} | Q(x, x) | ~Q(x, x)\n"
+        "1 | GenDeltaQuant | premises=0 | at=0 | data={} | (!x. Q(x, x)) | ~Q(x, x)\n")}, 1,
+     "violation: step 1 (GenDeltaQuant): the quantified variable x must not occur in"
+     " the context\n"),
+    ("successor-arithmetic", "arith decide '!x. S(x) != 0'", {}, 0, "derivable\n"),
+    ("successor-arithmetic", "arith decide '?x. S(x) = x'", {}, 0, "refutable\n"),
+    ("successor-arithmetic", "arith decide '!x. (x = 0 | ?y. x = S(y))'", {}, 0,
+     "derivable\n"),
+    ("upper-bound-example-skolemized", "transform running.prob --pass skolem-outer",
+     _RUNNING, 0, "(!a. !b. !c. prec(a, b) & prec(b, c) -> prec(a, c))"
+     " & (!x. !y. prec(x, m_star(x, y)) & prec(y, m_star(x, y)))"
+     " -> (?n. prec(u_star, n) & prec(v_star, n) & prec(w_star, n))\n"),
+    ("upper-bound-example-complexity", "complexity running.prob -n 4 --max-instances 3",
+     _RUNNING, 0, "complexity: 2\n"),
+    ("upper-bound-example-derivation",
+     "prove running.prob --method race --proof-out running.drv", _RUNNING, 0,
+     "verdict: proof-found\nwitness-verified: true\nproof-out: running.drv\n"),
+    ("upper-bound-example-derivation", "check running.drv", {}, 0, "ok\nsteps: 29\n"
+     "proves: (!a. !b. !c. prec(a, b) & prec(b, c) -> prec(a, c))"
+     " & (!x. !y. ?m. prec(x, m) & prec(y, m))"
+     " -> (![u_star]. ![v_star]. ![w_star]. ?n."
+     " prec([u_star], n) & prec([v_star], n) & prec([w_star], n))\n"),
+    ("lexicon-substitutions", "expand valid.prob -n 2 --always-lexicon", _VALID, 0,
+     "order: 2\nchamp: l y_star\ngamma-vars: x\ninstances: 2\n"
+     "expansion: P(l) | P(y_star) | ~P(y_star)\n"),
+    ("order-2-expansion", "expand valid.prob -n 2", _VALID, 0,
+     "order: 2\nchamp: y_star\ngamma-vars: x\ninstances: 1\n"
+     "expansion: P(y_star) | ~P(y_star)\n"),
+    ("monotone-replacement-counterexample", "eval mono.struct mono.prob", {
+        "mono.prob": "free: x\nformula: (T0 -> P(x)) -> ((!x. T0) -> (!x. P(x)))\n",
+        "mono.struct": "domain: 0 1\npred T0: ()->T\npred P: (0)->F\npred P: (1)->T\n"
+                       "var x: 1\n"}, 0, "false\n"),
+    ("structure-evaluation", "eval one.struct small.prob", {
+        **_SMALL, "one.struct": "domain: e0\nfn c: ()->e0\npred P: (e0)->T\n"}, 0,
+     "true\n"),
+)
 
 
 def cmd_selftest(_args) -> int:
     failures = 0
-    for name, fn in _selftest_checks():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
         try:
-            ok = fn()
-        except Exception as e:  # a crash is a failure with a reason
-            ok = False
-            print(f"FAIL {name}: {e}")
-            failures += 1
-            continue
-        if ok:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}")
-            failures += 1
+            for name, argv, files, code, stdout in SELFTEST:
+                for path, text in files.items():
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(text)
+                out = io.StringIO()
+                # stderr holds the `time:` lines, which differ from run to run
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        got = main(shlex.split(argv))
+                    except SystemExit as e:
+                        got = e.code
+                ok = (got, out.getvalue()) == (code, stdout)
+                failures += not ok
+                print(f"{'PASS' if ok else 'FAIL'} {name}")
+        finally:
+            os.chdir(cwd)
     if failures:
         print(f"{failures} failures")
         return EXIT_ERROR
@@ -635,9 +463,7 @@ def cmd_selftest(_args) -> int:
 
 def _prove_arguments(prove):
     prove.add_argument("file")
-    prove.add_argument(
-        "--method", choices=("gilmore", "dp", "resolution", "race"), default="dp"
-    )
+    prove.add_argument("--method", choices=tuple(METHODS), default="dp")
     prove.add_argument("--max-order", "-n", "--order", type=int, default=3)
     prove.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     prove.add_argument("--proof-out", default=None)
@@ -651,9 +477,7 @@ def _prove_arguments(prove):
 
 def _transform_arguments(tr):
     tr.add_argument("file")
-    tr.add_argument("--pass", dest="passname", required=True, choices=(
-        "prenex", "antiprenex", "skolem-outer", "skolem-inner", "relativize", "rectify",
-    ))
+    tr.add_argument("--pass", dest="passname", required=True, choices=tuple(PASSES))
     tr.add_argument("--guard", default=None)
     tr.set_defaults(fn=cmd_transform)
 

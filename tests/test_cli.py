@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from herbrand.cli import COMMANDS, build_parser, main
+from herbrand.cli import COMMANDS, SELFTEST, build_parser, main
 from herbrand.proofcalc import check, load_derivation
 from herbrand.syntax import parse, print_formula
 from util import iff_tree
@@ -334,8 +334,32 @@ def test_expectation_annotation(tmp_path, capsys):
 def test_selftest(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
-    assert "all checks passed" in out
-    assert "FAIL" not in out
+    assert out.splitlines() == [f"PASS {row[0]}" for row in SELFTEST] + ["all checks passed"]
+
+
+def test_selftest_reports_a_failing_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = list(SELFTEST)
+    rows[3] = rows[3][:4] + ("something else\n",)
+    monkeypatch.setattr("herbrand.cli.SELFTEST", tuple(rows))
+    want = [f"PASS {row[0]}" for row in rows] + ["1 failures"]
+    want[3] = f"FAIL {rows[3][0]}"
+    code, out, _ = run(capsys, ["selftest"])
+    assert (code, out.splitlines()) == (2, want)
+    assert os.getcwd() == str(tmp_path) and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("method", ["gilmore", "dp", "resolution", "race"])
+def test_max_order_below_one_is_rejected_before_any_prover_runs(
+    tmp_path, capsys, monkeypatch, method
+):
+    from herbrand import engine
+
+    for name in ("dp", "gilmore", "resolution"):
+        monkeypatch.setattr(engine, f"prove_{name}", None)
+    path = write_problem(tmp_path, "formula: P(a) | ~P(a)\n")
+    assert run(capsys, ["prove", path, "--method", method, "-n", "0"]) == (
+        2, "", "error: --max-order must be at least 1, got 0\n")
 
 
 @pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3), ("gilmore", 4)])
@@ -890,8 +914,9 @@ def test_per_command_parser_parses_as_the_whole_one(argv):
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["bogus"],
     ["prove"], ["prove", "x.p", "--bogus"], ["prove", "x.p", "--method", "nope"],
-    ["prove", "-h"],
-    ["arith"], ["arith", "decide", "-h"],
+    ["prove", "-h"], ["transform", "-h"], ["expand", "-h"], ["complexity", "-h"],
+    ["unify", "-h"], ["check", "-h"], ["eval", "-h"], ["selftest", "-h"],
+    ["arith"], ["arith", "-h"], ["arith", "decide", "-h"],
     ["transform", "f.p"], ["expand", "f.p"],
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_usage_errors_and_help_read_as_from_the_whole_parser(capsys, argv):

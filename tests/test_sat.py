@@ -326,7 +326,8 @@ def test_clause_sets_prune_every_product(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text", ["P(a) <-> (?x. P(x))", "(!x. P(x)) -> P(a)", "P(a) -> (Q(a) <-> !x. Q(x))"]
+    "text", ["P(a) <-> (?x. P(x))", "(!x. P(x)) -> P(a)", "P(a) -> (Q(a) <-> !x. Q(x))",
+             "(?x. P(x)) | ~(?x. P(x))"]
 )
 def test_quantifiers_are_rejected(text):
     f = parse(text)

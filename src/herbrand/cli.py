@@ -46,7 +46,9 @@ EXIT_FOUND = 0
 EXIT_GAVE_UP = 1
 EXIT_ERROR = 2
 
-DEFAULT_BUDGET = int(os.environ.get("HERBRAND_BUDGET", str(expansion.DEFAULT_BUDGET)))
+# `--budget`'s default as text, which the option's type checks only when
+# a command that takes a budget runs without one
+DEFAULT_BUDGET = os.environ.get("HERBRAND_BUDGET", str(expansion.DEFAULT_BUDGET))
 
 
 class ProblemError(Exception):
@@ -86,11 +88,16 @@ def read_problem(path: str):
 
 
 def _emit(report: dict, as_json: bool) -> None:
+    """The report whole: one JSON document, or a `key: value` line per
+    entry, a list giving one line per item and a tuple (a structure's
+    file lines) its key alone, then its lines as they are."""
     if as_json:
         print(json.dumps(report, sort_keys=True))
         return
     for key, value in report.items():
-        if isinstance(value, list):
+        if isinstance(value, tuple):
+            print(f"{key}: ", *value, sep="\n")
+        elif isinstance(value, list):
             for item in value:
                 print(f"{key}: {item}")
         else:
@@ -102,17 +109,12 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_prove(args) -> int:
-    if args.max_order < 1:
-        raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
     formula, frees, expect = read_problem(args.file)
-    budget = args.budget
-    n_max = args.max_order
     t0 = time.monotonic()
     result = METHODS[args.method](formula, args)
 
     report: dict = {}
     code = EXIT_GAVE_UP
-    structure = None
     if result.found:
         code = EXIT_FOUND
         report["verdict"] = "proof-found"
@@ -135,25 +137,21 @@ def cmd_prove(args) -> int:
             report["reason"] = result.reason
         try:
             structure = expansion.falsifying_structure(
-                formula, n_max, budget, args.always_lexicon, result.analysis,
+                formula, args.max_order, args.budget, args.always_lexicon, result.analysis,
                 result.grounding,
             )
         except BudgetExceededError:
             report["falsifying-structure"] = "not computed (budget)"
         else:
             report["falsifying-structure"] = (
-                [""] if structure is not None
-                else f"none (Property C holds at order {n_max})"
+                tuple(expansion.dump_structure(structure).splitlines())
+                if structure is not None
+                else f"none (Property C holds at order {args.max_order})"
             )
 
-    trace = []
-    if args.trace:
-        for kind, payload in result.trace:
-            if isinstance(payload, engine.Clause):
-                payload = payload.pretty(args.dual)
-            trace.append(f"{kind} {payload}")
-    if trace and structure is None:
-        report["trace"] = trace
+    if args.trace and result.trace:
+        report["trace"] = [f"{kind} {p.pretty(args.dual) if isinstance(p, engine.Clause) else p}"
+                           for kind, p in result.trace]
 
     if args.proof_out and result.found:
         order = result.order if result.order is not None else 1
@@ -166,10 +164,6 @@ def cmd_prove(args) -> int:
         report["proof-out"] = args.proof_out
 
     _emit(report, args.json)
-    if structure is not None:
-        sys.stdout.write(expansion.dump_structure(structure))
-        for line in trace:
-            print(f"trace: {line}")
     print(f"time: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     if expect is not None and expect != report["verdict"]:
         print(
@@ -231,8 +225,7 @@ def cmd_expand(args) -> int:
     formula, _frees, _ = read_problem(args.file)
     d = expansion.herbrand_disjunction(formula, args.order, args.always_lexicon)
     if d.count > args.budget:
-        print(f"budget exceeded: {d.count} instances", file=sys.stderr)
-        return EXIT_ERROR
+        raise BudgetExceededError(f"{d.count} instances")
     expanded = expansion.expand(d.skolemized, d.champ.terms)
     print(f"order: {args.order}")
     print("champ: " + " ".join(print_term(t) for t in d.champ.terms))
@@ -244,13 +237,7 @@ def cmd_expand(args) -> int:
 
 def cmd_complexity(args) -> int:
     formula, _frees, _ = read_problem(args.file)
-    try:
-        k = expansion.herbrand_complexity(
-            formula, args.order, args.max_instances, args.budget
-        )
-    except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    k = expansion.herbrand_complexity(formula, args.order, args.max_instances, args.budget)
     if k is None:
         print("complexity: none")
         return EXIT_GAVE_UP
@@ -461,11 +448,22 @@ def cmd_selftest(_args) -> int:
 # argument wiring
 
 
+def _count(text: str) -> int:
+    """Every order, bound and budget: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _prove_arguments(prove):
     prove.add_argument("file")
     prove.add_argument("--method", choices=tuple(METHODS), default="dp")
-    prove.add_argument("--max-order", "-n", "--order", type=int, default=3)
-    prove.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    prove.add_argument("--max-order", "-n", "--order", type=_count, default=3)
+    prove.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     prove.add_argument("--proof-out", default=None)
     prove.add_argument("--trace", action="store_true")
     prove.add_argument("--always-lexicon", action="store_true")
@@ -484,17 +482,17 @@ def _transform_arguments(tr):
 
 def _expand_arguments(ex):
     ex.add_argument("file")
-    ex.add_argument("-n", "--order", type=int, required=True)
-    ex.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ex.add_argument("-n", "--order", type=_count, required=True)
+    ex.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     ex.add_argument("--always-lexicon", action="store_true")
     ex.set_defaults(fn=cmd_expand)
 
 
 def _complexity_arguments(cx):
     cx.add_argument("file")
-    cx.add_argument("-n", "--order", type=int, required=True)
-    cx.add_argument("--max-instances", type=int, default=4)
-    cx.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    cx.add_argument("-n", "--order", type=_count, required=True)
+    cx.add_argument("--max-instances", type=_count, default=4)
+    cx.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     cx.set_defaults(fn=cmd_complexity)
 
 
@@ -565,6 +563,9 @@ def main(argv=None) -> int:
     args = build_parser(named).parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceededError as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return EXIT_ERROR
     except (SyntaxError_, ArityMismatchError, ProblemError,
             arith_mod.NotArithmeticError, arith_mod.FreeVariableError,
             expansion.UninterpretedSymbolError, transform.GuardError, OSError,

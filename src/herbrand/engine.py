@@ -396,10 +396,7 @@ def prove_resolution(
     # atoms are read as printed, a gamma-variable `y` as the boxed `[#y]`
     # that no constant spells; then one lexicon-grounding suffices
     opaque = Subst({y: Var(f"#{y}") for y in gamma})
-    keys = [sat.atom_key(apply(opaque, a)) for a in d.atoms]
-    prop = sat.numbered([(keys[slot], s) for s, slot, _ in literals] for _, literals in d.plans)
-    satisfiable, _ = sat.dpll(prop)
-    if not satisfiable:
+    if sat.decide_negation(*ground_clauses(d, [opaque]))[0]:
         witness = (_ground_residuals(Subst(), gamma),)
         log("verdict", "proof-found 0 steps (propositionally closed)")
         return ProofResult(

@@ -126,11 +126,6 @@ def _first_minimal(clauses: list[tuple]) -> list[tuple]:
             for whole, c in firsts.items() if whole in minimal]
 
 
-def _keyed(clauses: list[tuple]) -> ClauseSet:
-    """The ⊆-minimal clauses over atom keys, numbered."""
-    return numbered(_prune({frozenset((atom_key(a), s) for s, a in c) for c in clauses}))
-
-
 def _prune(clauses: Iterable) -> set:
     """The ⊆-minimal clauses, a unique set whatever the order of ties;
     each is a frozenset or a tuple of distinct literals, returned as is.
@@ -155,14 +150,6 @@ def _prune(clauses: Iterable) -> set:
             out.add(c)
             same_length.append(c)
     return out
-
-
-def cnf(f: Formula) -> ClauseSet:
-    return _keyed(_clauses(f))
-
-
-def cnf_of_negation(f: Formula) -> ClauseSet:
-    return _keyed(_clauses(f, False))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +332,7 @@ def is_tautology(
     Returns (verdict, falsifying assignment when the verdict is False).
     The assignment maps atom keys, in sorted order, to truth values.
     """
-    cs = cnf_of_negation(f)
+    cs = numbered([(atom_key(a), s) for s, a in c] for c in _clauses(f, False))
     return decide_negation(cs.clauses, cs.names, engine)
 
 

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from herbrand.cli import COMMANDS, SELFTEST, build_parser, main
+import herbrand
+from herbrand.cli import COMMANDS, METHODS, SELFTEST, build_parser, main
+from herbrand.expansion import load_structure
 from herbrand.proofcalc import check, load_derivation
 from herbrand.syntax import parse, print_formula
 from util import iff_tree
@@ -349,6 +353,15 @@ def test_selftest_reports_a_failing_row(tmp_path, capsys, monkeypatch):
     assert os.getcwd() == str(tmp_path) and os.listdir(tmp_path) == []
 
 
+def usage_error(capsys, argv):
+    """Exit code, stdout and last stderr line of a request that argparse
+    rejects."""
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    captured = capsys.readouterr()
+    return got.value.code, captured.out, captured.err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("method", ["gilmore", "dp", "resolution", "race"])
 def test_max_order_below_one_is_rejected_before_any_prover_runs(
     tmp_path, capsys, monkeypatch, method
@@ -358,8 +371,74 @@ def test_max_order_below_one_is_rejected_before_any_prover_runs(
     for name in ("dp", "gilmore", "resolution"):
         monkeypatch.setattr(engine, f"prove_{name}", None)
     path = write_problem(tmp_path, "formula: P(a) | ~P(a)\n")
-    assert run(capsys, ["prove", path, "--method", method, "-n", "0"]) == (
-        2, "", "error: --max-order must be at least 1, got 0\n")
+    assert usage_error(capsys, ["prove", path, "--method", method, "-n", "0"]) == (
+        2, "", "herbrand prove: error: argument --max-order/-n/--order:"
+        " must be at least 1, got 0")
+
+
+ORDER = "argument -n/--order"
+MAX_ORDER = "argument --max-order/-n/--order"
+BELOW_ONE = "must be at least 1, got"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "-n", "0"], f"{ORDER}: {BELOW_ONE} 0"),
+    (["expand", "-n", "2", "--budget", "0"], f"argument --budget: {BELOW_ONE} 0"),
+    (["complexity", "-n", "0"], f"{ORDER}: {BELOW_ONE} 0"),
+    (["complexity", "-n", "2", "--max-instances", "0"],
+     f"argument --max-instances: {BELOW_ONE} 0"),
+    (["complexity", "-n", "2", "--budget", "-1"], f"argument --budget: {BELOW_ONE} -1"),
+    *[(["prove", "--method", m, "--budget", "-5"], f"argument --budget: {BELOW_ONE} -5")
+      for m in METHODS],
+    *[(["prove", "--method", m, "-n", "-1"], f"{MAX_ORDER}: {BELOW_ONE} -1") for m in METHODS],
+    # a count that is no integer keeps argparse's wording
+    (["prove", "-n", "x"], f"{MAX_ORDER}: invalid int value: 'x'"),
+    (["expand", "-n", "x"], f"{ORDER}: invalid int value: 'x'"),
+    (["complexity", "-n", "x"], f"{ORDER}: invalid int value: 'x'"),
+], ids=" ".join)
+def test_bad_counts_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    from herbrand import engine, expansion
+
+    for name in ("prove_dp", "prove_gilmore", "prove_resolution"):
+        monkeypatch.setattr(engine, name, None)
+    monkeypatch.setattr(expansion, "herbrand_disjunction", None)
+    path = write_problem(tmp_path, "formula: (?x. P(x)) | ~(?y. P(y))\n")
+    assert usage_error(capsys, [argv[0], path, *argv[1:]]) == (
+        2, "", f"herbrand {argv[0]}: error: {message}")
+
+
+@pytest.mark.parametrize("budget, message", [
+    ("abc", "invalid int value: 'abc'"), ("-3", "must be at least 1, got -3"),
+])
+def test_herbrand_budget_is_checked_only_by_commands_that_take_a_budget(
+    tmp_path, budget, message
+):
+    path = write_problem(tmp_path, "formula: P(a) | ~P(a)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(herbrand.__file__)))
+    env = dict(os.environ, HERBRAND_BUDGET=budget, PYTHONPATH=src)
+
+    def herbrand_cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "herbrand", *argv], env=env,
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    assert herbrand_cli("unify", "a", "a") == (0, "status: success\n", "")
+    code, out, err = herbrand_cli("prove", path)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"herbrand prove: error: argument --budget: {message}"
+    assert "Traceback" not in err
+    # an explicit --budget is what the command reads
+    assert herbrand_cli("prove", path, "--budget", "9")[:2] == (
+        0, "verdict: proof-found\nmethod: dp\norder: 1\nwitness-verified: true\nwitness: {}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "-n", "3", "--budget", "2"], "9 instances"),
+    (["complexity", "-n", "3", "--budget", "2"], "2^2 paths exceed the search budget 2"),
+])
+def test_budget_exhaustion_is_one_error_line(tmp_path, capsys, argv, message):
+    path = write_problem(tmp_path, "formula: ?x,y. ((P(x) | P(y)) -> P(f(x)))\n")
+    assert run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"budget exceeded: {message}\n")
 
 
 @pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3), ("gilmore", 4)])
@@ -589,8 +668,15 @@ trace: clause ~Q(f(x))
 trace: verdict gave-up (saturated)
 """
 GAVE_UP_JSON = (
-    '{"falsifying-structure": [""], "reason": "saturated without refutation",'
-    ' "verdict": "gave-up"}\n'
+    '{"falsifying-structure": ["domain: l f(l)", "var l: l", "fn f: (f(l))->f(l)",'
+    ' "fn f: (l)->f(l)", "pred P: (l)->T", "pred Q: (f(l))->F"],'
+    ' "reason": "saturated without refutation", "verdict": "gave-up"}\n'
+)
+GAVE_UP_JSON_TRACE = (
+    '{"falsifying-structure": ["domain: l f(l)", "var l: l", "fn f: (f(l))->f(l)",'
+    ' "fn f: (l)->f(l)", "pred P: (l)->T", "pred Q: (f(l))->F"],'
+    ' "reason": "saturated without refutation", "trace": ["clause P(x)",'
+    ' "clause ~Q(f(x))", "verdict gave-up (saturated)"], "verdict": "gave-up"}\n'
 )
 
 
@@ -624,9 +710,8 @@ trace: verdict proof-found 4 steps
         (TRACED_GAVE_UP, ["--max-order", "1", "--trace"],
          "verdict: gave-up\nreason: saturated without refutation\n"
          "falsifying-structure: \n" + GAVE_UP_STRUCTURE + GAVE_UP_TRACE),
-        (TRACED_GAVE_UP, ["--max-order", "1", "--json"], GAVE_UP_JSON + GAVE_UP_STRUCTURE),
-        (TRACED_GAVE_UP, ["--max-order", "1", "--json", "--trace"],
-         GAVE_UP_JSON + GAVE_UP_STRUCTURE + GAVE_UP_TRACE),
+        (TRACED_GAVE_UP, ["--max-order", "1", "--json"], GAVE_UP_JSON),
+        (TRACED_GAVE_UP, ["--max-order", "1", "--json", "--trace"], GAVE_UP_JSON_TRACE),
     ],
     ids=["trace", "dual", "trace-json", "gave-up-trace", "gave-up-json", "gave-up-json-trace"],
 )
@@ -635,6 +720,29 @@ def test_prove_output_shapes_pinned(tmp_path, capsys, text, flags, expected):
     code, out, _ = run(capsys, ["prove", path, "--method", "resolution", *flags])
     assert code == (0 if text == TRACED_PROOF else 1)
     assert out == expected
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("problem, verdict", [
+    ("formula: (?x. P(x)) | ~(?y. P(y))\n", "proof-found"), (TRACED_GAVE_UP, "gave-up"),
+], ids=["found", "gave-up"])
+@pytest.mark.parametrize("flags", [[], ["--trace"], ["--proof-out", "p.drv"],
+                                   ["--trace", "--proof-out", "p.drv"]], ids=" ".join)
+def test_prove_json_is_one_document(tmp_path, capsys, monkeypatch, method, problem, verdict,
+                                    flags):
+    monkeypatch.chdir(tmp_path)
+    argv = ["prove", write_problem(tmp_path, problem), "--method", method, "-n", "2", *flags]
+    code, out, _ = run(capsys, [*argv, "--json"])
+    document = json.loads(out)
+    assert (code, document["verdict"], out.count("\n")) == (verdict == "gave-up", verdict, 1)
+    text_code, text, _ = run(capsys, argv)
+    assert text_code == code
+    if code:
+        # text mode prints the structure's lines under the key, then the trace
+        block = text.split("falsifying-structure: \n", 1)[1].split("trace: ", 1)[0]
+        assert document["falsifying-structure"] == block.splitlines()
+        assert load_structure("\n".join(document["falsifying-structure"])) == load_structure(
+            block)
 
 
 def test_prove_rejects_a_witness_that_does_not_verify(tmp_path, capsys, monkeypatch):
@@ -874,7 +982,7 @@ def test_gave_up_reads_the_structure_off_the_last_order(
     # each order is grounded once; dp's structure comes from the model
     # its last order's DPLL call found, gilmore's from one DPLL call on
     # the clauses its last order grounded, and race's from dp's, after
-    # resolution's one propositional DPLL call
+    # resolution's one propositional grounding and DPLL call
     from herbrand import expansion, sat
 
     path = write_problem(tmp_path, SCALING)
@@ -882,7 +990,7 @@ def test_gave_up_reads_the_structure_off_the_last_order(
     dpll_calls = _counted(monkeypatch, sat, "dpll")
     code, out, _ = run(capsys, ["prove", path, "--method", method, "--max-order", "3"])
     assert code == 1 and "falsifying-structure: \ndomain: " in out
-    assert (len(groundings), len(dpll_calls)) == (3, decisions)
+    assert (len(groundings), len(dpll_calls)) == (3 + (method == "race"), decisions)
 
 
 # ---------------------------------------------------------------------------

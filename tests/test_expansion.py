@@ -120,7 +120,7 @@ def test_expand_examples():
         " & (S(S(z)) = 0 | S(S(z)) = S(S(S(S(0)))) | S(S(z)) = S(S(S(z))))",
         {"z"},
     )
-    from herbrand.sat import cnf
+    from util import cnf
 
     assert cnf(got) == cnf(want)
     qfree = parse("P(a) & ~Q(b)")

@@ -15,8 +15,6 @@ from herbrand.sat import (
     _prune,
     _search,
     atom_key,
-    cnf,
-    cnf_of_negation,
     decide_negation,
     dpll,
     is_tautology,
@@ -25,7 +23,8 @@ from herbrand.sat import (
 from herbrand.syntax import And, Atom, Iff, Not, Or, PREDICATE, Symbol, parse
 
 from util import (
-    dnf, iff_tree, keyed, multiplied_out, random_qf, reference_nnf, truth_table_tautology,
+    cnf, cnf_of_negation, dnf, iff_tree, keyed, multiplied_out, random_qf, reference_nnf,
+    truth_table_tautology,
 )
 
 
@@ -309,14 +308,15 @@ def test_clause_sets_prune_every_product(monkeypatch):
     f = tree(3)
     assert (len(multiplied_out(f)), len(multiplied_out(f, False))) == (1152, 2704)
     assert (len(_clauses(f)), len(_clauses(f, False))) == (12, 14)
-    numbering = sat._keyed
+    clausify = sat._clauses
     sizes = []
 
-    def recorded(clauses):
+    def recorded(*args):
+        clauses = clausify(*args)
         sizes.append(len(clauses))
-        return numbering(clauses)
+        return clauses
 
-    monkeypatch.setattr(sat, "_keyed", recorded)
+    monkeypatch.setattr(sat, "_clauses", recorded)
     for run in (cnf, dnf, cnf_of_negation):
         sizes.clear()
         assert set(keyed(run(f))) == _reference_distribute(

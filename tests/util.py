@@ -333,10 +333,22 @@ def all_structures(f: Formula, size: int):
 # helpers that only the tests use
 
 
+def cnf(f: Formula, sign: bool = True) -> sat.ClauseSet:
+    """The ⊆-minimal cnf clauses of a quantifier-free formula (of its
+    negation when sign is False), keyed and numbered."""
+    return sat.numbered(sat._prune(
+        {frozenset((atom_key(a), s) for s, a in c) for c in sat._clauses(f, sign)}
+    ))
+
+
+def cnf_of_negation(f: Formula) -> sat.ClauseSet:
+    return cnf(f, False)
+
+
 def dnf(f: Formula) -> sat.ClauseSet:
     """The dnf of a quantifier-free formula, its clauses read as
     conjunctions: the cnf of ~f with every literal negated."""
-    cs = sat.cnf_of_negation(f)
+    cs = cnf_of_negation(f)
     return sat.ClauseSet(
         tuple(sorted(tuple(sorted(lit ^ 1 for lit in c)) for c in cs.clauses)), cs.names
     )

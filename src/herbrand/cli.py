@@ -111,7 +111,9 @@ def _emit(report: dict, as_json: bool) -> None:
 def cmd_prove(args) -> int:
     formula, frees, expect = read_problem(args.file)
     t0 = time.monotonic()
-    result = METHODS[args.method](formula, args)
+    # the request's one Herbrand analysis, which every step below reads
+    analysis = expansion.herbrand_disjunction(formula, 1, args.always_lexicon)
+    result = METHODS[args.method](analysis, args)
 
     report: dict = {}
     code = EXIT_GAVE_UP
@@ -124,7 +126,7 @@ def cmd_prove(args) -> int:
                 report["order"] = result.order
             if result.method == "resolution":
                 report["steps"] = result.steps
-        minimized = engine.minimize_witness(formula, result.witness, result.analysis)
+        minimized = engine.minimize_witness(analysis, result.witness)
         if not minimized:
             print("internal error: witness failed re-verification", file=sys.stderr)
             return EXIT_ERROR
@@ -135,11 +137,13 @@ def cmd_prove(args) -> int:
         report["verdict"] = "gave-up"
         if args.method != "race":
             report["reason"] = result.reason
+        grounding = result.grounding
         try:
-            structure = expansion.falsifying_structure(
-                formula, args.max_order, args.budget, args.always_lexicon, result.analysis,
-                result.grounding,
-            )
+            if grounding is None:
+                d = analysis.at_order(args.max_order, args.always_lexicon, args.budget)
+                grounding = expansion.Grounding(
+                    d, *expansion.ground_clauses(d, budget=args.budget))
+            structure = expansion.falsifying_structure(grounding)
         except BudgetExceededError:
             report["falsifying-structure"] = "not computed (budget)"
         else:
@@ -157,7 +161,7 @@ def cmd_prove(args) -> int:
         order = result.order if result.order is not None else 1
         # mp_eliminate checks the derivation it builds
         derivation = proofcalc.mp_eliminate(
-            formula, expansion.PropertyCWitness(order, minimized), result.analysis
+            formula, expansion.PropertyCWitness(order, minimized), analysis
         )
         with open(args.proof_out, "w", encoding="utf-8") as handle:
             handle.write(proofcalc.dump_derivation(derivation, frees))
@@ -174,25 +178,25 @@ def cmd_prove(args) -> int:
     return code
 
 
-def _race(formula, args):
-    """dp, then resolution with the same budget if dp gave up.  The
-    multiplication method decides the same order-n clause sets as DPLL,
-    so it could add no proof.  Returns the proof either found, else dp's
-    gave-up result, whose analysis and last grounding the falsifying
-    structure reuses.  Resolution starts from that analysis, so the
-    formula is Skolemized once.  Only the verdict is reported."""
-    result = engine.prove_dp(formula, args.max_order, args.budget, args.always_lexicon)
+def _race(d, args):
+    """dp, then resolution with the same budget if dp gave up, both on
+    the request's analysis `d`.  The multiplication method decides the
+    same order-n clause sets as DPLL, so it could add no proof.  Returns
+    the proof either found, else dp's gave-up result, whose last
+    grounding the falsifying structure reads.  Only the verdict is
+    reported."""
+    result = engine.prove_dp(d, args.max_order, args.budget, args.always_lexicon)
     if result.found:
         return result
-    proof = engine.prove_resolution(formula, args.budget, analysis=result.analysis)
+    proof = engine.prove_resolution(d, args.budget)
     return proof if proof.found else result
 
 
-# each `prove --method`, from the formula and the parsed arguments
+# each `prove --method`, from the request's analysis and the parsed arguments
 METHODS = {
-    "gilmore": lambda f, a: engine.prove_gilmore(f, a.max_order, a.budget, a.always_lexicon),
-    "dp": lambda f, a: engine.prove_dp(f, a.max_order, a.budget, a.always_lexicon),
-    "resolution": lambda f, a: engine.prove_resolution(f, a.budget, trace=a.trace),
+    "gilmore": lambda d, a: engine.prove_gilmore(d, a.max_order, a.budget, a.always_lexicon),
+    "dp": lambda d, a: engine.prove_dp(d, a.max_order, a.budget, a.always_lexicon),
+    "resolution": lambda d, a: engine.prove_resolution(d, a.budget, trace=a.trace),
     "race": _race,
 }
 
@@ -223,9 +227,10 @@ def cmd_transform(args) -> int:
 
 def cmd_expand(args) -> int:
     formula, _frees, _ = read_problem(args.file)
-    d = expansion.herbrand_disjunction(formula, args.order, args.always_lexicon)
-    if d.count > args.budget:
-        raise BudgetExceededError(f"{d.count} instances")
+    d = expansion.herbrand_disjunction(formula, 1, args.always_lexicon)
+    if (count := d.count_at(args.order, args.always_lexicon)) > args.budget:
+        raise BudgetExceededError(f"{count} instances")
+    d = d.at_order(args.order, args.always_lexicon)
     expanded = expansion.expand(d.skolemized, d.champ.terms)
     print(f"order: {args.order}")
     print("champ: " + " ".join(print_term(t) for t in d.champ.terms))

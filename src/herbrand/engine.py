@@ -15,6 +15,7 @@ of Automated Reasoning, 2001).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,12 +27,10 @@ from .expansion import (
     Grounding,
     HerbrandDisjunction,
     ground_clauses,
-    herbrand_disjunction,
 )
 from .syntax import (
     App,
     Atom,
-    Formula,
     LEXICON,
     Subst,
     Symbol,
@@ -301,11 +300,9 @@ def rebuild_provenance(c: Clause) -> tuple:
 
 @dataclass(frozen=True)
 class ProofResult:
-    """A prover's verdict.  `analysis` is the order-1 Herbrand analysis
-    the prover made of its formula, for the steps after it (witness
-    minimization, derivation, falsifying structure) to reuse; the order
-    loop that ran out of orders also leaves its last order's
-    `grounding`."""
+    """A prover's verdict.  The order loop that ran out of orders also
+    leaves its last order's `grounding`, which the falsifying structure
+    reads."""
 
     found: bool
     method: str
@@ -314,7 +311,6 @@ class ProofResult:
     witness: tuple = ()
     reason: str = ""
     trace: tuple = ()  # (kind, Clause or note) events
-    analysis: Optional[HerbrandDisjunction] = field(default=None, compare=False, repr=False)
     grounding: Optional[Grounding] = field(default=None, compare=False, repr=False)
 
     @property
@@ -335,12 +331,12 @@ def _ground_residuals(sub: Subst, gamma_vars: Sequence[str]) -> Subst:
 
 
 def prove_resolution(
-    f: Formula, step_budget: int = 2000, trace: bool = False,
-    analysis: Optional[HerbrandDisjunction] = None,
+    d: HerbrandDisjunction, step_budget: int = 2000, trace: bool = False
 ) -> ProofResult:
     """Refutation-side resolution with a fair given-clause loop.
 
-    Starts from the analysis' clauses of the negated Skolemized matrix,
+    Starts from the clauses of the negated Skolemized matrix of `d`, a
+    formula's Herbrand analysis at any order (no champ fini of it is read),
     its ⊆-minimal ones in the order first met; on reaching the empty
     clause, extracts one substitution of the gamma-variables per
     initial-clause copy from the provenance, grounds residual variables
@@ -369,11 +365,8 @@ def prove_resolution(
     saturated clause set, or a new clause with a term higher than
     `TERM_HEIGHT_LIMIT` means gave-up, never invalid.  With `trace` the
     result's trace holds `(kind, payload)` events, each payload a Clause
-    or a note.  `analysis`, when given, is f's Herbrand analysis made
-    already at any order, such as another prover's; no champ fini of it
-    is read, and it is used instead of Skolemizing f again.
+    or a note.
     """
-    d = analysis if analysis is not None else herbrand_disjunction(f, 1)
     gamma = d.gamma_vars
     # variables other than the gamma-variables (declared free ones) are
     # constants of the champ fini: frozen into constants of the same
@@ -399,11 +392,7 @@ def prove_resolution(
     if sat.decide_negation(*ground_clauses(d, [opaque]))[0]:
         witness = (_ground_residuals(Subst(), gamma),)
         log("verdict", "proof-found 0 steps (propositionally closed)")
-        return ProofResult(
-            True, "resolution", steps=0, witness=witness, trace=tuple(events), analysis=d
-        )
-
-    import heapq
+        return ProofResult(True, "resolution", steps=0, witness=witness, trace=tuple(events))
 
     counter = itertools.count()
     seq = itertools.count()
@@ -424,10 +413,7 @@ def prove_resolution(
 
     def gave_up(reason: str, note: str) -> ProofResult:
         log("verdict", f"gave-up ({note})")
-        return ProofResult(
-            False, "resolution", steps=steps, reason=reason, trace=tuple(events),
-            analysis=d,
-        )
+        return ProofResult(False, "resolution", steps=steps, reason=reason, trace=tuple(events))
 
     while passive:
         iteration += 1
@@ -458,7 +444,7 @@ def prove_resolution(
                         log("verdict", f"proof-found {steps} steps")
                         return ProofResult(
                             True, "resolution", steps=steps, witness=witness,
-                            trace=tuple(events), analysis=d,
+                            trace=tuple(events),
                         )
                     new.append(r)
         processed.append((given, eligible))
@@ -508,61 +494,60 @@ def _thaw(t: Term, rigid: frozenset) -> Term:
 
 
 def prove_gilmore(
-    f: Formula, n_max: int, budget: int = 10**6, always_lexicon: bool = False
+    d: HerbrandDisjunction, n_max: int, budget: int = 10**6, always_lexicon: bool = False
 ) -> ProofResult:
-    """Test Property C at orders 1..n_max with the multiplication
-    method; report the first succeeding order."""
-    return _order_loop(f, n_max, budget, always_lexicon, "gilmore", "multiplication")
+    """Test Property C at orders 1..n_max of the analysis `d` with the
+    multiplication method; report the first succeeding order."""
+    return _order_loop(d, n_max, budget, always_lexicon, "gilmore", "multiplication")
 
 
 def prove_dp(
-    f: Formula, n_max: int, budget: int = 10**6, always_lexicon: bool = False
+    d: HerbrandDisjunction, n_max: int, budget: int = 10**6, always_lexicon: bool = False
 ) -> ProofResult:
     """The same order loop with the tautology test replaced by DPLL on
     the clause form of the negation.  Both decide the same order-n clause
     sets, so a multiplication-method proof is a DPLL proof at the same
     order."""
-    return _order_loop(f, n_max, budget, always_lexicon, "dp", "dpll")
+    return _order_loop(d, n_max, budget, always_lexicon, "dp", "dpll")
 
 
-def _order_loop(f, n_max, budget, always_lexicon, method, engine) -> ProofResult:
-    """Property C at orders 1..n_max, from one Herbrand analysis of f.
-    The witness is the family's first-producer cover: for each ground
-    clause the odometer-first member yielding it, in odometer order.  It
-    yields the family's clauses, and minimization keeps from it what it
-    keeps from the family.  Running out of orders leaves the last
-    order's grounding, with the DPLL model when the engine is DPLL."""
-    analysis = herbrand_disjunction(f, 1, always_lexicon)
+def _order_loop(analysis, n_max, budget, always_lexicon, method, engine) -> ProofResult:
+    """Property C at orders 1..n_max, from one Herbrand analysis.  An
+    order whose family has more than `budget` members ends the loop
+    before its champ fini is built.  The witness is the family's
+    first-producer cover: for each ground clause the odometer-first
+    member yielding it, in odometer order.  It yields the family's
+    clauses, and minimization keeps from it what it keeps from the
+    family.  Running out of orders leaves the last order's grounding,
+    with the DPLL model when the engine is DPLL."""
 
     def gave_up(reason: str, grounding: Optional[Grounding] = None) -> ProofResult:
-        return ProofResult(False, method, reason=reason, analysis=analysis,
-                           grounding=grounding)
+        return ProofResult(False, method, reason=reason, grounding=grounding)
 
-    def decided(d: HerbrandDisjunction) -> tuple[bool, Grounding]:
+    def decided(n: int) -> tuple[bool, Grounding]:
         # a function of its own, so no local of the loop keeps the clauses
+        d = analysis.at_order(n, always_lexicon, budget)
         clauses, atoms = ground_clauses(d, budget=budget)
         verdict, model = sat.decide_negation(clauses, atoms, engine, budget)
         return verdict, Grounding(d, clauses, atoms, model if engine == "dpll" else None)
 
     grounding = None
     for n in range(1, n_max + 1):
-        d = analysis.at_order(n, always_lexicon)
         grounding = None  # order n - 1's: nothing reads it once order n starts
         try:
-            verdict, grounding = decided(d)
+            verdict, grounding = decided(n)
         except BudgetExceededError as e:
             return gave_up(str(e))
         if verdict:
             firsts = sorted(set(grounding.clauses.values()))
-            return ProofResult(True, method, order=n, witness=tuple(map(d.member, firsts)),
-                               analysis=analysis)
+            witness = tuple(map(grounding.disjunction.member, firsts))
+            return ProofResult(True, method, order=n, witness=witness)
     return gave_up(f"no proof up to order {n_max}", grounding)
 
 
-def minimize_witness(
-    f: Formula, sigmas: Sequence[Subst], analysis: Optional[HerbrandDisjunction] = None
-) -> tuple:
-    """Verify a substitution family, then prune it.
+def minimize_witness(d: HerbrandDisjunction, sigmas: Sequence[Subst]) -> tuple:
+    """Verify a family of substitutions of the gamma-variables of the
+    Herbrand analysis `d`, then prune it.
 
     Returns () when the instance disjunction is not a sentential
     tautology; a verified family is never empty.  Otherwise it keeps
@@ -574,10 +559,9 @@ def minimize_witness(
     with one decision, and one that cannot is split in two, the later
     half first (deletion by bisection, as in Junker's QuickXplain,
     2004).  The pruned family cannot lose another entry.  Each
-    substitution is grounded once, from `analysis`, f's Herbrand
-    analysis, when given; the check and every trial decide the clauses
-    of the entries they keep."""
-    clauses, atoms = ground_clauses(analysis or herbrand_disjunction(f, 1), sigmas)
+    substitution is grounded once; the check and every trial decide the
+    clauses of the entries they keep."""
+    clauses, atoms = ground_clauses(d, sigmas)
     if not sat.decide_negation(clauses, atoms)[0]:
         return ()
 
@@ -610,21 +594,22 @@ def minimize_witness(
 
 
 def find_tautological_instances(
-    d: HerbrandDisjunction, k: int, budget: int = 10**6
+    d: HerbrandDisjunction, n: int, k: int, budget: int = 10**6
 ) -> Optional[tuple]:
-    """Search for k substitutions of the gamma-variables into the champ
-    fini whose instance disjunction is a sentential tautology.
+    """Search for k substitutions of the gamma-variables of the analysis
+    `d` into its champ fini of order n whose instance disjunction is a
+    sentential tautology.
 
     Connection-method search over k renamed copies of the matrix: every
     path through the combined matrix must contain a complementary pair
     under one simultaneous most general unifier whose minimal grounding
     stays inside the champ fini.  Complete for the given k; returns the
-    grounded substitutions or None.
+    grounded substitutions or None.  Of the champ fini only the order
+    and the first term, which fills unbound variables, are read; that
+    term is the same at every order from 2 up, so no champ fini above
+    order 2 is built.
     """
-    if not d.champ.terms:
-        return None
-    filler = d.champ.terms[0]
-    bound = d.champ.order
+    filler = d.at_order(min(n, 2)).champ.terms[0]
 
     # the paths through a matrix are its cnf clauses: one literal from
     # every disjunct, branching over conjuncts.  Only the ⊆-minimal ones
@@ -643,7 +628,7 @@ def find_tautological_instances(
         combined_paths = [p + q for p in combined_paths for q in copy]
 
     def grounded_ok(sub: Subst) -> bool:
-        return all(height(_filled(image, filler)) < bound for _v, image in sub.items())
+        return all(height(_filled(image, filler)) < n for _v, image in sub.items())
 
     def closing(path: tuple[Literal, ...], sub: Subst) -> Iterator[Subst]:
         """The extensions of `sub` to try for a path: `sub` alone when it

@@ -191,8 +191,31 @@ class HerbrandDisjunction:
     def count(self) -> int:
         return len(self.champ) ** len(self.gamma_vars)
 
-    def at_order(self, n: int, always_lexicon: bool = False) -> "HerbrandDisjunction":
-        """The same analysis over the champ fini of order n."""
+    def count_at(self, n: int, always_lexicon: bool = False) -> int | float:
+        """`at_order(n, always_lexicon).count`, the champ fini unbuilt: with
+        V variables, |T_{h+1}| is N_0 = V, N_h = V + Σ_f N_{h-1}^arity (a
+        constant adds 1), V gaining the lexicon when N_{n-1} would be 0, as
+        in `champ_fini`; over 2**64 terms, too many to build, is infinite."""
+        v = len(self.variables | ({LEXICON} if always_lexicon else set()))
+
+        def size(v: int) -> int | float:
+            total = v
+            for _ in range(1, n):
+                total = v + sum(total ** s.arity for s in self.champ.signature)
+                if total > 2**64:
+                    return float("inf")
+            return total
+
+        return (size(v) or size(1)) ** len(self.gamma_vars)
+
+    def at_order(
+        self, n: int, always_lexicon: bool = False, budget: Optional[int] = None
+    ) -> "HerbrandDisjunction":
+        """The same analysis over the champ fini of order n.  A family of
+        more than `budget` members raises BudgetExceededError before the
+        champ is built."""
+        if budget is not None:
+            _check_family(n, self.count_at(n, always_lexicon), budget)
         champ = champ_fini(self.champ.signature, self.variables, n, always_lexicon)
         return dataclasses.replace(self, champ=champ)
 
@@ -248,6 +271,14 @@ def herbrand_disjunction(
     )
 
 
+def _check_family(order: int, count: int | float, budget: int) -> None:
+    """Raise BudgetExceededError if an order's family outgrows `budget`."""
+    if count > budget:
+        raise BudgetExceededError(
+            f"order-{order} disjunction has {count} instances, budget is {budget}"
+        )
+
+
 @dataclass(frozen=True)
 class PropertyCWitness:
     order: int
@@ -299,11 +330,7 @@ def ground_clauses(
     """
     gamma = d.gamma_vars
     if sigmas is None:
-        if d.count > budget:
-            raise BudgetExceededError(
-                f"order-{d.champ.order} disjunction has {d.count} instances, "
-                f"budget is {budget}"
-            )
+        _check_family(d.champ.order, d.count, budget)
         terms = d.champ.terms
     else:
         for s in sigmas:
@@ -400,16 +427,16 @@ def herbrand_complexity(
     T_n disjoin to a sentential tautology; None when no k suffices.
 
     Candidate instance families come from a unification-guided search
-    (engine module); each candidate is verified on the order-n analysis,
+    (engine module); each candidate is verified on the same analysis,
     without Skolemizing again.
     """
     from .engine import find_tautological_instances
 
     if n < 1 or k_max < 1:
         raise ValueError("order and instance bound are positive naturals")
-    d = herbrand_disjunction(f, n)
+    d = herbrand_disjunction(f, 1)
     for k in range(1, k_max + 1):
-        found = find_tautological_instances(d, k, budget)
+        found = find_tautological_instances(d, n, k, budget)
         if found is not None:
             if not sat.decide_negation(*ground_clauses(d, found))[0]:
                 raise AssertionError("candidate witness failed verification")
@@ -489,34 +516,21 @@ def eval_in_structure(s: FiniteStructure, f: Formula) -> bool:
     return go(f, dict(s.var_env))
 
 
-def falsifying_structure(
-    f: Formula,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    always_lexicon: bool = False,
-    analysis: Optional[HerbrandDisjunction] = None,
-    grounding: Optional[Grounding] = None,
-) -> Optional[FiniteStructure]:
-    """When Property C of order p fails, build a finite structure over
-    the term domain T_{p+m} (m the maximal term height of the Skolemized
-    form) in which the order-p expansion evaluates to false; None when
-    Property C holds.
+def falsifying_structure(grounding: Grounding) -> Optional[FiniteStructure]:
+    """When the grounded order-p family (p the order of its champ fini)
+    lacks Property C, build a finite structure over the term domain
+    T_{p+m} (m the maximal term height of the Skolemized form) in which
+    the order-p expansion evaluates to false; None when Property C
+    holds.
 
     Functions are interpreted as term constructors, truncated at the
     height bound by a designated sink element (the enumeration-maximal
     term), and each free variable denotes its own term, spelled as
-    `print_term` spells it.  Predicate tables come from a DPLL model of
-    the grounded order-p clauses, over their ground atoms.  `grounding`
-    gives those clauses (and the model, if DPLL found one) when the
-    caller has them already; else `analysis`, f's Herbrand analysis, is
-    grounded at order p, or f is analysed afresh.
+    `print_term` spells it.  Predicate tables come from the grounding's
+    DPLL model, or from one found here, over its ground atoms.  The
+    domain's champ fini has the variables of the grounding's, the
+    lexicon among them when that one has it.
     """
-    if p < 1:
-        raise ValueError("the order p is a positive natural number")
-    if grounding is None:
-        d = (analysis.at_order(p, always_lexicon) if analysis is not None
-             else herbrand_disjunction(f, p, always_lexicon))
-        grounding = Grounding(d, *ground_clauses(d, budget=budget))
     d, atoms, assignment = grounding.disjunction, grounding.atoms, grounding.model
     if assignment is None:
         verdict, assignment = sat.decide_negation(grounding.clauses, atoms)
@@ -524,9 +538,7 @@ def falsifying_structure(
             return None
 
     m = max((height(t) for a in d.atoms for t in a.args), default=0)
-    dom_champ = champ_fini(
-        d.champ.signature, d.champ.variables, p + m, always_lexicon
-    )
+    dom_champ = champ_fini(d.champ.signature, d.champ.variables, d.champ.order + m)
     domain = tuple(print_term(t) for t in dom_champ.terms)
     index = set(domain)
     sink = domain[-1]
@@ -551,8 +563,7 @@ def falsifying_structure(
         pred_tables.setdefault((sym.name, sym.arity), {})
 
     var_env = {v: print_term(Var(v)) for v in dom_champ.variables}
-    structure = FiniteStructure(domain, fn_tables, pred_tables, var_env)
-    return structure
+    return FiniteStructure(domain, fn_tables, pred_tables, var_env)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .expansion import (
     HerbrandDisjunction,
     PropertyCWitness,
     ground_clauses,
-    herbrand_disjunction,
 )
 from .syntax import (
     And,
@@ -419,9 +418,7 @@ def _box_term(t: Term) -> Term:
 
 
 def mp_eliminate(
-    f: Formula,
-    witness: PropertyCWitness,
-    analysis: Optional[HerbrandDisjunction] = None,
+    f: Formula, witness: PropertyCWitness, analysis: HerbrandDisjunction
 ) -> Derivation:
     """A derivation of f (up to bound renaming) from a sentential
     tautology, with no modus ponens step: tautology, then Generalized
@@ -430,12 +427,11 @@ def mp_eliminate(
     The witness substitutions must make the matrix instances disjoin to
     a sentential tautology; any sufficient subset is accepted.
     Biconditionals are expanded first, so for inputs containing them the
-    derivation proves the expanded form.  `analysis`, when given, is f's
-    Herbrand analysis (`herbrand_disjunction`), whose Skolem table names
-    the delta nodes; else f is analysed here.
+    derivation proves the expanded form.  `analysis` is f's Herbrand
+    analysis (`herbrand_disjunction`), whose Skolem table names the
+    delta nodes.
     """
     f_work = iff_expanded(rectify(f))
-    analysis = analysis or herbrand_disjunction(f, 1)
     sk = analysis.skolem
     if not sat.decide_negation(*ground_clauses(analysis, witness.substitutions))[0]:
         raise WitnessError("the witness instances do not disjoin to a tautology")

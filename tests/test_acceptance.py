@@ -136,7 +136,7 @@ def test_criterion_1_running_example_reproduction():
 
     # (d) a checkable modus-ponens-free derivation
     witness = PropertyCWitness(4, (s1, s2))
-    derivation = mp_eliminate(A, witness)
+    derivation = mp_eliminate(A, witness, herbrand_disjunction(A, 1))
     assert check(derivation) is None
     assert count_rule(derivation, MP) == 0
     assert alpha_eq(derivation.final, rectify(A))
@@ -211,7 +211,7 @@ def test_criterion_4_membership_and_soundness():
     s1, s2 = two_instance_witness_substitutions()
     d = herbrand_disjunction(A, 4)
     witness = PropertyCWitness(4, (s1, s2))
-    derivation = mp_eliminate(A, witness)
+    derivation = mp_eliminate(A, witness, herbrand_disjunction(A, 1))
 
     # per-conjunct membership: every conjunct of the starting
     # tautology's normal form appears in some recorded instance's normal
@@ -464,9 +464,9 @@ def test_criterion_7_procedure_agreement():
     ]
     assert len(formulas) == 30
     for f in formulas:
-        g = prove_gilmore(f, 3)
-        d = prove_dp(f, 3)
-        r = prove_resolution(f, 5000)
+        g = prove_gilmore(herbrand_disjunction(f, 1), 3)
+        d = prove_dp(herbrand_disjunction(f, 1), 3)
+        r = prove_resolution(herbrand_disjunction(f, 1), 5000)
         assert g.found and d.found and r.found
         assert g.order == d.order
         verified, _ = check_instances(f, list(r.witness))
@@ -474,9 +474,9 @@ def test_criterion_7_procedure_agreement():
 
     for text in INVALID_CORPUS:
         f = parse(text)
-        assert prove_gilmore(f, 3).gave_up
-        assert prove_dp(f, 3).gave_up
-        assert prove_resolution(f, 2000).gave_up
+        assert prove_gilmore(herbrand_disjunction(f, 1), 3).gave_up
+        assert prove_dp(herbrand_disjunction(f, 1), 3).gave_up
+        assert prove_resolution(herbrand_disjunction(f, 1), 2000).gave_up
 
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

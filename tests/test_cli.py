@@ -12,7 +12,7 @@ from herbrand.cli import COMMANDS, METHODS, SELFTEST, build_parser, main
 from herbrand.expansion import load_structure
 from herbrand.proofcalc import check, load_derivation
 from herbrand.syntax import parse, print_formula
-from util import iff_tree
+from util import grounding, iff_tree
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SCALING = "formula: ?x,y,z. (P(f(x),g(y)) & ~P(z,z))\n"
@@ -439,6 +439,39 @@ def test_herbrand_budget_is_checked_only_by_commands_that_take_a_budget(
 def test_budget_exhaustion_is_one_error_line(tmp_path, capsys, argv, message):
     path = write_problem(tmp_path, "formula: ?x,y. ((P(x) | P(y)) -> P(f(x)))\n")
     assert run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"budget exceeded: {message}\n")
+
+
+G_OF_X_X = "formula: ?x. P(g(x,x))\n"
+OVER_BUDGET_AT_ORDER_4 = (
+    "verdict: gave-up\nreason: order-4 disjunction has 26 instances, budget is 10\n"
+    "falsifying-structure: not computed (budget)\n"
+)
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    pytest.param(["prove", "-n", "6"], 1, OVER_BUDGET_AT_ORDER_4, "", id="prove-n6"),
+    pytest.param(["prove", "-n", "7"], 1, OVER_BUDGET_AT_ORDER_4, "", id="prove-n7"),
+    pytest.param(["prove", "-n", "7", "--method", "resolution"], 1,
+                 "verdict: gave-up\nreason: saturated without refutation\n"
+                 "falsifying-structure: not computed (budget)\n", "", id="resolution-n7"),
+    pytest.param(["prove", "-n", "7", "--method", "race"], 1,
+                 "verdict: gave-up\nfalsifying-structure: not computed (budget)\n", "",
+                 id="race-n7"),
+    pytest.param(["expand", "-n", "7"], 2, "", "budget exceeded: 210066388901 instances\n",
+                 id="expand-n7"),
+    pytest.param(["complexity", "-n", "7"], 1, "complexity: none\n", "", id="complexity-n7"),
+])
+def test_budget_is_compared_before_a_champ_fini_is_built(
+    tmp_path, capsys, argv, code, stdout, stderr
+):
+    # ?x. P(g(x,x)) has a champ fini of 458,330 terms at order 6 and
+    # 210,066,388,901 at order 7; building the order-6 one took some 25 s
+    path = write_problem(tmp_path, G_OF_X_X)
+    t0 = time.monotonic()
+    got, out, err = run(capsys, [argv[0], path, *argv[1:], "--budget", "10"])
+    assert time.monotonic() - t0 < 2
+    assert (got, out) == (code, stdout)
+    assert "".join(line for line in err.splitlines(True) if not line.startswith("time:")) == stderr
 
 
 @pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3), ("gilmore", 4)])
@@ -971,7 +1004,7 @@ def test_gave_up_structure_is_the_one_computed_afresh(
     path = write_problem(tmp_path, f"formula: {text}\n")
     flags = ["--always-lexicon"] if lexicon else []
     code, out, _ = run(capsys, ["prove", path, "--method", method, "--max-order", "2", *flags])
-    fresh = falsifying_structure(parse(text), 2, always_lexicon=lexicon)
+    fresh = falsifying_structure(grounding(parse(text), 2, always_lexicon=lexicon))
     assert code == 1 and out.endswith("falsifying-structure: \n" + dump_structure(fresh))
 
 

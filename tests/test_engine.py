@@ -51,6 +51,7 @@ from herbrand.syntax import (
 
 from util import (
     all_structures,
+    grounding,
     iff_tree,
     is_idempotent,
     keyed,
@@ -407,15 +408,15 @@ def test_forward_subsumption_matches_the_reference():
 
 
 def test_prove_resolution_examples():
-    r = prove_resolution(parse("P(a) | ~P(a)"))
+    r = prove_resolution(herbrand_disjunction(parse("P(a) | ~P(a)"), 1))
     assert r.found and r.steps == 0
     assert check_instances(parse("P(a) | ~P(a)"), list(r.witness))[0]
 
-    r = prove_resolution(parse("P(a)"), 100)
+    r = prove_resolution(herbrand_disjunction(parse("P(a)"), 1), 100)
     assert r.gave_up
 
     f = parse("(?x. P(x)) | ~(?y. P(y))")
-    r = prove_resolution(f)
+    r = prove_resolution(herbrand_disjunction(f, 1))
     assert r.found
     assert check_instances(f, list(r.witness))[0]
 
@@ -499,7 +500,7 @@ def _running_example_witness():
 
 def test_prove_resolution_running_example():
     A = parse(RUNNING_EXAMPLE)
-    r = prove_resolution(A, 100000)
+    r = prove_resolution(herbrand_disjunction(A, 1), 100000)
     assert r.found
     assert check_instances(A, list(r.witness))[0]
     # pinned: any change to the loop order or the provenance shows here
@@ -510,7 +511,7 @@ def test_prove_resolution_running_example():
 def test_prove_resolution_running_example_within_a_small_budget():
     # negative selection and forward subsumption refute the running
     # example in well under a thousand inferences
-    r = prove_resolution(parse(RUNNING_EXAMPLE), 1000)
+    r = prove_resolution(herbrand_disjunction(parse(RUNNING_EXAMPLE), 1), 1000)
     assert r.found and r.witness == _running_example_witness()
 
 
@@ -518,10 +519,10 @@ def test_prove_resolution_counts_factoring_steps():
     # the refutation takes 6 resolution and 4 factoring attempts, and the
     # budget bounds both
     f = parse("?x,y,z. ~((P(x) | P(y) | P(z)) & ~P(a))")
-    r = prove_resolution(f)
+    r = prove_resolution(herbrand_disjunction(f, 1))
     assert r.found and r.steps == 10
     assert check_instances(f, list(r.witness))[0]
-    r = prove_resolution(f, 9)
+    r = prove_resolution(herbrand_disjunction(f, 1), 9)
     assert r.gave_up and r.steps == 9 and r.reason == "step budget exhausted"
 
 
@@ -531,7 +532,7 @@ def test_prove_resolution_two_goal_variant():
         " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
         " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))"
     )
-    r = prove_resolution(A, 100000)
+    r = prove_resolution(herbrand_disjunction(A, 1), 100000)
     assert r.found
     assert check_instances(A, list(r.witness))[0]
     assert r.steps == 6
@@ -543,18 +544,18 @@ def test_prove_resolution_two_goal_variant():
 
 def test_prove_gilmore_and_dp():
     f = parse("(?x. P(x)) | ~(?y. P(y))")
-    g = prove_gilmore(f, 3)
-    d = prove_dp(f, 3)
+    g = prove_gilmore(herbrand_disjunction(f, 1), 3)
+    d = prove_dp(herbrand_disjunction(f, 1), 3)
     assert g.found and g.order == 2
     assert d.found and d.order == 2
 
     taut = parse("P(a) | ~P(a)")
-    assert prove_gilmore(taut, 3).order == 1
-    assert prove_dp(taut, 3).order == 1
+    assert prove_gilmore(herbrand_disjunction(taut, 1), 3).order == 1
+    assert prove_dp(herbrand_disjunction(taut, 1), 3).order == 1
 
     invalid = parse("?x. P(x)")
-    assert prove_gilmore(invalid, 3).gave_up
-    assert prove_dp(invalid, 3).gave_up
+    assert prove_gilmore(herbrand_disjunction(invalid, 1), 3).gave_up
+    assert prove_dp(herbrand_disjunction(invalid, 1), 3).gave_up
 
 
 def test_gilmore_dp_agree_on_corpus():
@@ -566,8 +567,8 @@ def test_gilmore_dp_agree_on_corpus():
     while agree < 40:
         f = rectify(random_formula(rng, rng.randrange(1, 4), []))
         try:
-            g = prove_gilmore(f, 2, budget=10**4)
-            d = prove_dp(f, 2, budget=10**4)
+            g = prove_gilmore(herbrand_disjunction(f, 1), 2, budget=10**4)
+            d = prove_dp(herbrand_disjunction(f, 1), 2, budget=10**4)
         except Exception:
             continue
         if "budget" in g.reason or "budget" in d.reason:
@@ -592,8 +593,8 @@ def test_gilmore_and_dp_give_the_same_answer_and_witness():
         f = random_formula(rng, rng.randrange(2, 6), [], preds=(P1, Q1, R2),
                            funcs=(CONST_A, FUN_F), allow_iff=True)
         f = rectify(Or(f, Not(f)) if rng.random() < 0.5 else f)
-        g = prove_gilmore(f, 3, budget=10**4)
-        d = prove_dp(f, 3, budget=10**4)
+        g = prove_gilmore(herbrand_disjunction(f, 1), 3, budget=10**4)
+        d = prove_dp(herbrand_disjunction(f, 1), 3, budget=10**4)
         if "budget" in g.reason or "budget" in d.reason:
             continue
         assert (g.found, g.order, g.witness) == (d.found, d.order, d.witness)
@@ -613,7 +614,7 @@ def test_resolution_witness_bridge():
     ]
     for text in corpus:
         f = parse(text)
-        r = prove_resolution(f, 5000)
+        r = prove_resolution(herbrand_disjunction(f, 1), 5000)
         assert r.found, text
         assert check_instances(f, list(r.witness))[0], text
 
@@ -628,10 +629,10 @@ def test_resolution_proves_what_dp_proves():
     by_dp = 0
     for _ in range(300):
         f = rectify(random_formula(rng, rng.randrange(3, 8), []))
-        r = prove_resolution(f, 2000)
+        r = prove_resolution(herbrand_disjunction(f, 1), 2000)
         if r.found:
             assert check_instances(f, list(r.witness))[0], f
-        if prove_dp(f, 2).found:
+        if prove_dp(herbrand_disjunction(f, 1), 2).found:
             by_dp += 1
             assert r.found, f
     assert by_dp >= 20
@@ -641,7 +642,7 @@ def test_minimize_witness():
     f = parse("(?x. P(x)) | ~(?y. P(y))")
     sigma = Subst({"x": parse_term("y_star")})
     extra = Subst({"x": Var("l")})
-    kept = minimize_witness(f, [extra, sigma])
+    kept = minimize_witness(herbrand_disjunction(f, 1), [extra, sigma])
     assert list(kept) == [sigma]
 
 
@@ -670,7 +671,7 @@ def test_minimize_witness_skolemizes_once(monkeypatch):
         return skolemize(g, *rest)
 
     monkeypatch.setattr(expansion, "skolemize_outer", counted)
-    assert minimize_witness(f, witness) == tuple(kept)
+    assert minimize_witness(herbrand_disjunction(f, 1), witness) == tuple(kept)
     assert len(witness) == 3 and len(calls) == 1
 
 
@@ -689,7 +690,7 @@ def test_first_producer_cover_minimizes_like_the_family():
     orders, shrunk = set(), 0
     while len(orders) < 3 or shrunk < 5 or fixed:
         f = fixed.pop() if fixed else rectify(random_formula(rng, rng.randrange(1, 5), []))
-        r = prove_dp(f, 3, budget=100)
+        r = prove_dp(herbrand_disjunction(f, 1), 3, budget=100)
         if not r.found:
             continue
         d = herbrand_disjunction(f, r.order)
@@ -697,8 +698,9 @@ def test_first_producer_cover_minimizes_like_the_family():
         cover = r.witness
         assert [family.index(s) for s in cover] == sorted(map(family.index, cover))
         assert set(keyed(*ground_clauses(d, cover))) == set(keyed(*ground_clauses(d, family)))
-        assert minimize_witness(f, cover) == minimize_witness(f, family)
-        assert prove_gilmore(f, 3, budget=100).witness == cover
+        analysis = herbrand_disjunction(f, 1)
+        assert minimize_witness(analysis, cover) == minimize_witness(analysis, family)
+        assert prove_gilmore(herbrand_disjunction(f, 1), 3, budget=100).witness == cover
         orders.add(r.order)
         shrunk += len(cover) < len(family)
     assert orders == {1, 2, 3}
@@ -747,14 +749,14 @@ def test_minimization_matches_the_greedy_reference():
         d = herbrand_disjunction(f, 3)
         if not d.gamma_vars:
             continue
-        r = prove_dp(f, 3, budget=200)
+        r = prove_dp(herbrand_disjunction(f, 1), 3, budget=200)
         if not r.found:
             continue
         family = list(r.witness) + [d.member(rng.randrange(d.count)) for _ in range(rng.randrange(12))]
         rng.shuffle(family)
         if rng.random() < 0.25:
             family = family[:rng.randrange(1, len(family) + 1)]
-        got = minimize_witness(f, family)
+        got = minimize_witness(herbrand_disjunction(f, 1), family)
         assert got == _reference_minimize(f, family), print_formula(f)
         families += 1
         pruned += 0 < len(got) < len(family)
@@ -781,12 +783,12 @@ def test_minimization_decides_few_families(monkeypatch):
         " & (!x,y. ?m. (prec(x,m) & prec(y,m)))"
         " -> (!u,v. ?n. (prec(u,n) & prec(v,n)))"
     )
-    cover = prove_dp(f, 3).witness
+    cover = prove_dp(herbrand_disjunction(f, 1), 3).witness
     calls = _count_decisions(monkeypatch)
     want = _reference_minimize(f, cover)
     assert len(cover) == 256 and len(want) == 2 and len(calls) == 259
     calls.clear()
-    assert minimize_witness(f, cover) == want
+    assert minimize_witness(herbrand_disjunction(f, 1), cover) == want
     assert len(calls) <= 20
 
 
@@ -795,10 +797,10 @@ def test_find_tautological_instances_respects_order():
     f = parse("?x. (P(x) | ~(?y. P(y)))")
     d2 = herbrand_disjunction(f, 2)
     d3 = herbrand_disjunction(f, 3)
-    assert find_tautological_instances(d2, 1) is None
-    found2 = find_tautological_instances(d2, 2)
+    assert find_tautological_instances(d2, 2, 1) is None
+    found2 = find_tautological_instances(d2, 2, 2)
     assert found2 is not None  # {x -> l} with {x -> y*(l)} works at order 2
-    found3 = find_tautological_instances(d3, 2)
+    found3 = find_tautological_instances(d3, 3, 2)
     assert found3 is not None
 
 
@@ -839,7 +841,7 @@ def test_prove_dp_clause_sets_match_per_substitution_grounding(
     for prove in (prove_dp, prove_gilmore):
         grounded.clear()
         refuted.clear()
-        assert prove(f, n_max).reason == f"no proof up to order {n_max}"
+        assert prove(herbrand_disjunction(f, 1), n_max).reason == f"no proof up to order {n_max}"
         assert len(grounded) == n_max
         assert len(refuted) == (n_max if prove is prove_dp else 0)
         for n, clauses in enumerate(grounded, 1):
@@ -870,10 +872,8 @@ def test_order_four_grounding_stays_small(prove):
     f = parse("?x,y,z. (P(f(x),g(y)) & ~P(z,z))")
     tracemalloc.start()
     try:
-        result = prove(f, 4)
-        structure = falsifying_structure(
-            f, 4, analysis=result.analysis, grounding=result.grounding
-        )
+        result = prove(herbrand_disjunction(f, 1), 4)
+        structure = falsifying_structure(result.grounding)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -910,19 +910,19 @@ def test_grounding_keeps_an_iff_matrix_small(monkeypatch):
     # the tree reads P(x) <-> P(b), valid at x = b ...
     valid = sentence(("P(a)", "P(x)", "P(b)"), 4)
     for prove in (prove_dp, prove_gilmore):
-        result = prove(valid, 2)
+        result = prove(herbrand_disjunction(valid, 1), 2)
         assert result.found
         assert check_instances(valid, result.witness) == (True, None)
     at = {t: Subst({"x": parse_term(t)}) for t in ("a", "b")}
     for engine in ("dpll", "multiplication"):
         assert check_instances(valid, [at["b"]], engine) == (True, None)
         assert not check_instances(valid, [at["a"]], engine)[0]
-    assert minimize_witness(valid, [at["a"], at["b"]]) == (at["b"],)
+    assert minimize_witness(herbrand_disjunction(valid, 1), [at["a"], at["b"]]) == (at["b"],)
     # ... and here P(a) <-> P(b), which a two-element structure falsifies
     invalid = sentence(("P(x)", "P(a)", "P(b)"), 4)
     for prove in (prove_dp, prove_gilmore):
-        assert prove(invalid, 2).reason == "no proof up to order 2"
-    structure = falsifying_structure(invalid, 2)
+        assert prove(herbrand_disjunction(invalid, 1), 2).reason == "no proof up to order 2"
+    structure = falsifying_structure(grounding(invalid, 2))
     d = herbrand_disjunction(invalid, 2)
     assert not eval_in_structure(structure, expand(d.skolemized, d.champ.terms))
 
@@ -935,11 +935,12 @@ def test_resolution_starts_from_the_pruned_clauses_of_an_iff_matrix():
     # proof takes 590 steps instead of 1,070
     import tracemalloc
 
-    assert prove_resolution(parse(iff_tree(("P(a)", "P(x)", "P(b)"), 3))).steps == 590
+    depth3 = herbrand_disjunction(parse(iff_tree(("P(a)", "P(x)", "P(b)"), 3)), 1)
+    assert prove_resolution(depth3).steps == 590
     f = parse(iff_tree(("P(a)", "P(x)", "P(b)"), 4))
     tracemalloc.start()
     try:
-        result = prove_resolution(f)
+        result = prove_resolution(herbrand_disjunction(f, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -958,10 +959,10 @@ def test_prove_dp_skolemizes_once(monkeypatch):
         return skolemize(g, *rest)
 
     monkeypatch.setattr(expansion, "skolemize_outer", counted)
-    proved = prove_dp(parse("?x. (P(x) -> (!y. P(y)))"), 3)
+    proved = prove_dp(herbrand_disjunction(parse("?x. (P(x) -> (!y. P(y)))"), 1), 3)
     assert proved.found and proved.order == 2 and len(calls) == 1
     calls.clear()
-    gave_up = prove_dp(parse("?x,y,z. (P(f(x),g(y)) & ~P(z,z))"), 3)
+    gave_up = prove_dp(herbrand_disjunction(parse("?x,y,z. (P(f(x),g(y)) & ~P(z,z))"), 1), 3)
     assert not gave_up.found and len(calls) == 1
 
 
@@ -969,10 +970,11 @@ def test_prove_resolution_holds_free_variables_rigid():
     # the free x is a constant of the champ fini: it is neither renamed
     # nor bound, and the witness names the variable, as the order loop does
     f = parse("(?x. ~P(x)) | P(x)", frees={"x"})
-    r = prove_resolution(f)
+    r = prove_resolution(herbrand_disjunction(f, 1))
     sigma = Subst({"x1": Var("x")})
     assert r.found and r.steps == 1 and sigma in r.witness
-    assert minimize_witness(f, r.witness) == prove_dp(f, 1).witness == (sigma,)
+    analysis = herbrand_disjunction(f, 1)
+    assert minimize_witness(analysis, r.witness) == prove_dp(analysis, 1).witness == (sigma,)
 
 
 # ---------------------------------------------------------------------------

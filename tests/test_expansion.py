@@ -43,7 +43,8 @@ from herbrand.syntax import (
 from herbrand.transform import skolemize_outer
 
 from util import (
-    CONST_A, FUN_F, P1, Q1, R2, keyed, multiplied_out, random_formula, random_structure,
+    CONST_A, FUN_F, P1, Q1, R2, grounding, keyed, multiplied_out, random_formula,
+    random_structure,
 )
 
 RUNNING_EXAMPLE = (
@@ -109,6 +110,32 @@ def test_champ_fini_matches_brute_force_randomly():
         # deterministic order: by height then printed form
         keys = [(height(t), print_term(t)) for t in got.terms]
         assert keys == sorted(keys)
+
+
+def test_count_at_is_the_size_of_the_family_it_does_not_build(monkeypatch):
+    # constants only, functions only (the lexicon rule at every order),
+    # none, both, free variables, and the forced lexicon
+    for text, frees in [
+        ("P(a) | ~P(b)", ()), ("?x. P(g(x,x))", ()), ("?x. P(x)", ()),
+        ("?x,y. R(g(x, a), f(y))", ()), ("(!x. ?y. R(x, y)) -> ?y. !x. R(x, y)", ()),
+        ("P(x) | (?y. R(x, f(y)))", ("x",)), ("?y. R(x, g(y, b))", ("x",)),
+    ]:
+        d = herbrand_disjunction(parse(text, frees=set(frees)), 1)
+        for n, lexicon in itertools.product(range(1, 6), (False, True)):
+            count = d.count_at(n, lexicon)
+            if count <= 5000:
+                assert count == d.at_order(n, lexicon).count, (text, n, lexicon)
+
+    # on ?x. P(g(x,x)) the champ fini holds the lexicon alone at order 1;
+    # the count at order 6 needs no term built, and an order past 2**64
+    # terms counts as infinite
+    d = herbrand_disjunction(parse("?x. P(g(x,x))"), 1)
+    assert [d.count_at(n) for n in range(1, 8)] == [1, 2, 5, 26, 677, 458330, 210066388901]
+    assert d.count_at(9) == float("inf")
+    monkeypatch.setattr("herbrand.expansion.champ_fini", None)
+    with pytest.raises(BudgetExceededError, match="^order-6 disjunction has 458330 instances,"
+                       " budget is 10$"):
+        d.at_order(6, budget=10)
 
 
 def test_expand_examples():
@@ -253,6 +280,10 @@ def test_herbrand_complexity_examples():
     assert herbrand_complexity(parse("(?x. P(x)) | ~(?y. P(y))"), 2, 2) == 1
     assert herbrand_complexity(parse(RUNNING_EXAMPLE), 4, 3) == 2
     assert herbrand_complexity(parse("P(a)"), 1, 2) is None
+    # x -> f(y) closes the one path; y is filled with the champ's first
+    # term, a from order 2 up, and f(a) lies in T_3, not in T_2
+    f = parse("(?x,y. (P(x) -> P(f(y)))) | Q(a)")
+    assert [herbrand_complexity(f, n, 2) for n in (1, 2, 3, 6)] == [None, None, 1, 1]
 
 
 def brute_force_complexity(f, n, k_max):
@@ -339,18 +370,18 @@ def test_running_example_is_valid_in_structures():
 
 
 def test_falsifying_structure():
-    s = falsifying_structure(parse("P(a)"), 1)
+    s = falsifying_structure(grounding(parse("P(a)"), 1))
     assert s is not None
     assert not eval_in_structure(s, parse("P(a)"))
 
     f = parse("(!x. P(x)) | (!x. ~P(x))")
-    s = falsifying_structure(f, 1)
+    s = falsifying_structure(grounding(f, 1))
     assert s is not None
     d = herbrand_disjunction(f, 1)
     expansion_formula = expand(d.skolemized, d.champ.terms)
     assert not eval_in_structure(s, expansion_formula)
 
-    assert falsifying_structure(parse("P(a) | ~P(a)"), 1) is None
+    assert falsifying_structure(grounding(parse("P(a) | ~P(a)"), 1)) is None
 
 
 def test_falsifying_structure_random():
@@ -359,7 +390,7 @@ def test_falsifying_structure_random():
     for _ in range(80):
         f = rectify(random_formula(rng, rng.randrange(1, 4), []))
         try:
-            s = falsifying_structure(f, 1, budget=10**4)
+            s = falsifying_structure(grounding(f, 1, budget=10**4))
         except BudgetExceededError:
             continue
         if s is None:
@@ -393,7 +424,7 @@ def test_arith_substructure_witness():
 
 def test_structure_serialization_round_trip():
     f = parse("(!x. P(x)) | (!x. ~P(x))")
-    s = falsifying_structure(f, 1)
+    s = falsifying_structure(grounding(f, 1))
     text = dump_structure(s)
     again = load_structure(text)
     assert again.domain == s.domain

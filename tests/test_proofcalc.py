@@ -450,7 +450,7 @@ def test_monotone_formula_level_claim_is_invalid():
 def test_mp_eliminate_trivial():
     f = parse("P(a) | ~P(a)")
     w = PropertyCWitness(1, (Subst(),))
-    d = mp_eliminate(f, w)
+    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
     assert len(d.steps) == 1 and d.steps[0].rule == T_AXIOM
     assert alpha_eq(d.final, f)
 
@@ -461,7 +461,7 @@ def test_mp_eliminate_small():
         2,
         (Subst({"x": parse_term("y_star")}),),
     )
-    d = mp_eliminate(f, w)
+    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
     assert check(d) is None
     assert len(d.steps) == 3
     assert [s.rule for s in d.steps] == [T_AXIOM, GEN_GAMMA, GEN_DELTA]
@@ -475,12 +475,12 @@ def test_mp_eliminate_rejects_bad_witness():
         2, (Subst({"x": parse_term("l", {"l"})}),),
     )
     with pytest.raises(WitnessError):
-        mp_eliminate(f, w)
+        mp_eliminate(f, w, herbrand_disjunction(f, 1))
 
 
 def test_mp_eliminate_running_example():
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w)
+    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
     assert check(d) is None
     assert count_rule(d, MP) == 0
     assert alpha_eq(d.final, rectify(A))
@@ -527,7 +527,7 @@ def test_mp_eliminate_starting_tautology_is_instance_dnf_reordering():
         return with_children(g, tuple(box_formula(k) for k in children(g)))
 
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w)
+    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
     t0 = d.steps[0].formula
     instance_dnfs = [
         set(keyed(dnf(box_formula(herbrand_disjunction(A, 4).instance(s)))))
@@ -550,12 +550,12 @@ def test_golden_derivation_file():
     A, w = two_instance_witness()
     assert alpha_eq(d.final, rectify(A))
     # rebuilding from the witness reproduces the file byte for byte
-    assert dump_derivation(mp_eliminate(A, w)) == text
+    assert dump_derivation(mp_eliminate(A, w, herbrand_disjunction(A, 1))) == text
 
 
 def test_serialization_round_trip():
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w)
+    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
     text = dump_derivation(d)
     d2, _ = load_derivation(text)
     assert check(d2) is None
@@ -582,15 +582,15 @@ def test_derivation_soundness_spot_check():
     assert len(corpus) == 50
     structures_checked = 0
     for f in corpus:
-        result = prove_dp(f, 3)
+        result = prove_dp(herbrand_disjunction(f, 1), 3)
         assert result.found
         from herbrand.engine import minimize_witness
 
-        witness = minimize_witness(f, list(result.witness))
+        witness = minimize_witness(herbrand_disjunction(f, 1), list(result.witness))
         pcw = PropertyCWitness(
             result.order, tuple(witness)
         )
-        d = mp_eliminate(f, pcw)
+        d = mp_eliminate(f, pcw, herbrand_disjunction(f, 1))
         assert check(d) is None
         for _ in range(4):
             s = random_structure(rng, d.final, rng.randrange(1, 4))
@@ -608,7 +608,7 @@ def test_mp_eliminate_three_fold_multiplicity():
         Subst({"x": parse_term(c)}) for c in ("c1", "c2", "c3")
     )
     w = PropertyCWitness(2, subs)
-    d = mp_eliminate(f, w)
+    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
     assert check(d) is None
     assert count_rule(d, GEN_GAMMA_SIMP) == 2
     assert alpha_eq(d.final, rectify(f))
@@ -631,7 +631,7 @@ def test_mp_eliminate_merges_below_a_quantifier():
         2,
         (Subst({"x": parse_term("c1")}), Subst({"x": parse_term("c2")})),
     )
-    d = mp_eliminate(f, w)
+    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
     assert check(d) is None
     simp = next(s for s in d.steps if s.rule == GEN_GAMMA_SIMP)
     assert simp.at != ()  # the merge happens inside the delta binder
@@ -648,16 +648,16 @@ def test_mp_eliminate_random_valid_corpus():
     while built < 40 and attempts < 1500:
         attempts += 1
         f = rectify(random_formula(rng, rng.randrange(1, 4), []))
-        result = prove_dp(f, 2, budget=10**4)
+        result = prove_dp(herbrand_disjunction(f, 1), 2, budget=10**4)
         if not result.found:
             continue
         from herbrand.engine import minimize_witness
 
-        witness = minimize_witness(f, list(result.witness))
+        witness = minimize_witness(herbrand_disjunction(f, 1), list(result.witness))
         pcw = PropertyCWitness(
             result.order, tuple(witness)
         )
-        d = mp_eliminate(f, pcw)
+        d = mp_eliminate(f, pcw, herbrand_disjunction(f, 1))
         assert check(d) is None
         assert count_rule(d, MP) == 0
         assert alpha_eq(d.final, f)
@@ -679,7 +679,7 @@ def test_mp_eliminate_skolemizes_once(monkeypatch):
 
     A, w = two_instance_witness()
     monkeypatch.setattr(transform, "_skolemize", counted)
-    assert check(mp_eliminate(A, w)) is None
+    assert check(mp_eliminate(A, w, herbrand_disjunction(A, 1))) is None
     assert len(calls) == 1
 
 
@@ -693,9 +693,11 @@ def test_mp_eliminate_names_biconditional_binders_as_the_prover(text):
     from herbrand.syntax import expand_iff
 
     f = parse(text)
-    result = prove_dp(f, 3)
+    analysis = herbrand_disjunction(f, 1)
+    result = prove_dp(analysis, 3)
     d = mp_eliminate(
-        f, PropertyCWitness(result.order, minimize_witness(f, list(result.witness)))
+        f, PropertyCWitness(result.order, minimize_witness(analysis, list(result.witness))),
+        analysis,
     )
     assert check(d) is None
     assert alpha_eq(d.final, expand_iff(f))
@@ -703,7 +705,7 @@ def test_mp_eliminate_names_biconditional_binders_as_the_prover(text):
 
 def test_mp_eliminate_symbols_stay_within_goal():
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w)
+    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
     from herbrand.syntax import formula_symbols
 
     goal_symbols = {

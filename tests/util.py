@@ -7,8 +7,8 @@ import random
 
 from herbrand import sat
 from herbrand.arith import S, ZERO, peel, validate
-from herbrand.expansion import FiniteStructure
-from herbrand.sat import atom_key
+from herbrand.expansion import FiniteStructure, Grounding, ground_clauses, herbrand_disjunction
+from herbrand.sat import DEFAULT_BUDGET, atom_key
 from herbrand.syntax import (
     And,
     App,
@@ -45,6 +45,14 @@ CONST_A = Symbol("a", 0)
 CONST_B = Symbol("b", 0)
 FUN_F = Symbol("f", 1)
 FUN_G = Symbol("g", 2)
+
+
+def grounding(f: Formula, n: int, budget: int = DEFAULT_BUDGET,
+              always_lexicon: bool = False) -> Grounding:
+    """f's whole order-n family grounded afresh, as `falsifying_structure`
+    reads it."""
+    d = herbrand_disjunction(f, n, always_lexicon)
+    return Grounding(d, *ground_clauses(d, budget=budget))
 
 
 def random_term(rng: random.Random, vars_: list[str], depth: int,

@@ -286,12 +286,12 @@ def decide(sentence: Formula) -> str:
     """\"derivable\" or \"refutable\" for a closed sentence: derivable
     exactly when the eliminated sentence, which is ground, is true, that
     is, when some conjunct of its dnf has only true literals."""
-    validate(sentence)
+    eliminated = eliminate_quantifiers(sentence)  # validates first
     if free_vars(sentence):
         raise FreeVariableError(
             f"decide needs a closed sentence; free: {sorted(free_vars(sentence))}"
         )
-    conjuncts = _dnf_lits(eliminate_quantifiers(sentence))
+    conjuncts = _dnf_lits(eliminated)
     if any(all(_norm_lit(lit) is True for lit in c) for c in conjuncts):
         return "derivable"
     return "refutable"

@@ -143,7 +143,7 @@ def cmd_prove(args) -> int:
                 d = analysis.at_order(args.max_order, args.always_lexicon, args.budget)
                 grounding = expansion.Grounding(
                     d, *expansion.ground_clauses(d, budget=args.budget))
-            structure = expansion.falsifying_structure(grounding)
+            structure = expansion.falsifying_structure(grounding, args.budget)
         except BudgetExceededError:
             report["falsifying-structure"] = "not computed (budget)"
         else:
@@ -475,14 +475,12 @@ def _prove_arguments(prove):
     prove.add_argument("--dual", action="store_true",
                        help="print trace clauses as dual conjunctions")
     prove.add_argument("--json", action="store_true")
-    prove.set_defaults(fn=cmd_prove)
 
 
 def _transform_arguments(tr):
     tr.add_argument("file")
     tr.add_argument("--pass", dest="passname", required=True, choices=tuple(PASSES))
     tr.add_argument("--guard", default=None)
-    tr.set_defaults(fn=cmd_transform)
 
 
 def _expand_arguments(ex):
@@ -490,7 +488,6 @@ def _expand_arguments(ex):
     ex.add_argument("-n", "--order", type=_count, required=True)
     ex.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     ex.add_argument("--always-lexicon", action="store_true")
-    ex.set_defaults(fn=cmd_expand)
 
 
 def _complexity_arguments(cx):
@@ -498,46 +495,42 @@ def _complexity_arguments(cx):
     cx.add_argument("-n", "--order", type=_count, required=True)
     cx.add_argument("--max-instances", type=_count, default=4)
     cx.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    cx.set_defaults(fn=cmd_complexity)
 
 
 def _unify_arguments(un):
     un.add_argument("term1")
     un.add_argument("term2")
     un.add_argument("--frees", default="")
-    un.set_defaults(fn=cmd_unify)
 
 
 def _check_arguments(ck):
     ck.add_argument("file")
-    ck.set_defaults(fn=cmd_check)
 
 
 def _arith_arguments(ar):
     ar_sub = ar.add_subparsers(dest="arith_command", required=True)
     ar_decide = ar_sub.add_parser("decide")
     ar_decide.add_argument("sentence")
-    ar_decide.set_defaults(fn=cmd_arith)
 
 
 def _eval_arguments(ev):
     ev.add_argument("structure")
     ev.add_argument("problem")
-    ev.set_defaults(fn=cmd_eval)
 
 
-# (name, help, add-arguments) per subcommand, in `herbrand -h` order
+# (name, help, add-arguments, command function) per subcommand, in
+# `herbrand -h` order
 COMMANDS = (
-    ("prove", "run a semi-decision procedure", _prove_arguments),
-    ("transform", "apply a formula transformation", _transform_arguments),
-    ("expand", "dump the order-n expansion", _expand_arguments),
-    ("complexity", "minimal tautological instance count", _complexity_arguments),
-    ("unify", "most general unifier of two terms", _unify_arguments),
-    ("check", "check a derivation file", _check_arguments),
-    ("arith", "decide successor arithmetic", _arith_arguments),
-    ("eval", "evaluate a formula in a structure file", _eval_arguments),
-    ("selftest", "run the worked-example smoke suite",
-     lambda st: st.set_defaults(fn=cmd_selftest)),
+    ("prove", "run a semi-decision procedure", _prove_arguments, cmd_prove),
+    ("transform", "apply a formula transformation", _transform_arguments, cmd_transform),
+    ("expand", "dump the order-n expansion", _expand_arguments, cmd_expand),
+    ("complexity", "minimal tautological instance count", _complexity_arguments,
+     cmd_complexity),
+    ("unify", "most general unifier of two terms", _unify_arguments, cmd_unify),
+    ("check", "check a derivation file", _check_arguments, cmd_check),
+    ("arith", "decide successor arithmetic", _arith_arguments, cmd_arith),
+    ("eval", "evaluate a formula in a structure file", _eval_arguments, cmd_eval),
+    ("selftest", "run the worked-example smoke suite", lambda _st: None, cmd_selftest),
 )
 
 
@@ -552,11 +545,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "semi-decision procedures, and a successor-arithmetic decider",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in COMMANDS:
+    for name, help_text, add_arguments, fn in COMMANDS:
         wanted = command in (None, name)
         parser = sub.add_parser(name, help=help_text, add_help=wanted)
         if wanted:
             add_arguments(parser)
+            parser.set_defaults(fn=fn)
     return p
 
 

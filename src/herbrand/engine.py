@@ -141,10 +141,6 @@ class Clause:
                 out |= term_vars(t)
         return out
 
-    def rename(self, mapping: dict[str, str]) -> "Clause":
-        sub = Subst({v: Var(n) for v, n in mapping.items()})
-        return self.apply_sub(sub)
-
     def apply_sub(self, sub: Subst) -> "Clause":
         lits = frozenset((sign, apply(sub, atom)) for sign, atom in self.literals)
         return Clause(lits, parents=(self,), sub=sub)
@@ -170,11 +166,9 @@ def standardize_apart(c: Clause, counter: Iterator[int]) -> Clause:
     # '@' keeps the fresh names outside the identifier grammar, so they
     # can never collide with user variables
     batch = next(counter)
-    mapping = {
-        v: f"{v.split('@')[0]}@{batch}.{i}"
-        for i, v in enumerate(sorted(c.variables()))
-    }
-    return c.rename(mapping)
+    return c.apply_sub(Subst({
+        v: Var(f"{v.split('@')[0]}@{batch}.{i}") for i, v in enumerate(sorted(c.variables()))
+    }))
 
 
 def resolve(c1: Clause, c2: Clause, l1: Literal, l2: Literal) -> Optional[Clause]:
@@ -424,45 +418,33 @@ def prove_resolution(
         # selection: only the first negative literal, if there is one
         eligible = negative[:1] or given_lits
 
+        # each attempt is (kind, premises): resolution against every
+        # processed clause, then factoring, of an all-positive clause only
+        resolutions = (("resolvent", (given, right, l1, l2))
+                       for right, right_lits in processed for l1 in eligible for l2 in right_lits
+                       if l1[0] != l2[0] and l1[1].pred == l2[1].pred)
+        factorings = (("factor", (given, l1, l2))
+                      for i, l1 in enumerate(() if negative else given_lits)
+                      for l2 in given_lits[i + 1:] if l1[1].pred == l2[1].pred)
         new: list[Clause] = []
-        for right, right_lits in processed:
-            for l1 in eligible:
-                for l2 in right_lits:
-                    if l1[0] == l2[0] or l1[1].pred != l2[1].pred:
-                        continue
-                    if steps >= step_budget:
-                        return gave_up("step budget exhausted", "budget")
-                    steps += 1
-                    r = resolve(given, right, l1, l2)
-                    if r is None:
-                        continue
-                    if _too_high(r):
-                        return gave_up("term height limit", "term height")
-                    log("resolvent", r)
-                    if r.is_empty():
-                        witness = _extract_witness(r, gamma, rigid)
-                        log("verdict", f"proof-found {steps} steps")
-                        return ProofResult(
-                            True, "resolution", steps=steps, witness=witness,
-                            trace=tuple(events),
-                        )
-                    new.append(r)
+        for kind, premises in itertools.chain(resolutions, factorings):
+            if steps >= step_budget:
+                return gave_up("step budget exhausted", "budget")
+            steps += 1
+            c = (resolve if kind == "resolvent" else factor)(*premises)
+            if c is None:
+                continue
+            if _too_high(c):
+                return gave_up("term height limit", "term height")
+            log(kind, c)
+            if c.is_empty():
+                witness = _extract_witness(c, gamma, rigid)
+                log("verdict", f"proof-found {steps} steps")
+                return ProofResult(
+                    True, "resolution", steps=steps, witness=witness, trace=tuple(events)
+                )
+            new.append(c)
         processed.append((given, eligible))
-        if not negative:  # only all-positive clauses are factored
-            for i, l1 in enumerate(given_lits):
-                for l2 in given_lits[i + 1:]:
-                    if l1[1].pred != l2[1].pred:
-                        continue
-                    if steps >= step_budget:
-                        return gave_up("step budget exhausted", "budget")
-                    steps += 1
-                    fc = factor(given, l1, l2)
-                    if fc is None:
-                        continue
-                    if _too_high(fc):
-                        return gave_up("term height limit", "term height")
-                    log("factor", fc)
-                    new.append(fc)
         for c in new:
             if c.is_tautology():
                 continue  # sound to drop: a tautologous clause never helps

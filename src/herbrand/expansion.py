@@ -91,28 +91,38 @@ def champ_fini(
     if always_lexicon:
         variables.add(LEXICON)
 
-    def build(var_names: set[str]) -> list[Term]:
-        levels: list[list[Term]] = [[Var(v) for v in sorted(var_names)]]
-        for h in range(1, n):
-            below = [t for lvl in levels for t in lvl]
-            level: list[Term] = []
-            for sym in funcs:
-                if sym.arity == 0:
-                    if h == 1:
-                        level.append(App(sym))
-                    continue
-                for args in itertools.product(below, repeat=sym.arity):
-                    if max(height(a) for a in args) == h - 1:
-                        level.append(App(sym, args))
-            levels.append(level)
-        return [t for lvl in levels for t in lvl]
+    def build(var_names: set[str]) -> set[Term]:
+        # T_1 = V, T_{h+1} = V ∪ {f(t̄) : t̄ ∈ T_h}
+        terms = base = {Var(v) for v in var_names}
+        for _ in range(1, n):
+            terms = base | {App(f, args) for f in funcs
+                            for args in itertools.product(terms, repeat=f.arity)}
+        return terms
 
     terms = build(variables)
     if not terms:
         variables.add(LEXICON)
         terms = build(variables)
-    terms.sort(key=lambda t: (height(t), print_term(t)))
+    terms = sorted(terms, key=lambda t: (height(t), print_term(t)))
     return ChampFini(n, frozenset(funcs), frozenset(variables), tuple(terms))
+
+
+def champ_size(signature: Iterable[Symbol], variables: int, n: int) -> int | float:
+    """|T_n| over the function symbols `signature` and that many
+    variables, unbuilt: N_1 = V, N_{h+1} = V + Σ_f N_h^arity (a constant
+    adds 1), V gaining the lexicon when N_n would be 0, as in
+    `champ_fini`; over 2**64 terms, too many to build, is infinite."""
+    arities = [s.arity for s in signature]
+
+    def size(v: int) -> int | float:
+        total = v
+        for _ in range(1, n):
+            total = v + sum(total**a for a in arities)
+            if total > 2**64:
+                return float("inf")
+        return total
+
+    return size(variables) or size(1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +202,24 @@ class HerbrandDisjunction:
         return len(self.champ) ** len(self.gamma_vars)
 
     def count_at(self, n: int, always_lexicon: bool = False) -> int | float:
-        """`at_order(n, always_lexicon).count`, the champ fini unbuilt: with
-        V variables, |T_{h+1}| is N_0 = V, N_h = V + Σ_f N_{h-1}^arity (a
-        constant adds 1), V gaining the lexicon when N_{n-1} would be 0, as
-        in `champ_fini`; over 2**64 terms, too many to build, is infinite."""
+        """`at_order(n, always_lexicon).count`, the champ fini unbuilt."""
+        return self._size_at(n, always_lexicon) ** len(self.gamma_vars)
+
+    def _size_at(self, n: int, always_lexicon: bool) -> int | float:
         v = len(self.variables | ({LEXICON} if always_lexicon else set()))
-
-        def size(v: int) -> int | float:
-            total = v
-            for _ in range(1, n):
-                total = v + sum(total ** s.arity for s in self.champ.signature)
-                if total > 2**64:
-                    return float("inf")
-            return total
-
-        return (size(v) or size(1)) ** len(self.gamma_vars)
+        return champ_size(self.champ.signature, v, n)
 
     def at_order(
         self, n: int, always_lexicon: bool = False, budget: Optional[int] = None
     ) -> "HerbrandDisjunction":
         """The same analysis over the champ fini of order n.  A family of
-        more than `budget` members raises BudgetExceededError before the
-        champ is built."""
+        more than `budget` members, or a champ fini of more than `budget`
+        terms, raises BudgetExceededError before the champ is built."""
         if budget is not None:
-            _check_family(n, self.count_at(n, always_lexicon), budget)
+            size = self._size_at(n, always_lexicon)
+            _check_budget(f"order-{n} disjunction", size ** len(self.gamma_vars), "instances",
+                          budget)
+            _check_budget(f"order-{n} champ fini", size, "terms", budget)
         champ = champ_fini(self.champ.signature, self.variables, n, always_lexicon)
         return dataclasses.replace(self, champ=champ)
 
@@ -271,12 +275,10 @@ def herbrand_disjunction(
     )
 
 
-def _check_family(order: int, count: int | float, budget: int) -> None:
-    """Raise BudgetExceededError if an order's family outgrows `budget`."""
+def _check_budget(what: str, count: int | float, unit: str, budget: int) -> None:
+    """Raise BudgetExceededError if `what` has more than `budget` `unit`."""
     if count > budget:
-        raise BudgetExceededError(
-            f"order-{order} disjunction has {count} instances, budget is {budget}"
-        )
+        raise BudgetExceededError(f"{what} has {count} {unit}, budget is {budget}")
 
 
 @dataclass(frozen=True)
@@ -330,7 +332,7 @@ def ground_clauses(
     """
     gamma = d.gamma_vars
     if sigmas is None:
-        _check_family(d.champ.order, d.count, budget)
+        _check_budget(f"order-{d.champ.order} disjunction", d.count, "instances", budget)
         terms = d.champ.terms
     else:
         for s in sigmas:
@@ -516,7 +518,9 @@ def eval_in_structure(s: FiniteStructure, f: Formula) -> bool:
     return go(f, dict(s.var_env))
 
 
-def falsifying_structure(grounding: Grounding) -> Optional[FiniteStructure]:
+def falsifying_structure(
+    grounding: Grounding, budget: int = DEFAULT_BUDGET
+) -> Optional[FiniteStructure]:
     """When the grounded order-p family (p the order of its champ fini)
     lacks Property C, build a finite structure over the term domain
     T_{p+m} (m the maximal term height of the Skolemized form) in which
@@ -529,7 +533,9 @@ def falsifying_structure(grounding: Grounding) -> Optional[FiniteStructure]:
     `print_term` spells it.  Predicate tables come from the grounding's
     DPLL model, or from one found here, over its ground atoms.  The
     domain's champ fini has the variables of the grounding's, the
-    lexicon among them when that one has it.
+    lexicon among them when that one has it.  A domain and function
+    tables of more than `budget` terms in all raise BudgetExceededError
+    before either is built.
     """
     d, atoms, assignment = grounding.disjunction, grounding.atoms, grounding.model
     if assignment is None:
@@ -537,8 +543,11 @@ def falsifying_structure(grounding: Grounding) -> Optional[FiniteStructure]:
         if verdict:
             return None
 
-    m = max((height(t) for a in d.atoms for t in a.args), default=0)
-    dom_champ = champ_fini(d.champ.signature, d.champ.variables, d.champ.order + m)
+    order = d.champ.order + max((height(t) for a in d.atoms for t in a.args), default=0)
+    size = champ_size(d.champ.signature, len(d.champ.variables), order)
+    entries = size + sum(size**s.arity for s in d.champ.signature)
+    _check_budget(f"order-{order} structure", entries, "terms and table entries", budget)
+    dom_champ = champ_fini(d.champ.signature, d.champ.variables, order)
     domain = tuple(print_term(t) for t in dom_champ.terms)
     index = set(domain)
     sink = domain[-1]

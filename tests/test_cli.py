@@ -474,6 +474,22 @@ def test_budget_is_compared_before_a_champ_fini_is_built(
     assert "".join(line for line in err.splitlines(True) if not line.startswith("time:")) == stderr
 
 
+@pytest.mark.parametrize("order", range(3, 8))
+def test_prove_budgets_every_term_domain_it_builds(tmp_path, capsys, order):
+    # P(g(a,a)) has one member at every order, but its champ fini has 26
+    # terms at order 5, and the falsifying structure of order n is read
+    # over T_{n+2}: at order 4, T_6's 677 terms, whose table for g has
+    # 458,329 entries
+    path = write_problem(tmp_path, "formula: P(g(a,a))\n")
+    t0 = time.monotonic()
+    got = run(capsys, ["prove", path, "-n", str(order), "--budget", "10"])
+    assert time.monotonic() - t0 < 1
+    reason = (f"no proof up to order {order}" if order < 5
+              else "order-5 champ fini has 26 terms, budget is 10")
+    assert got[:2] == (1, f"verdict: gave-up\nreason: {reason}\n"
+                          "falsifying-structure: not computed (budget)\n")
+
+
 @pytest.mark.parametrize("method, order", [("dp", 4), ("gilmore", 3), ("gilmore", 4)])
 def test_prove_scaling_family_stdout(tmp_path, capsys, method, order):
     # the gave-up report does not depend on the engine, so one file pins
@@ -1044,7 +1060,7 @@ TYPICAL_ARGVS = [
 
 
 def test_every_subcommand_has_a_typical_argv():
-    assert [argv[0] for argv in TYPICAL_ARGVS] == [name for name, _h, _a in COMMANDS]
+    assert [argv[0] for argv in TYPICAL_ARGVS] == [name for name, *_ in COMMANDS]
 
 
 @pytest.mark.parametrize("argv", TYPICAL_ARGVS + [["prove", "x.p"]], ids=" ".join)

@@ -316,7 +316,7 @@ def _random_clauses(seed: int, count: int) -> list[Clause]:
         c = Clause(random_clause(rng, rng.sample(names, 2), rng.randrange(1, 5),
                                  funcs=(CONST_A, CONST_V0, FUN_F)))
         out.append(c)
-        out.append(c.rename(dict(zip(names, rng.sample(names, len(names))))))
+        out.append(c.apply_sub(Subst(dict(zip(names, map(Var, rng.sample(names, len(names))))))))
     return out
 
 

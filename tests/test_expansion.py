@@ -8,6 +8,7 @@ from herbrand.expansion import (
     BudgetExceededError,
     arith_substructure_witness,
     champ_fini,
+    champ_size,
     check_instances,
     dump_structure,
     eval_in_structure,
@@ -43,7 +44,7 @@ from herbrand.syntax import (
 from herbrand.transform import skolemize_outer
 
 from util import (
-    CONST_A, FUN_F, P1, Q1, R2, grounding, keyed, multiplied_out, random_formula,
+    CONST_A, FUN_F, P1, Q1, R2, champ_by_levels, grounding, keyed, multiplied_out, random_formula,
     random_structure,
 )
 
@@ -112,6 +113,24 @@ def test_champ_fini_matches_brute_force_randomly():
         assert keys == sorted(keys)
 
 
+def test_champ_fini_by_its_recurrence_is_the_level_by_level_construction():
+    # the same terms in the same order, and as many as `champ_size` counts
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(120):
+        syms = [Symbol(f"g{i}", rng.randrange(0, 4)) for i in range(rng.randrange(0, 4))]
+        variables = [f"x{i}" for i in range(rng.randrange(0, 3))]
+        for n, lexicon in itertools.product(range(1, 5), (False, True)):
+            size = champ_size(syms, len(variables) + lexicon, n)
+            if size > 3000:
+                continue
+            got = champ_fini(syms, variables, n, lexicon)
+            assert got.terms == champ_by_levels(syms, variables, n, lexicon), (syms, n, lexicon)
+            assert len(got) == size
+            compared += 1
+    assert compared > 600
+
+
 def test_count_at_is_the_size_of_the_family_it_does_not_build(monkeypatch):
     # constants only, functions only (the lexicon rule at every order),
     # none, both, free variables, and the forced lexicon
@@ -132,10 +151,26 @@ def test_count_at_is_the_size_of_the_family_it_does_not_build(monkeypatch):
     d = herbrand_disjunction(parse("?x. P(g(x,x))"), 1)
     assert [d.count_at(n) for n in range(1, 8)] == [1, 2, 5, 26, 677, 458330, 210066388901]
     assert d.count_at(9) == float("inf")
+    # with no gamma-variable the family has one member at every order, and
+    # the champ fini's terms are what the budget bounds
+    ground = herbrand_disjunction(parse("P(g(a,a))"), 1)
     monkeypatch.setattr("herbrand.expansion.champ_fini", None)
     with pytest.raises(BudgetExceededError, match="^order-6 disjunction has 458330 instances,"
                        " budget is 10$"):
         d.at_order(6, budget=10)
+    with pytest.raises(BudgetExceededError, match="^order-5 champ fini has 26 terms,"
+                       " budget is 10$"):
+        ground.at_order(5, budget=10)
+
+
+def test_falsifying_structure_counts_its_domain_and_tables_before_building_them():
+    # P(g(a,a)) grounded at order 3 is read over T_5: 26 terms, a's one
+    # entry and g's 26^2
+    g = grounding(parse("P(g(a,a))"), 3)
+    with pytest.raises(BudgetExceededError, match="^order-5 structure has 703 terms and table"
+                       " entries, budget is 702$"):
+        falsifying_structure(g, budget=702)
+    assert len(falsifying_structure(g, budget=703).domain) == 26
 
 
 def test_expand_examples():

@@ -18,6 +18,7 @@ from herbrand.syntax import (
     Formula,
     Iff,
     Implies,
+    LEXICON,
     Not,
     Or,
     PREDICATE,
@@ -31,8 +32,10 @@ from herbrand.syntax import (
     expand_iff,
     formula_symbols,
     free_vars,
+    height,
     parse,
     print_formula,
+    print_term,
     subformulas,
     term_vars,
     with_children,
@@ -53,6 +56,35 @@ def grounding(f: Formula, n: int, budget: int = DEFAULT_BUDGET,
     reads it."""
     d = herbrand_disjunction(f, n, always_lexicon)
     return Grounding(d, *ground_clauses(d, budget=budget))
+
+
+def champ_by_levels(signature, free_variables=(), n: int = 1,
+                    always_lexicon: bool = False) -> tuple[Term, ...]:
+    """The terms of `champ_fini`, in its order, built level by level: a
+    level's terms are those whose highest argument is on the level below.
+    The reference for `champ_fini`'s recurrence T_{h+1} = V ∪
+    {f(t̄) : t̄ ∈ T_h}."""
+    funcs = sorted({s for s in signature if s.kind != PREDICATE}, key=lambda s: (s.name, s.arity))
+    variables = set(free_variables) | ({LEXICON} if always_lexicon else set())
+
+    def build(var_names: set[str]) -> list[Term]:
+        levels: list[list[Term]] = [[Var(v) for v in sorted(var_names)]]
+        for h in range(1, n):
+            below = [t for lvl in levels for t in lvl]
+            level: list[Term] = []
+            for sym in funcs:
+                if sym.arity == 0:
+                    if h == 1:
+                        level.append(App(sym))
+                    continue
+                for args in itertools.product(below, repeat=sym.arity):
+                    if max(height(a) for a in args) == h - 1:
+                        level.append(App(sym, args))
+            levels.append(level)
+        return [t for lvl in levels for t in lvl]
+
+    terms = build(variables) or build(variables | {LEXICON})
+    return tuple(sorted(terms, key=lambda t: (height(t), print_term(t))))
 
 
 def random_term(rng: random.Random, vars_: list[str], depth: int,

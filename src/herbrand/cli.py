@@ -140,7 +140,7 @@ def cmd_prove(args) -> int:
         grounding = result.grounding
         try:
             if grounding is None:
-                d = analysis.at_order(args.max_order, args.always_lexicon, args.budget)
+                d = analysis.at_order(args.max_order, args.budget)
                 grounding = expansion.Grounding(
                     d, *expansion.ground_clauses(d, budget=args.budget))
             structure = expansion.falsifying_structure(grounding, args.budget)
@@ -158,11 +158,8 @@ def cmd_prove(args) -> int:
                            for kind, p in result.trace]
 
     if args.proof_out and result.found:
-        order = result.order if result.order is not None else 1
         # mp_eliminate checks the derivation it builds
-        derivation = proofcalc.mp_eliminate(
-            formula, expansion.PropertyCWitness(order, minimized), analysis
-        )
+        derivation = proofcalc.mp_eliminate(analysis, minimized)
         with open(args.proof_out, "w", encoding="utf-8") as handle:
             handle.write(proofcalc.dump_derivation(derivation, frees))
         report["proof-out"] = args.proof_out
@@ -185,7 +182,7 @@ def _race(d, args):
     the proof either found, else dp's gave-up result, whose last
     grounding the falsifying structure reads.  Only the verdict is
     reported."""
-    result = engine.prove_dp(d, args.max_order, args.budget, args.always_lexicon)
+    result = engine.prove_dp(d, args.max_order, args.budget)
     if result.found:
         return result
     proof = engine.prove_resolution(d, args.budget)
@@ -194,8 +191,8 @@ def _race(d, args):
 
 # each `prove --method`, from the request's analysis and the parsed arguments
 METHODS = {
-    "gilmore": lambda d, a: engine.prove_gilmore(d, a.max_order, a.budget, a.always_lexicon),
-    "dp": lambda d, a: engine.prove_dp(d, a.max_order, a.budget, a.always_lexicon),
+    "gilmore": lambda d, a: engine.prove_gilmore(d, a.max_order, a.budget),
+    "dp": lambda d, a: engine.prove_dp(d, a.max_order, a.budget),
     "resolution": lambda d, a: engine.prove_resolution(d, a.budget, trace=a.trace),
     "race": _race,
 }
@@ -228,9 +225,7 @@ def cmd_transform(args) -> int:
 def cmd_expand(args) -> int:
     formula, _frees, _ = read_problem(args.file)
     d = expansion.herbrand_disjunction(formula, 1, args.always_lexicon)
-    if (count := d.count_at(args.order, args.always_lexicon)) > args.budget:
-        raise BudgetExceededError(f"{count} instances")
-    d = d.at_order(args.order, args.always_lexicon)
+    d = d.at_order(args.order, args.budget)
     expanded = expansion.expand(d.skolemized, d.champ.terms)
     print(f"order: {args.order}")
     print("champ: " + " ".join(print_term(t) for t in d.champ.terms))
@@ -300,6 +295,7 @@ _RUNNING = {"running.prob": "formula: (!a,b,c. (prec(a,b) & prec(b,c) -> prec(a,
             " -> (!u,v,w. ?n. (prec(u,n) & prec(v,n) & prec(w,n)))\n"}
 _MIXED = {"mixed.prob": "formula: ~(!x. ?y. R(x, y)) | (?z. P(z) -> !w. P(w))\n"}
 _SMALL = {"small.prob": "formula: !x. (P(x) | ~P(c))\n"}
+_ATOM = {"atom.prob": "formula: P(a)\n"}
 _VALID_CHECKED = "ok\nsteps: 3\nproves: (?x. P(x)) | ~(?[y_star]. P([y_star]))\n"
 
 # The worked examples, each a `herbrand` command line: (name, argv, input
@@ -339,7 +335,7 @@ SELFTEST = (
      "method: dp\norder: 2\nwitness-verified: true\nwitness: {x -> y_star}\n"),
     ("property-c", "prove taut.prob -n 1", {"taut.prob": "formula: P(a) | ~P(a)\n"}, 0,
      "verdict: proof-found\nmethod: dp\norder: 1\nwitness-verified: true\nwitness: {}\n"),
-    ("property-c", "prove atom.prob -n 3", {"atom.prob": "formula: P(a)\n"}, 1,
+    ("property-c", "prove atom.prob -n 3", _ATOM, 1,
      "verdict: gave-up\nreason: no proof up to order 3\nfalsifying-structure: \n"
      "domain: a\nfn a: ()->a\npred P: (a)->F\n"),
     ("unification", "unify 'Pf(x, f(a, y))' 'Pf(a, f(z, b))' --frees 'x y z'", {}, 0,
@@ -407,6 +403,9 @@ SELFTEST = (
     ("lexicon-substitutions", "expand valid.prob -n 2 --always-lexicon", _VALID, 0,
      "order: 2\nchamp: l y_star\ngamma-vars: x\ninstances: 2\n"
      "expansion: P(l) | P(y_star) | ~P(y_star)\n"),
+    ("lexicon-substitutions", "prove atom.prob -n 2 --always-lexicon", _ATOM, 1,
+     "verdict: gave-up\nreason: no proof up to order 2\nfalsifying-structure: \n"
+     "domain: l a\nvar l: l\nfn a: ()->a\npred P: (a)->F\n"),
     ("order-2-expansion", "expand valid.prob -n 2", _VALID, 0,
      "order: 2\nchamp: y_star\ngamma-vars: x\ninstances: 1\n"
      "expansion: P(y_star) | ~P(y_star)\n"),

@@ -475,40 +475,37 @@ def _thaw(t: Term, rigid: frozenset) -> Term:
     return App(t.sym, tuple(_thaw(a, rigid) for a in t.args))
 
 
-def prove_gilmore(
-    d: HerbrandDisjunction, n_max: int, budget: int = 10**6, always_lexicon: bool = False
-) -> ProofResult:
+def prove_gilmore(d: HerbrandDisjunction, n_max: int, budget: int = 10**6) -> ProofResult:
     """Test Property C at orders 1..n_max of the analysis `d` with the
     multiplication method; report the first succeeding order."""
-    return _order_loop(d, n_max, budget, always_lexicon, "gilmore", "multiplication")
+    return _order_loop(d, n_max, budget, "gilmore", "multiplication")
 
 
-def prove_dp(
-    d: HerbrandDisjunction, n_max: int, budget: int = 10**6, always_lexicon: bool = False
-) -> ProofResult:
+def prove_dp(d: HerbrandDisjunction, n_max: int, budget: int = 10**6) -> ProofResult:
     """The same order loop with the tautology test replaced by DPLL on
     the clause form of the negation.  Both decide the same order-n clause
     sets, so a multiplication-method proof is a DPLL proof at the same
     order."""
-    return _order_loop(d, n_max, budget, always_lexicon, "dp", "dpll")
+    return _order_loop(d, n_max, budget, "dp", "dpll")
 
 
-def _order_loop(analysis, n_max, budget, always_lexicon, method, engine) -> ProofResult:
+def _order_loop(analysis, n_max, budget, method, engine) -> ProofResult:
     """Property C at orders 1..n_max, from one Herbrand analysis.  An
-    order whose family has more than `budget` members ends the loop
-    before its champ fini is built.  The witness is the family's
-    first-producer cover: for each ground clause the odometer-first
-    member yielding it, in odometer order.  It yields the family's
-    clauses, and minimization keeps from it what it keeps from the
-    family.  Running out of orders leaves the last order's grounding,
-    with the DPLL model when the engine is DPLL."""
+    order whose family has more than `budget` members, or whose champ
+    fini has more than `budget` terms, ends the loop before its champ
+    fini is built.  The witness is the family's first-producer cover:
+    for each ground clause the odometer-first member yielding it, in
+    odometer order.  It yields the family's clauses, and minimization
+    keeps from it what it keeps from the family.  Running out of orders
+    leaves the last order's grounding, with the DPLL model when the
+    engine is DPLL."""
 
     def gave_up(reason: str, grounding: Optional[Grounding] = None) -> ProofResult:
         return ProofResult(False, method, reason=reason, grounding=grounding)
 
     def decided(n: int) -> tuple[bool, Grounding]:
         # a function of its own, so no local of the loop keeps the clauses
-        d = analysis.at_order(n, always_lexicon, budget)
+        d = analysis.at_order(n, budget)
         clauses, atoms = ground_clauses(d, budget=budget)
         verdict, model = sat.decide_negation(clauses, atoms, engine, budget)
         return verdict, Grounding(d, clauses, atoms, model if engine == "dpll" else None)

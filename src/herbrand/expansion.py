@@ -45,7 +45,7 @@ from .syntax import (
     with_children,
     _joined,
 )
-from .transform import skolemize_outer, to_antiprenex
+from .transform import iff_expanded, skolemize_outer, to_antiprenex
 
 class UninterpretedSymbolError(Exception):
     """A symbol of the formula has no table in the structure."""
@@ -174,10 +174,12 @@ class HerbrandDisjunction:
     Skolemized form, the matrix with its gamma-variables, the champ fini
     of that order, and what grounding needs, worked out once.
 
-    `skolem` maps each delta-bound variable of the rectified formula to
-    its (Skolem symbol, gamma-argument names); `variables` are the free
-    variables of the Skolemized form, which with the champ's signature
-    give the champ fini of any order (`at_order`).  `atoms` are the
+    `prepared` is the formula Skolemized, `iff_expanded(rectify(f))`,
+    whose binders name the gamma-variables; `skolem` maps each of its
+    delta-bound variables to its (Skolem symbol, gamma-argument names).
+    `variables` are the free variables of the Skolemized form, with the
+    lexicon when it is forced, which with the champ's signature give the
+    champ fini of any order (`at_order`).  `atoms` are the
     matrix's atoms, an atom's index being its slot, and `atom_own` per
     slot the ascending positions among `gamma_vars` of the atom's
     gamma-variables.  `plans` holds each clause of the negated matrix
@@ -191,6 +193,7 @@ class HerbrandDisjunction:
     gamma_vars: tuple[str, ...]
     champ: ChampFini
     skolemized: Formula
+    prepared: Formula = field(compare=False, repr=False)
     skolem: dict = field(compare=False, repr=False)
     variables: frozenset = field(compare=False, repr=False)
     atoms: tuple = field(compare=False, repr=False)
@@ -201,26 +204,23 @@ class HerbrandDisjunction:
     def count(self) -> int:
         return len(self.champ) ** len(self.gamma_vars)
 
-    def count_at(self, n: int, always_lexicon: bool = False) -> int | float:
-        """`at_order(n, always_lexicon).count`, the champ fini unbuilt."""
-        return self._size_at(n, always_lexicon) ** len(self.gamma_vars)
+    def count_at(self, n: int) -> int | float:
+        """`at_order(n).count`, the champ fini unbuilt."""
+        return self._size_at(n) ** len(self.gamma_vars)
 
-    def _size_at(self, n: int, always_lexicon: bool) -> int | float:
-        v = len(self.variables | ({LEXICON} if always_lexicon else set()))
-        return champ_size(self.champ.signature, v, n)
+    def _size_at(self, n: int) -> int | float:
+        return champ_size(self.champ.signature, len(self.variables), n)
 
-    def at_order(
-        self, n: int, always_lexicon: bool = False, budget: Optional[int] = None
-    ) -> "HerbrandDisjunction":
+    def at_order(self, n: int, budget: Optional[int] = None) -> "HerbrandDisjunction":
         """The same analysis over the champ fini of order n.  A family of
         more than `budget` members, or a champ fini of more than `budget`
         terms, raises BudgetExceededError before the champ is built."""
         if budget is not None:
-            size = self._size_at(n, always_lexicon)
+            size = self._size_at(n)
             _check_budget(f"order-{n} disjunction", size ** len(self.gamma_vars), "instances",
                           budget)
             _check_budget(f"order-{n} champ fini", size, "terms", budget)
-        champ = champ_fini(self.champ.signature, self.variables, n, always_lexicon)
+        champ = champ_fini(self.champ.signature, self.variables, n)
         return dataclasses.replace(self, champ=champ)
 
     def substitutions(self) -> Iterator[Subst]:
@@ -247,10 +247,12 @@ def herbrand_disjunction(
     """The Herbrand analysis of f at order n, from one Skolemization.
 
     The champ fini is formed over the function and free-variable symbols
-    occurring in the outer Skolemized form.
+    occurring in the outer Skolemized form; `always_lexicon` adds the
+    lexicon to those variables, so every order's champ fini has it.
     """
     skolem: dict = {}
-    skolemized = skolemize_outer(rectify(f), skolem)
+    prepared = iff_expanded(rectify(f))
+    skolemized = skolemize_outer(prepared, skolem)
     matrix, gamma = strip_gamma_quantifiers(skolemized)
     where = {v: i for i, v in enumerate(gamma)}
     atoms = tuple(dict.fromkeys(g for _, g in subformulas(matrix) if isinstance(g, Atom)))
@@ -267,10 +269,12 @@ def herbrand_disjunction(
     # the gamma-quantifiers were the only binders left, each binding
     # its own name
     variables = frozenset().union(*atom_vars) - set(gamma)
+    if always_lexicon:
+        variables |= {LEXICON}
     functions = {s for a in atoms for t in a.args for s in term_symbols(t)}
-    champ = champ_fini(functions, variables, n, always_lexicon)
+    champ = champ_fini(functions, variables, n)
     return HerbrandDisjunction(
-        matrix, tuple(gamma), champ, skolemized, skolem, variables, atoms, atom_own,
+        matrix, tuple(gamma), champ, skolemized, prepared, skolem, variables, atoms, atom_own,
         tuple(plans),
     )
 

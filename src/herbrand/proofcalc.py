@@ -15,14 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import sat, syntax
-from .expansion import (
-    HerbrandDisjunction,
-    PropertyCWitness,
-    ground_clauses,
-)
+from .expansion import HerbrandDisjunction, ground_clauses
 from .syntax import (
     And,
     App,
@@ -46,7 +42,6 @@ from .syntax import (
     polarity_at,
     print_formula,
     print_term,
-    rectify,
     replace_at,
     subformula_at,
     subformulas,
@@ -54,7 +49,7 @@ from .syntax import (
     _components,
     _joined,
 )
-from .transform import _passage_once, iff_expanded, is_delta, is_gamma
+from .transform import _passage_once, is_delta, is_gamma
 
 T_AXIOM = "SententialTautologyAxiom"
 MP = "ModusPonens"
@@ -417,25 +412,24 @@ def _box_term(t: Term) -> Term:
     return App(t.sym, tuple(_box_term(a) for a in t.args))
 
 
-def mp_eliminate(
-    f: Formula, witness: PropertyCWitness, analysis: HerbrandDisjunction
-) -> Derivation:
-    """A derivation of f (up to bound renaming) from a sentential
-    tautology, with no modus ponens step: tautology, then Generalized
-    gamma/delta-Quantification, then Generalized gamma-Simplification.
+def mp_eliminate(analysis: HerbrandDisjunction, sigmas: Sequence[Subst]) -> Derivation:
+    """A derivation of the formula f analysed by `analysis`
+    (`herbrand_disjunction(f, n)`), up to bound renaming, from a
+    sentential tautology, with no modus ponens step: tautology, then
+    Generalized gamma/delta-Quantification, then Generalized
+    gamma-Simplification.
 
-    The witness substitutions must make the matrix instances disjoin to
-    a sentential tautology; any sufficient subset is accepted.
-    Biconditionals are expanded first, so for inputs containing them the
-    derivation proves the expanded form.  `analysis` is f's Herbrand
-    analysis (`herbrand_disjunction`), whose Skolem table names the
-    delta nodes.
+    The substitutions `sigmas` of the gamma-variables must make the
+    matrix instances disjoin to a sentential tautology; any sufficient
+    family is accepted.  The derivation proves the analysis' prepared
+    formula, f rectified with its biconditionals expanded, and the
+    analysis' Skolem table names the delta nodes.
     """
-    f_work = iff_expanded(rectify(f))
+    f_work = analysis.prepared
     sk = analysis.skolem
-    if not sat.decide_negation(*ground_clauses(analysis, witness.substitutions))[0]:
+    if not sat.decide_negation(*ground_clauses(analysis, sigmas))[0]:
         raise WitnessError("the witness instances do not disjoin to a tautology")
-    sigmas = list(dict.fromkeys(witness.substitutions))
+    sigmas = list(dict.fromkeys(sigmas))
 
     used_names = set(bound_vars(f_work)) | free_vars(f_work)
     used_names |= {s.name for s in formula_symbols(f_work)}

@@ -136,7 +136,7 @@ def test_criterion_1_running_example_reproduction():
 
     # (d) a checkable modus-ponens-free derivation
     witness = PropertyCWitness(4, (s1, s2))
-    derivation = mp_eliminate(A, witness, herbrand_disjunction(A, 1))
+    derivation = mp_eliminate(herbrand_disjunction(A, 1), witness.substitutions)
     assert check(derivation) is None
     assert count_rule(derivation, MP) == 0
     assert alpha_eq(derivation.final, rectify(A))
@@ -211,7 +211,7 @@ def test_criterion_4_membership_and_soundness():
     s1, s2 = two_instance_witness_substitutions()
     d = herbrand_disjunction(A, 4)
     witness = PropertyCWitness(4, (s1, s2))
-    derivation = mp_eliminate(A, witness, herbrand_disjunction(A, 1))
+    derivation = mp_eliminate(herbrand_disjunction(A, 1), witness.substitutions)
 
     # per-conjunct membership: every conjunct of the starting
     # tautology's normal form appears in some recorded instance's normal

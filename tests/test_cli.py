@@ -433,7 +433,7 @@ def test_herbrand_budget_is_checked_only_by_commands_that_take_a_budget(
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["expand", "-n", "3", "--budget", "2"], "9 instances"),
+    (["expand", "-n", "3", "--budget", "2"], "order-3 disjunction has 9 instances, budget is 2"),
     (["complexity", "-n", "3", "--budget", "2"], "2^2 paths exceed the search budget 2"),
 ])
 def test_budget_exhaustion_is_one_error_line(tmp_path, capsys, argv, message):
@@ -457,7 +457,8 @@ OVER_BUDGET_AT_ORDER_4 = (
     pytest.param(["prove", "-n", "7", "--method", "race"], 1,
                  "verdict: gave-up\nfalsifying-structure: not computed (budget)\n", "",
                  id="race-n7"),
-    pytest.param(["expand", "-n", "7"], 2, "", "budget exceeded: 210066388901 instances\n",
+    pytest.param(["expand", "-n", "7"], 2, "",
+                 "budget exceeded: order-7 disjunction has 210066388901 instances, budget is 10\n",
                  id="expand-n7"),
     pytest.param(["complexity", "-n", "7"], 1, "complexity: none\n", "", id="complexity-n7"),
 ])

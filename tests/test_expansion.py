@@ -133,17 +133,23 @@ def test_champ_fini_by_its_recurrence_is_the_level_by_level_construction():
 
 def test_count_at_is_the_size_of_the_family_it_does_not_build(monkeypatch):
     # constants only, functions only (the lexicon rule at every order),
-    # none, both, free variables, and the forced lexicon
+    # none, both, free variables; each analysed with the lexicon forced
+    # and without, which every order's count and champ fini keep
     for text, frees in [
         ("P(a) | ~P(b)", ()), ("?x. P(g(x,x))", ()), ("?x. P(x)", ()),
         ("?x,y. R(g(x, a), f(y))", ()), ("(!x. ?y. R(x, y)) -> ?y. !x. R(x, y)", ()),
         ("P(x) | (?y. R(x, f(y)))", ("x",)), ("?y. R(x, g(y, b))", ("x",)),
     ]:
-        d = herbrand_disjunction(parse(text, frees=set(frees)), 1)
-        for n, lexicon in itertools.product(range(1, 6), (False, True)):
-            count = d.count_at(n, lexicon)
-            if count <= 5000:
-                assert count == d.at_order(n, lexicon).count, (text, n, lexicon)
+        for lexicon in (False, True):
+            d = herbrand_disjunction(parse(text, frees=set(frees)), 1, lexicon)
+            gamma = len(d.gamma_vars)
+            for n in range(1, 6):
+                count = d.count_at(n)
+                assert count == champ_size(d.champ.signature, len(frees) + lexicon, n) ** gamma
+                if count <= 5000:
+                    terms = champ_by_levels(d.champ.signature, frees, n, lexicon)
+                    assert d.at_order(n).champ.terms == terms, (text, n, lexicon)
+                    assert count == len(terms) ** gamma, (text, n, lexicon)
 
     # on ?x. P(g(x,x)) the champ fini holds the lexicon alone at order 1;
     # the count at order 6 needs no term built, and an order past 2**64

@@ -450,7 +450,7 @@ def test_monotone_formula_level_claim_is_invalid():
 def test_mp_eliminate_trivial():
     f = parse("P(a) | ~P(a)")
     w = PropertyCWitness(1, (Subst(),))
-    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
+    d = mp_eliminate(herbrand_disjunction(f, 1), w.substitutions)
     assert len(d.steps) == 1 and d.steps[0].rule == T_AXIOM
     assert alpha_eq(d.final, f)
 
@@ -461,7 +461,7 @@ def test_mp_eliminate_small():
         2,
         (Subst({"x": parse_term("y_star")}),),
     )
-    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
+    d = mp_eliminate(herbrand_disjunction(f, 1), w.substitutions)
     assert check(d) is None
     assert len(d.steps) == 3
     assert [s.rule for s in d.steps] == [T_AXIOM, GEN_GAMMA, GEN_DELTA]
@@ -475,12 +475,12 @@ def test_mp_eliminate_rejects_bad_witness():
         2, (Subst({"x": parse_term("l", {"l"})}),),
     )
     with pytest.raises(WitnessError):
-        mp_eliminate(f, w, herbrand_disjunction(f, 1))
+        mp_eliminate(herbrand_disjunction(f, 1), w.substitutions)
 
 
 def test_mp_eliminate_running_example():
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
+    d = mp_eliminate(herbrand_disjunction(A, 1), w.substitutions)
     assert check(d) is None
     assert count_rule(d, MP) == 0
     assert alpha_eq(d.final, rectify(A))
@@ -527,7 +527,7 @@ def test_mp_eliminate_starting_tautology_is_instance_dnf_reordering():
         return with_children(g, tuple(box_formula(k) for k in children(g)))
 
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
+    d = mp_eliminate(herbrand_disjunction(A, 1), w.substitutions)
     t0 = d.steps[0].formula
     instance_dnfs = [
         set(keyed(dnf(box_formula(herbrand_disjunction(A, 4).instance(s)))))
@@ -550,12 +550,12 @@ def test_golden_derivation_file():
     A, w = two_instance_witness()
     assert alpha_eq(d.final, rectify(A))
     # rebuilding from the witness reproduces the file byte for byte
-    assert dump_derivation(mp_eliminate(A, w, herbrand_disjunction(A, 1))) == text
+    assert dump_derivation(mp_eliminate(herbrand_disjunction(A, 1), w.substitutions)) == text
 
 
 def test_serialization_round_trip():
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
+    d = mp_eliminate(herbrand_disjunction(A, 1), w.substitutions)
     text = dump_derivation(d)
     d2, _ = load_derivation(text)
     assert check(d2) is None
@@ -590,7 +590,7 @@ def test_derivation_soundness_spot_check():
         pcw = PropertyCWitness(
             result.order, tuple(witness)
         )
-        d = mp_eliminate(f, pcw, herbrand_disjunction(f, 1))
+        d = mp_eliminate(herbrand_disjunction(f, 1), pcw.substitutions)
         assert check(d) is None
         for _ in range(4):
             s = random_structure(rng, d.final, rng.randrange(1, 4))
@@ -608,7 +608,7 @@ def test_mp_eliminate_three_fold_multiplicity():
         Subst({"x": parse_term(c)}) for c in ("c1", "c2", "c3")
     )
     w = PropertyCWitness(2, subs)
-    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
+    d = mp_eliminate(herbrand_disjunction(f, 1), w.substitutions)
     assert check(d) is None
     assert count_rule(d, GEN_GAMMA_SIMP) == 2
     assert alpha_eq(d.final, rectify(f))
@@ -631,7 +631,7 @@ def test_mp_eliminate_merges_below_a_quantifier():
         2,
         (Subst({"x": parse_term("c1")}), Subst({"x": parse_term("c2")})),
     )
-    d = mp_eliminate(f, w, herbrand_disjunction(f, 1))
+    d = mp_eliminate(herbrand_disjunction(f, 1), w.substitutions)
     assert check(d) is None
     simp = next(s for s in d.steps if s.rule == GEN_GAMMA_SIMP)
     assert simp.at != ()  # the merge happens inside the delta binder
@@ -657,7 +657,7 @@ def test_mp_eliminate_random_valid_corpus():
         pcw = PropertyCWitness(
             result.order, tuple(witness)
         )
-        d = mp_eliminate(f, pcw, herbrand_disjunction(f, 1))
+        d = mp_eliminate(herbrand_disjunction(f, 1), pcw.substitutions)
         assert check(d) is None
         assert count_rule(d, MP) == 0
         assert alpha_eq(d.final, f)
@@ -679,7 +679,7 @@ def test_mp_eliminate_skolemizes_once(monkeypatch):
 
     A, w = two_instance_witness()
     monkeypatch.setattr(transform, "_skolemize", counted)
-    assert check(mp_eliminate(A, w, herbrand_disjunction(A, 1))) is None
+    assert check(mp_eliminate(herbrand_disjunction(A, 1), w.substitutions)) is None
     assert len(calls) == 1
 
 
@@ -695,17 +695,14 @@ def test_mp_eliminate_names_biconditional_binders_as_the_prover(text):
     f = parse(text)
     analysis = herbrand_disjunction(f, 1)
     result = prove_dp(analysis, 3)
-    d = mp_eliminate(
-        f, PropertyCWitness(result.order, minimize_witness(analysis, list(result.witness))),
-        analysis,
-    )
+    d = mp_eliminate(analysis, minimize_witness(analysis, list(result.witness)))
     assert check(d) is None
     assert alpha_eq(d.final, expand_iff(f))
 
 
 def test_mp_eliminate_symbols_stay_within_goal():
     A, w = two_instance_witness()
-    d = mp_eliminate(A, w, herbrand_disjunction(A, 1))
+    d = mp_eliminate(herbrand_disjunction(A, 1), w.substitutions)
     from herbrand.syntax import formula_symbols
 
     goal_symbols = {
